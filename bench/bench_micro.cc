@@ -15,18 +15,19 @@
 namespace tfrepro {
 namespace {
 
-void BM_MatMul(benchmark::State& state) {
-  const int64_t n = state.range(0);
+// GFLOP/s of one MatMul op, op(a)[m,k] x op(b)[k,n], in its own session.
+// Rows register UseRealTime(): the kernel may run on the device's pool
+// threads, whose work the benchmark thread's CPU time does not include.
+void MatMulBench(benchmark::State& state, int64_t m, int64_t k, int64_t n,
+                 bool ta, bool tb) {
   Graph g;
   GraphBuilder b(&g);
-  Tensor a(DataType::kFloat, TensorShape({n, n}));
-  Tensor c(DataType::kFloat, TensorShape({n, n}));
+  Tensor a(DataType::kFloat, ta ? TensorShape({k, m}) : TensorShape({m, k}));
+  Tensor c(DataType::kFloat, tb ? TensorShape({n, k}) : TensorShape({k, n}));
   PhiloxRandom rng(1);
-  for (int64_t i = 0; i < n * n; ++i) {
-    a.flat<float>(i) = rng.Uniform();
-    c.flat<float>(i) = rng.Uniform();
-  }
-  Output p = ops::MatMul(&b, ops::Const(&b, a), ops::Const(&b, c));
+  for (int64_t i = 0; i < a.num_elements(); ++i) a.flat<float>(i) = rng.Uniform();
+  for (int64_t i = 0; i < c.num_elements(); ++i) c.flat<float>(i) = rng.Uniform();
+  Output p = ops::MatMul(&b, ops::Const(&b, a), ops::Const(&b, c), ta, tb);
   TF_CHECK_OK(b.status());
   SessionOptions options;
   options.optimizer.do_constant_folding = false;  // keep the matmul live
@@ -34,12 +35,33 @@ void BM_MatMul(benchmark::State& state) {
   std::vector<Tensor> out;
   for (auto _ : state) {
     TF_CHECK_OK(session.value()->Run({p.name()}, &out));
+    benchmark::DoNotOptimize(out);
   }
   state.counters["gflops"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 2 * n * n * n * 1e-9,
+      static_cast<double>(state.iterations()) * 2 * m * k * n * 1e-9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_MatMul)->Arg(64)->Arg(256);
+
+void BM_MatMul(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  MatMulBench(state, n, n, n, false, false);
+}
+BENCHMARK(BM_MatMul)->Arg(64)->Arg(256)->UseRealTime();
+
+// The three forms of the 256-wide layer of perfbench's train_mlp_local:
+// forward [64,256] x [256,256] (nn), dW = [256,64]^T-form x [64,256] (tn)
+// and dX = [64,256] x [256,256]^T (nt).
+void BM_MatMulForm(benchmark::State& state) {
+  const bool ta = state.range(3) != 0;
+  const bool tb = state.range(4) != 0;
+  MatMulBench(state, state.range(0), state.range(1), state.range(2), ta, tb);
+  state.SetLabel(ta ? "tn" : tb ? "nt" : "nn");
+}
+BENCHMARK(BM_MatMulForm)
+    ->Args({64, 256, 256, 0, 0})
+    ->Args({256, 64, 256, 1, 0})
+    ->Args({64, 256, 256, 0, 1})
+    ->UseRealTime();
 
 void BM_RendezvousSendRecv(benchmark::State& state) {
   LocalRendezvous rendezvous;

@@ -3,8 +3,9 @@
 # tests (DESIGN.md §8, §9) and a bench smoke against the committed
 # hot-path baseline.
 #
-#   scripts/check.sh              # full: tier-1 build+ctest, socket subset, TSan subset, bench + profiler + optimizer + input smoke
+#   scripts/check.sh              # full: tier-1 build+ctest, socket subset, TSan subset, ASan+UBSan ctest, bench + profiler + optimizer + input smoke
 #   scripts/check.sh --tsan-only
+#   scripts/check.sh --asan-only
 #   scripts/check.sh --bench-only
 #   scripts/check.sh --socket-only
 #   scripts/check.sh --profiler-only
@@ -21,12 +22,15 @@ JOBS="$(nproc)"
 TSAN_TESTS=(metrics_test tracing_test fault_tolerance_test queue_test
             threadpool_test rendezvous_stress_test chaos_test
             serving_test session_stress_test optimizer_fuzz_test
-            dataset_test)
+            dataset_test kernels_test)
 # Three chaos seeds and five fuzz seeds under TSan keep the pass under a
-# few minutes; the full sweeps run in the regular tier-1 ctest.
+# few minutes; the full sweeps run in the regular tier-1 ctest. Of
+# kernels_test only the MatMul and GEMM cases run: they split products
+# across pool threads (DESIGN.md §15).
 declare -A TSAN_FILTER=(
   [chaos_test]="--gtest_filter=ChaosTest.Seed0:ChaosTest.Seed1:ChaosTest.Seed2"
   [optimizer_fuzz_test]="--gtest_filter=OptimizerFuzzTest.Seed0:OptimizerFuzzTest.Seed1:OptimizerFuzzTest.Seed2:OptimizerFuzzTest.Seed3:OptimizerFuzzTest.Seed4"
+  [kernels_test]="--gtest_filter=GemmTest.*:KernelsTest.MatMul*"
 )
 
 run_tier1() {
@@ -58,6 +62,14 @@ run_tsan() {
     echo "-- $t (tsan)"
     "build-tsan/tests/$t" ${TSAN_FILTER[$t]:-}
   done
+}
+
+# ASan+UBSan over all of ctest (TFREPRO_SANITIZE=address turns on both).
+run_asan() {
+  echo "== ASan+UBSan (TFREPRO_SANITIZE=address): all of ctest =="
+  cmake -B build-asan -S . -DTFREPRO_SANITIZE=address
+  cmake --build build-asan -j "$JOBS"
+  (cd build-asan && ctest --output-on-failure -j "$JOBS")
 }
 
 # Bench smoke: re-run bench_executor and fail if null-step latency
@@ -228,6 +240,9 @@ case "${1:-}" in
   --tsan-only)
     run_tsan
     ;;
+  --asan-only)
+    run_asan
+    ;;
   --bench-only)
     run_bench_smoke
     run_serving_bench_smoke
@@ -248,6 +263,7 @@ case "${1:-}" in
     run_tier1
     run_socket
     run_tsan
+    run_asan
     run_bench_smoke
     run_serving_bench_smoke
     run_profiler_smoke

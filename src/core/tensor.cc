@@ -214,7 +214,9 @@ Result<Tensor> Tensor::ParseFromBytes(const std::string& bytes,
     if (*offset + nbytes > bytes.size()) {
       return DataLoss("truncated tensor data");
     }
-    std::memcpy(t.buffer_->bytes.data(), bytes.data() + *offset, nbytes);
+    if (nbytes > 0) {  // an empty tensor's buffer has no data pointer
+      std::memcpy(t.buffer_->bytes.data(), bytes.data() + *offset, nbytes);
+    }
     *offset += nbytes;
   }
   return t;

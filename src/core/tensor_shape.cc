@@ -15,14 +15,6 @@ int64_t TensorShape::dim(int i) const {
   return dims_[i];
 }
 
-int64_t TensorShape::num_elements() const {
-  int64_t n = 1;
-  for (int64_t d : dims_) {
-    n *= d;
-  }
-  return n;
-}
-
 void TensorShape::AddDim(int64_t size) { dims_.push_back(size); }
 
 void TensorShape::InsertDim(int d, int64_t size) {

@@ -1,5 +1,6 @@
 #include "core/threadpool.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace tfrepro {
@@ -137,6 +138,59 @@ void ThreadPool::ScheduleBatch(std::vector<std::function<void()>> fns) {
   pending_.fetch_add(static_cast<int64_t>(fns.size()),
                      std::memory_order_seq_cst);
   WakeWorkers(static_cast<int64_t>(fns.size()));
+}
+
+namespace {
+
+// The shards of one ParallelFor. Helper tasks share it by shared_ptr: one
+// dequeued after every shard was claimed (even after ParallelFor returned)
+// only bumps `next` and leaves, so `fn` is never used past the call.
+struct Shards {
+  int64_t total = 0;
+  int64_t size = 0;
+  int64_t count = 0;
+  const std::function<void(int64_t, int64_t)>* fn = nullptr;
+  std::atomic<int64_t> next{0};
+
+  std::mutex mu;
+  std::condition_variable all_done;
+  int64_t done = 0;  // guarded by mu
+
+  // Claims and runs shards until none is left unclaimed.
+  void Drain() {
+    for (int64_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      (*fn)(i * size, std::min(total, (i + 1) * size));
+      std::lock_guard<std::mutex> lock(mu);
+      if (++done == count) all_done.notify_all();
+    }
+  }
+};
+
+}  // namespace
+
+void ThreadPool::ParallelFor(int64_t total, int64_t shard_size,
+                             const std::function<void(int64_t, int64_t)>& fn) {
+  if (total <= 0) return;
+  shard_size = std::max<int64_t>(1, shard_size);
+  const int64_t count = (total + shard_size - 1) / shard_size;
+  const int64_t helpers = std::min<int64_t>(count, num_threads()) - 1;
+  if (helpers <= 0) {
+    for (int64_t begin = 0; begin < total; begin += shard_size) {
+      fn(begin, std::min(total, begin + shard_size));
+    }
+    return;
+  }
+  auto shards = std::make_shared<Shards>();
+  shards->total = total;
+  shards->size = shard_size;
+  shards->count = count;
+  shards->fn = &fn;
+  ScheduleBatch(std::vector<std::function<void()>>(
+      helpers, [shards]() { shards->Drain(); }));
+  shards->Drain();
+  // Every shard is claimed; the unfinished ones are running on helpers.
+  std::unique_lock<std::mutex> lock(shards->mu);
+  shards->all_done.wait(lock, [&]() { return shards->done == count; });
 }
 
 bool ThreadPool::PopOwn(int index, Task* task) {

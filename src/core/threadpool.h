@@ -52,6 +52,18 @@ class ThreadPool {
   // successors at once.
   void ScheduleBatch(std::vector<std::function<void()>> fns);
 
+  // Runs fn(begin, end) once for each shard [begin, end) of [0, total): the
+  // shards are consecutive and `shard_size` long, the last possibly shorter.
+  // The caller claims and runs shards itself while up to num_threads() - 1
+  // helper tasks claim the rest, and it returns once every shard has
+  // finished. It waits only for shards another thread has already started,
+  // never for a queued task, so a call from a worker while every other
+  // worker is busy (or while the pool shuts down) still completes. With one
+  // thread or one shard everything runs inline. Intra-op parallelism for
+  // kernels (DESIGN.md §15).
+  void ParallelFor(int64_t total, int64_t shard_size,
+                   const std::function<void(int64_t, int64_t)>& fn);
+
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
   // True once the destructor has started; schedules observed after this run

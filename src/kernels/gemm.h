@@ -1,0 +1,30 @@
+// The kernel layer's matrix multiply (DESIGN.md §15): one packed,
+// register-blocked GEMM for every transpose form and numeric type, split by
+// output rows across a device's threads (paper §5: kernels that run in
+// parallel on multicore CPUs).
+
+#ifndef TFREPRO_KERNELS_GEMM_H_
+#define TFREPRO_KERNELS_GEMM_H_
+
+#include <cstdint>
+
+#include "core/threadpool.h"
+
+namespace tfrepro {
+
+// c[m,n] = op(a) * op(b), where op(a) is a[m,k] (a[k,m] transposed when
+// transpose_a) and op(b) is b[k,n] (b[n,k] transposed when transpose_b).
+// Every element of c is written. Each output element is one accumulator
+// that starts at zero and adds op(a)[i,p] * op(b)[p,j] for p = 0 .. k-1 in
+// ascending order, so the result does not depend on the pool, its thread
+// count or how the rows were split. Products large enough to pay for it are
+// split by output rows across `pool`, which may be null.
+//
+// T is one of float, double, int32_t, int64_t, uint8_t.
+template <typename T>
+void Gemm(const T* a, const T* b, T* c, int64_t m, int64_t k, int64_t n,
+          bool transpose_a, bool transpose_b, ThreadPool* pool);
+
+}  // namespace tfrepro
+
+#endif  // TFREPRO_KERNELS_GEMM_H_

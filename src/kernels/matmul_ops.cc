@@ -1,50 +1,14 @@
-// MatMul and bias kernels. The matrix multiply uses a cache-blocked i-k-j
-// loop order — the workhorse of every model in the paper's evaluation.
+// MatMul and bias kernels. MatMul runs the packed GEMM of kernels/gemm.h
+// for every transpose form, split by output rows across the device's
+// threads — the workhorse of every model in the paper's evaluation.
 
 #include "kernels/dispatch.h"
+#include "kernels/gemm.h"
+#include "runtime/device.h"
 #include "runtime/kernel.h"
 
 namespace tfrepro {
 namespace {
-
-template <typename T>
-void MatMulImpl(const T* a, const T* b, T* c, int64_t m, int64_t k, int64_t n,
-                bool ta, bool tb) {
-  // c[m,n] = a[m,k] (or aT) * b[k,n] (or bT); c is pre-zeroed.
-  auto a_at = [&](int64_t i, int64_t j) { return ta ? a[j * m + i] : a[i * k + j]; };
-  auto b_at = [&](int64_t i, int64_t j) { return tb ? b[j * k + i] : b[i * n + j]; };
-  if (!ta && !tb) {
-    // Fast path: i-k-j with row-major streaming over b and c.
-    constexpr int64_t kBlock = 64;
-    for (int64_t i0 = 0; i0 < m; i0 += kBlock) {
-      int64_t i1 = std::min(m, i0 + kBlock);
-      for (int64_t k0 = 0; k0 < k; k0 += kBlock) {
-        int64_t k1 = std::min(k, k0 + kBlock);
-        for (int64_t i = i0; i < i1; ++i) {
-          for (int64_t kk = k0; kk < k1; ++kk) {
-            T av = a[i * k + kk];
-            if (av == T{0}) continue;
-            const T* brow = b + kk * n;
-            T* crow = c + i * n;
-            for (int64_t j = 0; j < n; ++j) {
-              crow[j] += av * brow[j];
-            }
-          }
-        }
-      }
-    }
-    return;
-  }
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      T acc{0};
-      for (int64_t kk = 0; kk < k; ++kk) {
-        acc += a_at(i, kk) * b_at(kk, j);
-      }
-      c[i * n + j] = acc;
-    }
-  }
-}
 
 class MatMulOp : public OpKernel {
  public:
@@ -68,10 +32,12 @@ class MatMulOp : public OpKernel {
                                 a.shape().DebugString() + " x " +
                                 b.shape().DebugString()));
     Tensor out(BaseType(a.dtype()), TensorShape({m, n}));
+    ThreadPool* pool =
+        ctx->device() != nullptr ? ctx->device()->pool() : nullptr;
     OP_REQUIRES_OK(ctx, NumericDispatch(a.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      MatMulImpl<T>(a.data<T>(), b.data<T>(), out.data<T>(), m, k, n, ta_,
-                    tb_);
+      Gemm<T>(a.data<T>(), b.data<T>(), out.data<T>(), m, k, n, ta_, tb_,
+              pool);
     }));
     ctx->set_output(0, std::move(out));
   }
@@ -104,9 +70,11 @@ class BiasAddOp : public OpKernel {
       const T* v = value.data<T>();
       const T* bp = bias.data<T>();
       T* o = out.data<T>();
-      int64_t n = value.num_elements();
-      for (int64_t i = 0; i < n; ++i) {
-        o[i] = v[i] + bp[i % c];
+      const int64_t rows = c > 0 ? value.num_elements() / c : 0;
+      for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t j = 0; j < c; ++j) {
+          o[r * c + j] = v[r * c + j] + bp[j];
+        }
       }
     }));
     ctx->set_output(0, std::move(out));
@@ -128,9 +96,11 @@ class BiasAddGradOp : public OpKernel {
       using T = decltype(tag);
       const T* gp = g.data<T>();
       T* o = out.data<T>();
-      int64_t n = g.num_elements();
-      for (int64_t i = 0; i < n; ++i) {
-        o[i % c] += gp[i];
+      const int64_t rows = c > 0 ? g.num_elements() / c : 0;
+      for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t j = 0; j < c; ++j) {
+          o[j] += gp[r * c + j];
+        }
       }
     }));
     ctx->set_output(0, std::move(out));

@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <type_traits>
 
+#include "core/random.h"
 #include "graph/ops.h"
+#include "kernels/gemm.h"
 #include "runtime/session.h"
 
 namespace tfrepro {
@@ -299,6 +304,170 @@ TEST(KernelsTest, MatMulTransposeCombos) {
   });
   // A x A^T = [[14, 32], [32, 77]].
   EXPECT_EQ(Vec(r), (std::vector<float>{14, 32, 32, 77}));
+}
+
+TEST(KernelsTest, MatMulZeroTimesInfIsNaNInEveryForm) {
+  // [[0, 1]] x [[inf], [2]]: IEEE gives 0 * inf + 1 * 2 = NaN. A kernel that
+  // skips zero entries of `a` answers 2, and only for some transpose forms.
+  const float inf = std::numeric_limits<float>::infinity();
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      Tensor r = Eval([&](GraphBuilder* b) {
+        // Stored shapes [1,2] / [2,1] read the same values either way.
+        Output a = Const(b, Tensor::FromVector<float>(
+                                {0, 1}, ta ? TensorShape({2, 1})
+                                           : TensorShape({1, 2})));
+        Output c = Const(b, Tensor::FromVector<float>(
+                                {inf, 2}, tb ? TensorShape({1, 2})
+                                             : TensorShape({2, 1})));
+        return ops::MatMul(b, a, c, ta, tb);
+      });
+      ASSERT_EQ(r.shape().DebugString(), "[1,1]");
+      EXPECT_TRUE(std::isnan(r.flat<float>(0)))
+          << "ta=" << ta << " tb=" << tb << " got " << r.flat<float>(0);
+    }
+  }
+}
+
+// The GEMM behind MatMul (kernels/gemm.h), checked bit for bit against the
+// plain loop it must match: one accumulator per output element, starting
+// at zero, adding op(a)[i,p] * op(b)[p,j] for ascending p.
+
+template <typename T>
+std::vector<T> RandomMatrix(int64_t elements, uint64_t seed) {
+  PhiloxRandom rng(seed);
+  std::vector<T> v(elements);
+  for (T& x : v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      x = static_cast<T>(rng.UniformDouble() * 2 - 1);  // order-sensitive sums
+    } else if constexpr (std::is_signed_v<T>) {
+      x = static_cast<T>(rng.UniformInt(7)) - 3;  // no overflow at k <= 300
+    } else {
+      x = static_cast<T>(rng.UniformInt(256));  // wraps, as uint8 does
+    }
+  }
+  return v;
+}
+
+template <typename T>
+std::vector<T> AscendingKLoop(const std::vector<T>& a, const std::vector<T>& b,
+                              int64_t m, int64_t k, int64_t n, bool ta,
+                              bool tb) {
+  std::vector<T> c(m * n);
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      T acc{0};
+      for (int64_t p = 0; p < k; ++p) {
+        acc += (ta ? a[p * m + i] : a[i * k + p]) *
+               (tb ? b[j * k + p] : b[p * n + j]);
+      }
+      c[i * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+template <typename T>
+std::vector<T> RunGemm(const std::vector<T>& a, const std::vector<T>& b,
+                       int64_t m, int64_t k, int64_t n, bool ta, bool tb,
+                       ThreadPool* pool) {
+  // Pre-filled with garbage: the GEMM must write every element.
+  std::vector<T> c(m * n, static_cast<T>(77));
+  Gemm<T>(a.data(), b.data(), c.data(), m, k, n, ta, tb, pool);
+  return c;
+}
+
+template <typename T>
+bool SameBits(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() &&
+         (x.empty() || std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
+
+struct GemmShape {
+  int64_t m, k, n;
+};
+
+// Edges of every blocking level: empty and unit dimensions, the 4-row
+// register tile +-1, the 4/8/32-column tiles (double, float/int32, uint8)
+// +-1, k past one and two 256-deep k-blocks, n past one 256-wide block,
+// and the training-sized product.
+const std::vector<GemmShape>& EdgeShapes() {
+  static const std::vector<GemmShape> shapes = {
+      {0, 3, 4},   {3, 0, 4},   {3, 4, 0},    {0, 0, 0},    {1, 1, 1},
+      {3, 5, 3},   {5, 3, 5},   {4, 8, 8},    {3, 7, 7},    {5, 9, 9},
+      {1, 16, 31}, {4, 17, 33}, {5, 33, 32},  {7, 2, 17},   {9, 257, 9},
+      {5, 300, 33}, {3, 513, 5}, {6, 20, 260}, {64, 256, 256}};
+  return shapes;
+}
+
+template <typename T>
+void ExpectGemmMatchesAscendingKLoop(ThreadPool* pool) {
+  uint64_t seed = 1;
+  for (const GemmShape& s : EdgeShapes()) {
+    for (bool ta : {false, true}) {
+      for (bool tb : {false, true}) {
+        const std::vector<T> a = RandomMatrix<T>(s.m * s.k, seed++);
+        const std::vector<T> b = RandomMatrix<T>(s.k * s.n, seed++);
+        EXPECT_TRUE(SameBits(RunGemm(a, b, s.m, s.k, s.n, ta, tb, pool),
+                             AscendingKLoop(a, b, s.m, s.k, s.n, ta, tb)))
+            << DataTypeName(DataTypeToEnum<T>::value) << " m=" << s.m
+            << " k=" << s.k << " n=" << s.n << " ta=" << ta << " tb=" << tb;
+      }
+    }
+  }
+}
+
+TEST(GemmTest, MatchesAscendingKLoopForEveryFormAndType) {
+  ThreadPool pool("gemm_test", 4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    ExpectGemmMatchesAscendingKLoop<float>(p);
+    ExpectGemmMatchesAscendingKLoop<double>(p);
+    ExpectGemmMatchesAscendingKLoop<int32_t>(p);
+    ExpectGemmMatchesAscendingKLoop<int64_t>(p);
+    ExpectGemmMatchesAscendingKLoop<uint8_t>(p);
+  }
+}
+
+TEST(GemmTest, SameBitsOnPoolsOfOneTwoAndFourThreads) {
+  // Large enough to be split into row shards on the 2- and 4-thread pools.
+  const int64_t m = 64, k = 256, n = 256;
+  ThreadPool one("gemm_1", 1), two("gemm_2", 2), four("gemm_4", 4);
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      const std::vector<float> a = RandomMatrix<float>(m * k, 11);
+      const std::vector<float> b = RandomMatrix<float>(k * n, 12);
+      const std::vector<float> inline_c =
+          RunGemm(a, b, m, k, n, ta, tb, nullptr);
+      for (ThreadPool* pool : {&one, &two, &four}) {
+        for (int rep = 0; rep < 3; ++rep) {
+          EXPECT_TRUE(
+              SameBits(RunGemm(a, b, m, k, n, ta, tb, pool), inline_c))
+              << pool->num_threads() << " threads, ta=" << ta
+              << " tb=" << tb;
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmTest, RowOfBatchEqualsSingleRowProduct) {
+  // A serving batch must answer each request exactly as a batch of one.
+  const int64_t m = 32, k = 256, n = 256;
+  ThreadPool pool("gemm_rows", 4);
+  for (bool tb : {false, true}) {
+    const std::vector<float> a = RandomMatrix<float>(m * k, 21);
+    const std::vector<float> b = RandomMatrix<float>(k * n, 22);
+    const std::vector<float> batch = RunGemm(a, b, m, k, n, false, tb, &pool);
+    for (int64_t i = 0; i < m; ++i) {
+      const std::vector<float> row(a.begin() + i * k, a.begin() + (i + 1) * k);
+      const std::vector<float> single = RunGemm(row, b, 1, k, n, false, tb,
+                                                &pool);
+      EXPECT_EQ(std::memcmp(single.data(), batch.data() + i * n,
+                            n * sizeof(float)),
+                0)
+          << "row " << i << " tb=" << tb;
+    }
+  }
 }
 
 TEST(KernelsTest, Conv2DHandComputed) {
