@@ -25,8 +25,11 @@ void MatMulBench(benchmark::State& state, int64_t m, int64_t k, int64_t n,
   Tensor a(DataType::kFloat, ta ? TensorShape({k, m}) : TensorShape({m, k}));
   Tensor c(DataType::kFloat, tb ? TensorShape({n, k}) : TensorShape({k, n}));
   PhiloxRandom rng(1);
-  for (int64_t i = 0; i < a.num_elements(); ++i) a.flat<float>(i) = rng.Uniform();
-  for (int64_t i = 0; i < c.num_elements(); ++i) c.flat<float>(i) = rng.Uniform();
+  for (Tensor* t : {&a, &c}) {
+    for (int64_t i = 0; i < t->num_elements(); ++i) {
+      t->flat<float>(i) = rng.Uniform();
+    }
+  }
   Output p = ops::MatMul(&b, ops::Const(&b, a), ops::Const(&b, c), ta, tb);
   TF_CHECK_OK(b.status());
   SessionOptions options;

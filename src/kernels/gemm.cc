@@ -1,15 +1,17 @@
 // Packed GEMM (DESIGN.md §15). op(a) is packed into kMR-row panels and
 // op(b) into NR-column panels, whatever their transpose form, so all four
 // forms run the same kMR x NR micro-kernel over contiguous memory. The
-// micro-kernel is written with GCC vector extensions on 16-byte vectors,
-// which the baseline x86-64 (SSE2) and AArch64 (NEON) targets both have.
+// micro-kernel uses GCC vector extensions on 16-byte vectors, which the
+// baseline x86-64 target (SSE2) has, so it needs no -march or intrinsics.
 
 #include "kernels/gemm.h"
+
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
-#include <memory>
+#include <new>
 
 namespace tfrepro {
 namespace {
@@ -30,8 +32,9 @@ struct Simd {
 
 // Cache blocks: a kMC x kKC block of op(a) is packed per thread, a kKC x kNC
 // block of op(b) once per product step; 64 KiB of floats each. A 256-wide
-// kNC ran ~15% faster on perfbench's train_mlp_local but kept 4 MB more
-// resident (one buffer per thread that ever multiplied).
+// kNC ran ~15% faster on perfbench's train_mlp_local, but at 256 KiB per
+// thread that multiplies it grew that 15.5 MB process by 15-30%
+// (DESIGN.md §15).
 constexpr int64_t kKC = 256;
 constexpr int64_t kMC = 64;
 constexpr int64_t kNC = 64;
@@ -56,21 +59,39 @@ struct View {
 // One thread's packing buffer. It grows to the largest block the thread has
 // packed and is reused by every later product on that thread, so a
 // steady-state MatMul allocates nothing. Blocks are at most kMC x kKC (a)
-// and kKC x kNC (b) elements, which bounds it.
+// and kKC x kNC (b) elements, which bounds it. The pages come from mmap so
+// that a pool thread's exit (every session owns its pool) returns them to
+// the system; from malloc they stayed resident in the allocator's arenas,
+// one buffer per thread that ever multiplied.
 class PackBuffer {
  public:
+  PackBuffer() = default;
+  PackBuffer(const PackBuffer&) = delete;
+  PackBuffer& operator=(const PackBuffer&) = delete;
+  ~PackBuffer() { Release(); }
+
   template <typename T>
   T* Get(int64_t elements) {
     const size_t bytes = static_cast<size_t>(elements) * sizeof(T);
     if (bytes > size_) {
-      data_ = std::make_unique_for_overwrite<std::byte[]>(bytes);
+      Release();
+      void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (p == MAP_FAILED) throw std::bad_alloc();
+      data_ = p;
       size_ = bytes;
     }
-    return reinterpret_cast<T*>(data_.get());
+    return static_cast<T*>(data_);
   }
 
  private:
-  std::unique_ptr<std::byte[]> data_;
+  void Release() {
+    if (data_ != nullptr) munmap(data_, size_);
+    data_ = nullptr;
+    size_ = 0;
+  }
+
+  void* data_ = nullptr;
   size_t size_ = 0;
 };
 

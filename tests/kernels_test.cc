@@ -380,7 +380,8 @@ std::vector<T> RunGemm(const std::vector<T>& a, const std::vector<T>& b,
 template <typename T>
 bool SameBits(const std::vector<T>& x, const std::vector<T>& y) {
   return x.size() == y.size() &&
-         (x.empty() || std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
 }
 
 struct GemmShape {
