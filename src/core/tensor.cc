@@ -107,9 +107,11 @@ Result<Tensor> Tensor::SliceRows(int64_t start, int64_t len) const {
     }
   } else {
     size_t esz = DataTypeSize(dtype_);
-    std::memcpy(out.buffer_->bytes.data(),
-                buffer_->bytes.data() + start * row_elems * esz,
-                len * row_elems * esz);
+    if (len * row_elems > 0) {  // an empty tensor's buffer has no data pointer
+      std::memcpy(out.buffer_->bytes.data(),
+                  buffer_->bytes.data() + start * row_elems * esz,
+                  len * row_elems * esz);
+    }
   }
   return out;
 }
