@@ -22,7 +22,7 @@ JOBS="$(nproc)"
 TSAN_TESTS=(metrics_test tracing_test fault_tolerance_test queue_test
             threadpool_test rendezvous_stress_test chaos_test
             serving_test session_stress_test optimizer_fuzz_test
-            dataset_test kernels_test)
+            dataset_test kernels_test rpc_transport_test)
 # Three chaos seeds and five fuzz seeds under TSan keep the pass under a
 # few minutes; the full sweeps run in the regular tier-1 ctest. Of
 # kernels_test only the MatMul and GEMM cases run: they split products
@@ -41,17 +41,20 @@ run_tier1() {
 }
 
 # Socket-transport subset (DESIGN.md §11): the distributed suite re-run
-# with every task as a real worker_main process, plus the SIGKILL chaos
-# smoke. Both are also tier-1 ctest entries (distributed_socket_test,
-# socket_chaos_test); this target runs them standalone with hard timeouts
-# so a wedged worker process can never hang the check.
+# with every task as a real worker_main process, the SIGKILL chaos smoke,
+# and the acknowledged-Send cases (a failed SendTensor ack fails the step).
+# All are also tier-1 ctest entries (distributed_socket_test,
+# socket_chaos_test, rpc_transport_test); this target runs them standalone
+# with hard timeouts so a wedged worker process can never hang the check.
 run_socket() {
-  echo "== socket transport: distributed_test over real processes + SIGKILL chaos =="
-  cmake --build build -j "$JOBS" --target distributed_test socket_chaos_test worker_main
+  echo "== socket transport: distributed_test over real processes + SIGKILL chaos + send acks =="
+  cmake --build build -j "$JOBS" --target distributed_test socket_chaos_test \
+      rpc_transport_test worker_main
   TFREPRO_TRANSPORT=socket TFREPRO_WORKER_BINARY="$PWD/build/bin/worker_main" \
       timeout 300 ./build/tests/distributed_test
   TFREPRO_WORKER_BINARY="$PWD/build/bin/worker_main" \
       timeout 120 ./build/tests/socket_chaos_test
+  timeout 60 ./build/tests/rpc_transport_test --gtest_filter='WorkerSendAckTest.*'
 }
 
 run_tsan() {

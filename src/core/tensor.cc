@@ -200,8 +200,9 @@ Result<Tensor> Tensor::ParseFromBytes(const std::string& bytes,
   if (DataTypeSize(dtype) == 0 && dtype != DataType::kString) {
     return DataLoss("corrupt tensor dtype " + std::to_string(dtype_val));
   }
-  Tensor t(dtype, TensorShape(dims));
+  TensorShape shape(dims);
   if (dtype == DataType::kString) {
+    Tensor t(dtype, shape);
     for (int64_t i = 0; i < t.num_elements(); ++i) {
       int64_t len = 0;
       if (!ReadInt64(bytes, offset, &len) || len < 0 ||
@@ -211,16 +212,27 @@ Result<Tensor> Tensor::ParseFromBytes(const std::string& bytes,
       t.str(i).assign(bytes.data() + *offset, len);
       *offset += len;
     }
-  } else {
-    size_t nbytes = t.buffer_->bytes.size();
-    if (*offset + nbytes > bytes.size()) {
-      return DataLoss("truncated tensor data");
-    }
-    if (nbytes > 0) {  // an empty tensor's buffer has no data pointer
-      std::memcpy(t.buffer_->bytes.data(), bytes.data() + *offset, nbytes);
-    }
-    *offset += nbytes;
+    return t;
   }
+  // POD payload: checked against the input before anything is allocated
+  // (dividing, so a huge element count cannot wrap the byte count), then
+  // copied straight into the new buffer — no zero-fill pass first.
+  const size_t element_size = DataTypeSize(dtype);
+  if (static_cast<uint64_t>(shape.num_elements()) >
+      (bytes.size() - *offset) / element_size) {
+    return DataLoss("truncated tensor data");
+  }
+  const size_t nbytes =
+      static_cast<size_t>(shape.num_elements()) * element_size;
+  Tensor t;
+  t.dtype_ = dtype;
+  t.shape_ = std::move(shape);
+  t.buffer_ = std::make_shared<Buffer>();
+  if (nbytes > 0) {  // an empty tensor's range has no data to copy
+    const char* data = bytes.data() + *offset;
+    t.buffer_->bytes.assign(data, data + nbytes);
+  }
+  *offset += nbytes;
   return t;
 }
 

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <memory>
 #include <utility>
@@ -29,29 +28,10 @@ metrics::Counter* SendRetriesCounter() {
   return c;
 }
 
-// Microsecond latency buckets, ~4x apart from 10us to 10s.
-std::vector<double> LatencyUsBuckets() {
-  return {10,     40,     160,     640,     2560,     10240,
-          40960,  163840, 655360,  2621440, 10485760};
-}
-
-// One client-side latency histogram per method, resolved once: Call sits
-// on the send path of every tensor transfer, so it must not pay a registry
-// map lookup per invocation.
 metrics::Histogram* CallLatencyHistogram(Method method) {
-  static const auto* hists = []() {
-    auto* a = new std::array<metrics::Histogram*,
-                             static_cast<size_t>(Method::kRecvTensor) + 1>{};
-    for (size_t m = 1; m < a->size(); ++m) {
-      (*a)[m] = metrics::Registry::Global()->GetHistogram(
-          "rpc.call_latency_us", LatencyUsBuckets(),
-          {{"method", MethodName(static_cast<Method>(m))}});
-    }
-    return a;
-  }();
-  const size_t m = static_cast<size_t>(method);
-  return m < hists->size() && (*hists)[m] != nullptr ? (*hists)[m]
-                                                     : (*hists)[1];
+  static const MethodHistograms* hists =
+      new MethodHistograms("rpc.call_latency_us");
+  return hists->get(static_cast<uint8_t>(method));
 }
 
 }  // namespace
@@ -87,10 +67,10 @@ double RpcChannel::NextJitterFactor() {
 
 void RpcChannel::CloseConnLocked() {
   if (fd_ >= 0) {
-    // shutdown() first so a reader blocked in read() unblocks immediately;
-    // close() alone can leave it parked.
+    // shutdown() unblocks the reader parked in read(); the reader closes
+    // the fd itself once it has left read(), so the number cannot be
+    // reused by a new connection under a live read.
     ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
     fd_ = -1;
   }
 }
@@ -146,7 +126,9 @@ void RpcChannel::Call(Method method, std::string body, const char* payload,
   done = [done = std::move(done), start = metrics::NowMicros(),
           hist = CallLatencyHistogram(method)](const Status& status,
                                                std::string response) {
-    hist->Record(static_cast<double>(metrics::NowMicros() - start));
+    if (hist != nullptr) {
+      hist->Record(static_cast<double>(metrics::NowMicros() - start));
+    }
     done(status, std::move(response));
   };
   const int64_t deadline_micros =
@@ -183,7 +165,10 @@ void RpcChannel::Call(Method method, std::string body, const char* payload,
                            static_cast<uint8_t>(method), body, payload,
                            payload_len);
     if (ws.ok()) {
-      if (deadline_micros > 0) sweep_cv_.notify_all();
+      // Wake the sweeper only for a deadline before its next scan.
+      if (deadline_micros > 0 && deadline_micros < sweep_wake_micros_) {
+        sweep_cv_.notify_all();
+      }
       return;
     }
     // The frame was not fully flushed, so the peer cannot have parsed it —
@@ -250,6 +235,7 @@ void RpcChannel::ReaderLoop(int fd) {
         }
         // Otherwise a reset/shutdown already closed us and failed pending.
       }
+      ::close(fd);
       const Status err = Unavailable("connection to " + peer_ + " lost: " +
                                      frame.status().message());
       for (Pending& p : orphaned) p.done(err, std::string());
@@ -288,6 +274,7 @@ void RpcChannel::SweepLoop() {
     const int64_t now = metrics::NowMicros();
     int64_t wait_micros = nearest == 0 ? 250000 : nearest - now;
     if (wait_micros > 0) {
+      sweep_wake_micros_ = now + wait_micros;
       sweep_cv_.wait_for(lock, std::chrono::microseconds(wait_micros));
       if (shutdown_) return;
     }

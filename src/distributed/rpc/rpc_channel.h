@@ -111,9 +111,10 @@ class RpcChannel {
   // Detaches every pending call into `out` (for invocation outside the
   // lock). Must hold mu_.
   void TakePendingLocked(std::vector<Pending>* out);
-  // Closes the socket (shutdown + close) so a blocked reader unblocks.
-  // Must hold mu_.
+  // Shuts the socket down so a blocked reader unblocks and marks the
+  // channel disconnected. Must hold mu_. The reader closes the fd on exit.
   void CloseConnLocked();
+  // Owns `fd`: reads responses until the connection dies, then closes it.
   void ReaderLoop(int fd);
   void SweepLoop();
   double NextJitterFactor();  // must hold mu_
@@ -140,6 +141,9 @@ class RpcChannel {
   std::thread reader_;
   std::thread sweeper_;
   std::condition_variable sweep_cv_;
+  // When the sweeper next rescans pending_ on its own; a call whose
+  // deadline falls later need not wake it.
+  int64_t sweep_wake_micros_ = 0;
 };
 
 }  // namespace rpc

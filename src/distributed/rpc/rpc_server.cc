@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <array>
 #include <utility>
 #include <vector>
 
@@ -19,22 +18,9 @@ namespace {
 // tagged by method. Mirrors the client's rpc.call_latency_us; the gap
 // between the two is wire + queueing time.
 metrics::Histogram* ServerHandleHistogram(uint8_t method) {
-  static const auto* hists = []() {
-    auto* a = new std::array<metrics::Histogram*,
-                             static_cast<size_t>(Method::kRecvTensor) + 1>{};
-    std::vector<double> buckets = {10,     40,     160,     640,
-                                   2560,   10240,  40960,   163840,
-                                   655360, 2621440, 10485760};
-    for (size_t m = 1; m < a->size(); ++m) {
-      (*a)[m] = metrics::Registry::Global()->GetHistogram(
-          "rpc.server_handle_us", buckets,
-          {{"method", MethodName(static_cast<Method>(m))}});
-    }
-    return a;
-  }();
-  const size_t m = method;
-  return m < hists->size() && (*hists)[m] != nullptr ? (*hists)[m]
-                                                     : (*hists)[1];
+  static const MethodHistograms* hists =
+      new MethodHistograms("rpc.server_handle_us");
+  return hists->get(method);
 }
 
 }  // namespace
@@ -65,8 +51,9 @@ void RpcServer::Responder::Respond(const Status& status,
                                    const std::string& body,
                                    const char* payload, size_t payload_len) {
   if (responded_.exchange(true)) return;  // exactly-once
-  ServerHandleHistogram(method_)->Record(
-      static_cast<double>(metrics::NowMicros() - start_micros_));
+  if (metrics::Histogram* hist = ServerHandleHistogram(method_)) {
+    hist->Record(static_cast<double>(metrics::NowMicros() - start_micros_));
+  }
   auto conn = std::static_pointer_cast<Conn>(conn_);
   if (conn->closed.load()) return;  // peer is gone; drop the response
   std::string framed;

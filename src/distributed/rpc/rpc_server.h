@@ -4,7 +4,8 @@
 // connection to its own reader thread; handlers run inline on the reader
 // thread and respond through a Responder, which may be held past the
 // handler's return for long-poll methods (RecvTensor answers when the
-// matching Send arrives, RunGraph when the step's executors finish).
+// matching Send arrives, RunGraph when the step's executors finish and its
+// sends are acknowledged).
 //
 // Response frames echo the request_id and method and carry
 // [status code, status message, method payload...] in the body, written

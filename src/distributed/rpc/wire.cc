@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <vector>
 
 #include "core/metrics.h"
 
@@ -84,6 +85,20 @@ const char* MethodName(Method m) {
     case Method::kGetElement: return "GetElement";
   }
   return "?";
+}
+
+MethodHistograms::MethodHistograms(const std::string& name) {
+  const std::vector<double> buckets = {10,      40,      160,    640,
+                                       2560,    10240,   40960,  163840,
+                                       655360,  2621440, 10485760};
+  for (uint8_t m = 1; m <= kMaxMethod; ++m) {
+    hists_[m] = metrics::Registry::Global()->GetHistogram(
+        name, buckets, {{"method", MethodName(static_cast<Method>(m))}});
+  }
+}
+
+metrics::Histogram* MethodHistograms::get(uint8_t method) const {
+  return method < hists_.size() ? hists_[method] : nullptr;
 }
 
 void AppendInt64(std::string* out, int64_t v) {

@@ -23,9 +23,11 @@
 #ifndef TFREPRO_DISTRIBUTED_RPC_WIRE_H_
 #define TFREPRO_DISTRIBUTED_RPC_WIRE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 
+#include "core/metrics.h"
 #include "core/status.h"
 #include "core/tensor.h"
 
@@ -49,7 +51,26 @@ enum class Method : uint8_t {
   kGetElement = 9,
 };
 
+// The largest Method value: per-method tables have kMaxMethod + 1 slots
+// (slot 0 is no method), so a new method moves this bound with it.
+constexpr uint8_t kMaxMethod = static_cast<uint8_t>(Method::kGetElement);
+
 const char* MethodName(Method m);
+
+// One latency histogram per Method under `name` ("rpc.call_latency_us",
+// "rpc.server_handle_us"), tagged {method}, on one microsecond bucket list
+// (~4x apart, 10 us to 10 s). Resolved once at construction: every tensor
+// transfer passes through both sides, so neither may pay a registry
+// lookup per call.
+class MethodHistograms {
+ public:
+  explicit MethodHistograms(const std::string& name);
+  // nullptr for a byte that names no Method (a stray or corrupt frame).
+  metrics::Histogram* get(uint8_t method) const;
+
+ private:
+  std::array<metrics::Histogram*, kMaxMethod + 1> hists_{};
+};
 
 // One parsed frame.
 struct Frame {

@@ -15,11 +15,13 @@ namespace rpc {
 
 WorkerRendezvous::WorkerRendezvous(RpcChannel* hub, ThreadPool* done_pool,
                                    int64_t step_id,
-                                   double send_deadline_seconds)
+                                   double send_deadline_seconds,
+                                   CancellationManager* cancellation)
     : hub_(hub),
       done_pool_(done_pool),
       step_id_(step_id),
-      send_deadline_seconds_(send_deadline_seconds) {}
+      send_deadline_seconds_(send_deadline_seconds),
+      cancellation_(cancellation) {}
 
 bool WorkerRendezvous::IsCrossTaskKey(const std::string& key) {
   return distributed::IsCrossTaskKey(key);
@@ -28,6 +30,11 @@ bool WorkerRendezvous::IsCrossTaskKey(const std::string& key) {
 Status WorkerRendezvous::Send(const std::string& key, const Tensor& value,
                               bool is_dead) {
   if (!IsCrossTaskKey(key)) return local_.Send(key, value, is_dead);
+  {
+    std::lock_guard<std::mutex> lock(ack_mu_);
+    if (!step_status_.ok()) return step_status_;
+    ++acks_pending_;
+  }
   std::string body;
   AppendInt64(&body, step_id_);
   AppendString(&body, key);
@@ -35,15 +42,75 @@ Status WorkerRendezvous::Send(const std::string& key, const Tensor& value,
   const char* payload = nullptr;
   size_t payload_len = 0;
   AppendTensorMeta(value, &body, &payload, &payload_len);
-  Result<std::string> response = hub_->CallSync(
-      Method::kSendTensor, body, payload, payload_len, send_deadline_seconds_);
-  TF_RETURN_IF_ERROR(response.status());
-  size_t offset = 0;
-  Status app;
-  if (!ReadStatus(response.value(), &offset, &app)) {
-    return DataLoss("malformed SendTensor response");
+  // The frame (payload included) is written before Call returns, so
+  // `value` need not outlive this Send; the ack arrives later.
+  hub_->Call(Method::kSendTensor, std::move(body), payload, payload_len,
+             send_deadline_seconds_,
+             [self = shared_from_this()](const Status& transport,
+                                         std::string response) {
+               Status status = transport;
+               size_t offset = 0;
+               if (status.ok() && !ReadStatus(response, &offset, &status)) {
+                 status = DataLoss("malformed SendTensor response");
+               }
+               self->OnAck(status);
+             });
+  return Status::OK();
+}
+
+void WorkerRendezvous::OnAck(const Status& status) {
+  bool first_error = false;
+  if (!status.ok()) {
+    std::lock_guard<std::mutex> lock(ack_mu_);
+    if (step_status_.ok()) {
+      step_status_ = status;
+      first_error = true;
+    }
   }
-  return app;
+  if (!first_error) {
+    CountAck();
+    return;
+  }
+  // The tensor may never reach its Recv: fail the step now rather than
+  // leave its waiters parked until a deadline. Aborted kernels resume the
+  // executor, whose transfers write to the hub, so this runs on the pool,
+  // not the reader thread; the ack is counted only afterwards, which keeps
+  // the step context (and `cancellation_`) alive until then.
+  done_pool_->Schedule([self = shared_from_this(), status]() {
+    self->local_.StartAbort(status);
+    self->cancellation_->StartCancel();
+    self->CountAck();
+  });
+}
+
+void WorkerRendezvous::CountAck() {
+  std::function<void(Status)> acked;
+  Status step_status;
+  {
+    std::lock_guard<std::mutex> lock(ack_mu_);
+    if (--acks_pending_ > 0 || !acked_) return;
+    acked = std::move(acked_);
+    step_status = step_status_;
+  }
+  // Off the hub channel's reader thread: answering RunGraph is a write.
+  done_pool_->Schedule([acked = std::move(acked), step_status]() {
+    acked(step_status);
+  });
+}
+
+void WorkerRendezvous::WhenSendsAcked(const Status& executors_status,
+                                      std::function<void(Status)> done) {
+  Status step_status;
+  {
+    std::lock_guard<std::mutex> lock(ack_mu_);
+    if (step_status_.ok()) step_status_ = executors_status;
+    if (acks_pending_ > 0) {
+      acked_ = std::move(done);
+      return;
+    }
+    step_status = step_status_;
+  }
+  done(step_status);
 }
 
 void WorkerRendezvous::RecvAsync(const std::string& key, DoneCallback done) {
@@ -59,8 +126,8 @@ void WorkerRendezvous::RecvAsync(const std::string& key, DoneCallback done) {
   // step abort at the hub answers it with the abort status.
   // The completion is parsed on the channel's reader thread but `done` is
   // dispatched to the pool: done resumes the executor, whose downstream
-  // nodes may issue a blocking Send on this same channel — running them on
-  // the reader thread would deadlock against our own response stream.
+  // nodes may write a Send on this same channel — the reader thread must
+  // never block on a write (see the class comment).
   hub_->Call(
       Method::kRecvTensor, std::move(body), nullptr, 0,
       /*deadline_seconds=*/0.0,
@@ -120,12 +187,19 @@ WorkerService::~WorkerService() {
   server_.Shutdown();
   hub_.Shutdown();
   // Abort whatever steps are still running and wait for their executors to
-  // let go of the per-step contexts before members start destructing.
-  std::unique_lock<std::mutex> lock(steps_mu_);
-  for (auto& [step_id, ctx] : steps_) {
+  // let go of the per-step contexts before members start destructing. The
+  // aborts run unlocked: an aborted step may finish inline and erase itself.
+  std::vector<std::shared_ptr<StepCtx>> running;
+  {
+    std::lock_guard<std::mutex> lock(steps_mu_);
+    for (auto& [step_id, ctx] : steps_) running.push_back(ctx);
+  }
+  for (auto& ctx : running) {
     ctx->cancellation.StartCancel();
     ctx->rendezvous->StartAbort(Cancelled("worker shutting down"));
   }
+  running.clear();
+  std::unique_lock<std::mutex> lock(steps_mu_);
   steps_done_cv_.wait(lock, [this]() { return steps_.empty(); });
 }
 
@@ -264,7 +338,8 @@ void WorkerService::HandleRunGraph(
   ctx->frame = std::make_unique<CallFrame>(std::move(feeds),
                                            static_cast<int>(num_fetches));
   ctx->rendezvous = std::make_shared<WorkerRendezvous>(
-      &hub_, &recv_done_pool_, step_id, options_.rpc_deadline_seconds);
+      &hub_, &recv_done_pool_, step_id, options_.rpc_deadline_seconds,
+      &ctx->cancellation);
   ctx->args.step_id = step_id;
   ctx->args.rendezvous = ctx->rendezvous.get();
   ctx->args.call_frame = ctx->frame.get();
@@ -280,41 +355,45 @@ void WorkerService::HandleRunGraph(
     steps_[step_id] = ctx;
   }
 
+  // Answer once the executors have finished and every cross-task Send has
+  // been acknowledged (first error wins).
+  auto answer = [this, ctx, step_id, responder](Status status) {
+    std::string reply;
+    if (status.ok()) {
+      // Ship back only the fetch slots this task's partitions produced;
+      // the master merges per-task responses into its own call frame.
+      const std::vector<Tensor>& fetches = ctx->frame->fetches();
+      int64_t produced = 0;
+      for (const Tensor& t : fetches) {
+        if (t.IsInitialized()) ++produced;
+      }
+      AppendInt64(&reply, produced);
+      for (size_t i = 0; i < fetches.size(); ++i) {
+        if (!fetches[i].IsInitialized()) continue;
+        AppendInt64(&reply, static_cast<int64_t>(i));
+        fetches[i].AppendToBytes(&reply);
+      }
+      // Trace payload: [traced][w0][w1][StepStats]. w0/w1 bracket this
+      // process's handling so the master can estimate the clock offset
+      // from its own send/receive timestamps (DESIGN.md §12).
+      AppendInt64(&reply, ctx->trace != nullptr ? 1 : 0);
+      if (ctx->trace != nullptr) {
+        StepStats stats = ctx->trace->Consume(step_id);
+        AppendInt64(&reply, ctx->recv_micros);
+        AppendInt64(&reply, metrics::NowMicros());
+        stats.AppendToBytes(&reply);
+      }
+    }
+    {
+      std::lock_guard<std::mutex> lock(steps_mu_);
+      steps_.erase(step_id);
+      steps_done_cv_.notify_all();
+    }
+    responder->Respond(status, reply);
+  };
   worker_.RunSubgraphsAsync(
-      handle, ctx->args,
-      [this, ctx, step_id, responder](Status status) {
-        std::string reply;
-        if (status.ok()) {
-          // Ship back only the fetch slots this task's partitions produced;
-          // the master merges per-task responses into its own call frame.
-          const std::vector<Tensor>& fetches = ctx->frame->fetches();
-          int64_t produced = 0;
-          for (const Tensor& t : fetches) {
-            if (t.IsInitialized()) ++produced;
-          }
-          AppendInt64(&reply, produced);
-          for (size_t i = 0; i < fetches.size(); ++i) {
-            if (!fetches[i].IsInitialized()) continue;
-            AppendInt64(&reply, static_cast<int64_t>(i));
-            fetches[i].AppendToBytes(&reply);
-          }
-          // Trace payload: [traced][w0][w1][StepStats]. w0/w1 bracket this
-          // process's handling so the master can estimate the clock offset
-          // from its own send/receive timestamps (DESIGN.md §12).
-          AppendInt64(&reply, ctx->trace != nullptr ? 1 : 0);
-          if (ctx->trace != nullptr) {
-            StepStats stats = ctx->trace->Consume(step_id);
-            AppendInt64(&reply, ctx->recv_micros);
-            AppendInt64(&reply, metrics::NowMicros());
-            stats.AppendToBytes(&reply);
-          }
-        }
-        {
-          std::lock_guard<std::mutex> lock(steps_mu_);
-          steps_.erase(step_id);
-          steps_done_cv_.notify_all();
-        }
-        responder->Respond(status, reply);
+      handle, ctx->args, [ctx, answer = std::move(answer)](Status status) {
+        ctx->rendezvous->WhenSendsAcked(status, std::move(answer));
       });
 }
 

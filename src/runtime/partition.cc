@@ -1,5 +1,8 @@
 #include "runtime/partition.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "runtime/control_flow_info.h"
 
 namespace tfrepro {
@@ -54,11 +57,15 @@ Result<std::map<std::string, std::unique_ptr<Graph>>> PartitionGraph(
     copies[node] = copy.value();
   }
 
-  // 2. Reconnect edges; cross-device edges become Send/Recv pairs.
-  // Shared Recv per (src node, src output, dst device); shared control
-  // signal per (src node, dst device).
+  // 2. Reconnect edges; cross-device data edges become Send/Recv pairs,
+  // one Recv per (src node, src output, dst device). Cross-device control
+  // edges are collected per (dst node, src device) for step 3.
   std::map<std::tuple<const Node*, int, std::string>, Node*> data_recvs;
-  std::map<std::pair<const Node*, std::string>, Node*> ctrl_recvs;
+  struct ControlInputs {
+    Node* dst = nullptr;
+    std::vector<const Node*> sources;
+  };
+  std::map<std::pair<int, std::string>, ControlInputs> ctrl_inputs;
   int64_t channel = 0;
 
   for (Node* src : graph.nodes()) {
@@ -81,69 +88,21 @@ Result<std::map<std::string, std::unique_ptr<Graph>>> PartitionGraph(
         continue;
       }
 
+      if (e->IsControlEdge()) {
+        ControlInputs& inputs = ctrl_inputs[{dst->id(), src_dev}];
+        inputs.dst = dst;
+        inputs.sources.push_back(src);
+        continue;
+      }
+
       // A value-typed consumer of a remote variable dereferences at the
       // Send (the paper's read-params path); only a *mutating* consumer
       // (ref-typed input) must be colocated, which the placer enforces.
-      if (!e->IsControlEdge() &&
-          IsRefType(dst->input_type(e->dst_input))) {
+      if (IsRefType(dst->input_type(e->dst_input))) {
         return InvalidArgument(
             "edge from '" + src->name() + "' to '" + dst->name() +
             "' carries a reference across devices; the placer should have "
             "colocated these nodes");
-      }
-
-      if (e->IsControlEdge()) {
-        // Cross-device control edge: transmit a dummy scalar.
-        auto key = std::make_pair(static_cast<const Node*>(src), dst_dev);
-        Node* recv = nullptr;
-        auto it = ctrl_recvs.find(key);
-        if (it != ctrl_recvs.end()) {
-          recv = it->second;
-        } else {
-          std::string tensor_name =
-              "ctrl_" + src->name() + "_" + std::to_string(channel++);
-          // Dummy value on the source device, gated on src completion.
-          NodeDef dummy_def;
-          dummy_def.name = src_part->NewName("_ctrl_dummy");
-          dummy_def.op = "Const";
-          dummy_def.device = src_dev;
-          dummy_def.attrs["dtype"] = AttrValue(DataType::kInt32);
-          dummy_def.attrs["value"] = AttrValue(Tensor::Scalar(int32_t{0}));
-          Result<Node*> dummy = src_part->AddNode(std::move(dummy_def));
-          TF_RETURN_IF_ERROR(dummy.status());
-          dummy.value()->set_assigned_device(src_dev);
-          src_part->AddControlEdge(copies[src], dummy.value());
-
-          NodeDef send_def;
-          send_def.name = src_part->NewName("_send_" + tensor_name);
-          send_def.op = "_Send";
-          send_def.device = src_dev;
-          send_def.attrs["T"] = AttrValue(DataType::kInt32);
-          send_def.attrs["tensor_name"] = AttrValue(tensor_name);
-          send_def.attrs["send_device"] = AttrValue(src_dev);
-          send_def.attrs["recv_device"] = AttrValue(dst_dev);
-          Result<Node*> send = src_part->AddNode(std::move(send_def));
-          TF_RETURN_IF_ERROR(send.status());
-          send.value()->set_assigned_device(src_dev);
-          TF_RETURN_IF_ERROR(
-              src_part->AddEdge(dummy.value(), 0, send.value(), 0).status());
-
-          NodeDef recv_def;
-          recv_def.name = dst_part->NewName("_recv_" + tensor_name);
-          recv_def.op = "_Recv";
-          recv_def.device = dst_dev;
-          recv_def.attrs["tensor_type"] = AttrValue(DataType::kInt32);
-          recv_def.attrs["tensor_name"] = AttrValue(tensor_name);
-          recv_def.attrs["send_device"] = AttrValue(src_dev);
-          recv_def.attrs["recv_device"] = AttrValue(dst_dev);
-          Result<Node*> recv_r = dst_part->AddNode(std::move(recv_def));
-          TF_RETURN_IF_ERROR(recv_r.status());
-          recv_r.value()->set_assigned_device(dst_dev);
-          recv = recv_r.value();
-          ctrl_recvs[key] = recv;
-        }
-        dst_part->AddControlEdge(recv, copies[dst]);
-        continue;
       }
 
       // Cross-device data edge.
@@ -190,6 +149,73 @@ Result<std::map<std::string, std::unique_ptr<Graph>>> PartitionGraph(
       TF_RETURN_IF_ERROR(
           dst_part->AddEdge(recv, 0, copies[dst], e->dst_input).status());
     }
+  }
+
+  // 3. Cross-device control edges. All control edges from one source
+  // device into one destination node ride a single token: a dummy scalar
+  // Const on the source device, gated on every one of those sources, sent
+  // once. Destinations on one device waiting on the same source set share
+  // the token. Loop frames never span devices (checked above), so every
+  // such edge is in the root frame and each destination still waits on
+  // exactly the sources the graph names.
+  std::map<std::pair<std::vector<int>, std::string>, Node*> ctrl_recvs;
+  for (auto& [dst_and_src_dev, inputs] : ctrl_inputs) {
+    const std::string& src_dev = dst_and_src_dev.second;
+    const std::string& dst_dev = inputs.dst->assigned_device();
+    std::vector<const Node*>& sources = inputs.sources;
+    std::sort(sources.begin(), sources.end(),
+              [](const Node* a, const Node* b) { return a->id() < b->id(); });
+    sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+    std::vector<int> source_ids;
+    for (const Node* src : sources) source_ids.push_back(src->id());
+
+    Node*& recv = ctrl_recvs[{std::move(source_ids), dst_dev}];
+    if (recv == nullptr) {
+      Graph* src_part = part_for(src_dev);
+      Graph* dst_part = part_for(dst_dev);
+      std::string tensor_name =
+          "ctrl_" + sources.front()->name() + "_" + std::to_string(channel++);
+      NodeDef dummy_def;
+      dummy_def.name = src_part->NewName("_ctrl_dummy");
+      dummy_def.op = "Const";
+      dummy_def.device = src_dev;
+      dummy_def.attrs["dtype"] = AttrValue(DataType::kInt32);
+      dummy_def.attrs["value"] = AttrValue(Tensor::Scalar(int32_t{0}));
+      Result<Node*> dummy = src_part->AddNode(std::move(dummy_def));
+      TF_RETURN_IF_ERROR(dummy.status());
+      dummy.value()->set_assigned_device(src_dev);
+      for (const Node* src : sources) {
+        src_part->AddControlEdge(copies[src], dummy.value());
+      }
+
+      NodeDef send_def;
+      send_def.name = src_part->NewName("_send_" + tensor_name);
+      send_def.op = "_Send";
+      send_def.device = src_dev;
+      send_def.attrs["T"] = AttrValue(DataType::kInt32);
+      send_def.attrs["tensor_name"] = AttrValue(tensor_name);
+      send_def.attrs["send_device"] = AttrValue(src_dev);
+      send_def.attrs["recv_device"] = AttrValue(dst_dev);
+      Result<Node*> send = src_part->AddNode(std::move(send_def));
+      TF_RETURN_IF_ERROR(send.status());
+      send.value()->set_assigned_device(src_dev);
+      TF_RETURN_IF_ERROR(
+          src_part->AddEdge(dummy.value(), 0, send.value(), 0).status());
+
+      NodeDef recv_def;
+      recv_def.name = dst_part->NewName("_recv_" + tensor_name);
+      recv_def.op = "_Recv";
+      recv_def.device = dst_dev;
+      recv_def.attrs["tensor_type"] = AttrValue(DataType::kInt32);
+      recv_def.attrs["tensor_name"] = AttrValue(tensor_name);
+      recv_def.attrs["send_device"] = AttrValue(src_dev);
+      recv_def.attrs["recv_device"] = AttrValue(dst_dev);
+      Result<Node*> recv_r = dst_part->AddNode(std::move(recv_def));
+      TF_RETURN_IF_ERROR(recv_r.status());
+      recv_r.value()->set_assigned_device(dst_dev);
+      recv = recv_r.value();
+    }
+    part_for(dst_dev)->AddControlEdge(recv, copies[inputs.dst]);
   }
 
   return parts;

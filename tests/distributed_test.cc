@@ -16,6 +16,7 @@
 #include "core/metrics.h"
 #include "distributed/fault_injector.h"
 #include "distributed/master.h"
+#include "distributed/rpc/process_cluster.h"
 #include "graph/ops.h"
 #include "nn/embedding.h"
 #include "nn/layers.h"
@@ -260,6 +261,153 @@ TEST(MasterSessionTest, MissingDeviceConstraintFails) {
   auto session = MasterSession::Create(g, cluster.value().get());
   std::vector<Tensor> out;
   EXPECT_FALSE(session.value()->Run({x.name()}, &out).ok());
+}
+
+TEST(MasterSessionTest, ControlGatedReadSeesEveryPsUpdate) {
+  // k AssignAdds on the ps gate one worker-side NoOp; the partitioner
+  // carries all k control edges in one token. A ps-side snapshot gated on
+  // that NoOp, read back on the worker, must see all k updates every step.
+  // The first update is immediate and the others wait on a MatMul chain,
+  // so a token released by fewer than all k sources reads a partial sum —
+  // over sockets within the first steps; in-process the early read rarely
+  // wins the race, and runtime_test pins the token's sources exactly.
+  constexpr int kUpdates = 5;
+  constexpr int kDim = 256;
+  auto cluster = Cluster::Create(PsWorkerSpec(1, 1));
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+
+  Graph g;
+  GraphBuilder b(&g);
+  Output v;
+  Output m;
+  std::vector<Output> inits;
+  std::vector<Output> adds;
+  {
+    GraphBuilder::DeviceScope scope(&b, "/job:ps/task:0");
+    v = ops::Variable(&b, DataType::kFloat, TensorShape(), "v");
+    inits.push_back(ops::Assign(&b, v, Const(&b, 0.0f)));
+    // Every entry 1/kDim, so m·m == m exactly and the chain stays finite.
+    m = ops::Variable(&b, DataType::kFloat, TensorShape({kDim, kDim}), "m");
+    inits.push_back(ops::Assign(
+        &b, m,
+        Const(&b, Tensor::FromVector<float>(
+                      std::vector<float>(kDim * kDim, 1.0f / kDim),
+                      TensorShape({kDim, kDim})))));
+    Output x = m;
+    for (int i = 0; i < 4; ++i) x = ops::MatMul(&b, x, m);
+    const Output slow_one = ops::Add(
+        &b, ops::Mul(&b, ops::SumAll(&b, x), Const(&b, 0.0f)),
+        Const(&b, 1.0f));
+    adds.push_back(ops::AssignAdd(&b, v, Const(&b, 1.0f)));
+    for (int i = 1; i < kUpdates; ++i) {
+      adds.push_back(ops::AssignAdd(&b, v, slow_one));
+    }
+  }
+  Node* gate;
+  {
+    GraphBuilder::DeviceScope scope(&b, "/job:worker/task:0");
+    gate = ops::Group(&b, adds, "gate");
+  }
+  // v + 0 copies the value when it runs (an Identity would alias the
+  // variable's buffer in-process and show later updates too).
+  Output snapshot;
+  {
+    GraphBuilder::DeviceScope scope(&b, "/job:ps/task:0");
+    snapshot = b.Op("Add")
+                   .Input(v)
+                   .Input(Const(&b, 0.0f))
+                   .Attr("T", DataType::kFloat)
+                   .ControlInput(gate)
+                   .Finalize();
+  }
+  Output read;
+  {
+    GraphBuilder::DeviceScope scope(&b, "/job:worker/task:0");
+    read = ops::Identity(&b, snapshot);
+  }
+  ASSERT_TRUE(b.ok()) << b.status();
+
+  auto session = MasterSession::Create(g, cluster.value().get());
+  ASSERT_TRUE(session.ok()) << session.status();
+  TF_CHECK_OK(session.value()->Run(
+      {}, {}, {inits[0].node->name(), inits[1].node->name()}, nullptr));
+  for (int step = 1; step <= 20; ++step) {
+    std::vector<Tensor> out;
+    TF_CHECK_OK(session.value()->Run({read.name()}, &out));
+    ASSERT_EQ(*out[0].data<float>(), static_cast<float>(step * kUpdates))
+        << "step " << step;
+  }
+}
+
+TEST(MasterSessionTest, RunReturnsOnlyAfterHubHasEveryTransfer) {
+  // Over sockets a worker's cross-task Send returns once its frame is
+  // written; the task's RunGraph answer waits for the hub's acks. So when
+  // Run returns, the hub has handled every tensor the step sent, and the
+  // step is deregistered from the hub.
+  if (!SocketTransport()) GTEST_SKIP() << "socket transport only";
+  auto cluster = Cluster::Create(PsWorkerSpec(1, 2));
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  auto* processes =
+      dynamic_cast<distributed::rpc::ProcessCluster*>(cluster.value().get());
+  ASSERT_NE(processes, nullptr);
+
+  Graph g;
+  GraphBuilder b(&g);
+  Output w;
+  Output init;
+  {
+    GraphBuilder::DeviceScope scope(&b, "/job:ps/task:0");
+    w = ops::Variable(&b, DataType::kFloat, TensorShape({2}), "w");
+    init = ops::Assign(&b, w, Const(&b, Tensor::Vec<float>({4, -4})));
+  }
+  Result<Node*> train_op = Internal("unset");
+  train::GradientDescentOptimizer opt(0.25f);
+  {
+    GraphBuilder::DeviceScope scope(&b, "/job:worker/task:0");
+    train_op = opt.Minimize(&b, ops::SumAll(&b, ops::Square(&b, w)), {w},
+                            "train");
+  }
+  Output probe;
+  {
+    GraphBuilder::DeviceScope scope(&b, "/job:worker/task:1");
+    probe = ops::Neg(&b, w);
+  }
+  ASSERT_TRUE(train_op.ok()) << train_op.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+
+  auto session = MasterSession::Create(g, cluster.value().get());
+  ASSERT_TRUE(session.ok()) << session.status();
+  TF_CHECK_OK(session.value()->Run({}, {}, {init.node->name()}, nullptr));
+  auto hub_sends = []() -> int64_t {
+    const metrics::RegistrySnapshot snap =
+        metrics::Registry::Global()->Snapshot();
+    const metrics::MetricSnapshot* h =
+        snap.Find("rpc.server_handle_us", {{"method", "SendTensor"}});
+    return h == nullptr ? 0 : h->count;
+  };
+  for (int i = 0; i < 10; ++i) {
+    const int64_t before = hub_sends();
+    RunOptions run_options;
+    run_options.trace = true;
+    RunMetadata metadata;
+    std::vector<Tensor> out;
+    TF_CHECK_OK(session.value()->Run(run_options, {}, {probe.name()},
+                                     {train_op.value()->name()}, &out,
+                                     &metadata));
+    int64_t sends = 0;
+    for (const TransferStats& t : metadata.step_stats.transfers) {
+      if (t.kind == TransferStats::Kind::kSend) ++sends;
+    }
+    EXPECT_GE(sends, 3);  // w to both workers, the gradient back
+    EXPECT_EQ(hub_sends() - before, sends) << "run " << i;
+    // The last reference to the step's rendezvous may drop on the RPC
+    // reader thread just after Run wakes; give it a moment.
+    for (int spin = 0; spin < 1000 && processes->hub()->num_active_steps() > 0;
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(processes->hub()->num_active_steps(), 0) << "run " << i;
+  }
 }
 
 TEST(MasterSessionTest, StatefulKernelsSharedAcrossStepSignatures) {

@@ -2,14 +2,19 @@
 // helpers, frame I/O, minimal-copy tensor serialization, the errno→Status
 // mapping the retry machinery depends on, and the RpcChannel robustness
 // contract (deadlines, reconnect with backoff, fail-fast inside the
-// backoff window, pending-call teardown).
+// backoff window, pending-call teardown), per-method RPC metrics, and the
+// worker's acknowledged cross-task Send.
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <unistd.h>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,9 +22,14 @@
 #include "core/metrics.h"
 #include "core/status.h"
 #include "core/tensor.h"
+#include "distributed/rpc/remote_worker.h"
+#include "distributed/rpc/rendezvous_hub.h"
 #include "distributed/rpc/rpc_channel.h"
 #include "distributed/rpc/rpc_server.h"
 #include "distributed/rpc/wire.h"
+#include "distributed/rpc/worker_service.h"
+#include "graph/graph_builder.h"
+#include "graph/ops.h"
 
 namespace tfrepro {
 namespace distributed {
@@ -276,6 +286,8 @@ class EchoServer {
         });
     TF_CHECK_OK(server_.Start(0));
   }
+  // Joins the connection threads before the responders they parked go.
+  ~EchoServer() { server_.Shutdown(); }
   int port() { return server_.port(); }
   void Shutdown() { server_.Shutdown(); }
 
@@ -333,6 +345,26 @@ TEST(RpcChannelTest, DeadlineExpiresAsRetryableDeadlineExceeded) {
   EXPECT_TRUE(r.status().IsRetryable());
   EXPECT_GE(elapsed, 0.15);
   EXPECT_LT(elapsed, 2.0);
+}
+
+TEST(RpcChannelTest, ShorterDeadlineBehindALongerOneExpiresOnTime) {
+  // The sweeper sleeps until the nearest deadline it knows; a call with an
+  // earlier deadline must wake it rather than wait out the longer one.
+  EchoServer server;
+  std::atomic<bool> long_done{false};
+  RpcChannel channel("wedged", server.port());
+  channel.Call(Method::kRunGraph, "long", nullptr, 0, /*deadline=*/30.0,
+               [&](const Status&, std::string) { long_done = true; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto start = std::chrono::steady_clock::now();
+  auto r = channel.CallSync(Method::kRunGraph, "short", 0.2);
+  double elapsed = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Code::kDeadlineExceeded);
+  EXPECT_LT(elapsed, 2.0);
+  EXPECT_FALSE(long_done.load());
 }
 
 TEST(RpcChannelTest, DeadPeerFailsFastDuringBackoffThenReconnects) {
@@ -438,6 +470,191 @@ TEST(RpcChannelTest, ShutdownFailsPendingCallsExactlyOnce) {
   }
   channel.reset();
   EXPECT_EQ(fired.load(), 1);
+}
+
+// Every Method files its latencies under its own {method} series, on both
+// sides of the wire.
+TEST(RpcMetricsTest, EveryMethodHasItsOwnSeries) {
+  RpcServer server;
+  for (uint8_t m = 1; m <= kMaxMethod; ++m) {
+    server.RegisterHandler(
+        static_cast<Method>(m),
+        [](const std::string&, std::shared_ptr<RpcServer::Responder> r) {
+          r->Respond(Status::OK(), std::string());
+        });
+  }
+  TF_CHECK_OK(server.Start(0));
+  RpcChannel channel("metrics", server.port());
+  // Touch the channel once so both per-method tables exist, then count
+  // from a snapshot.
+  ASSERT_TRUE(channel.CallSync(Method::kPing, "", 5.0).ok());
+  auto count = [](const metrics::RegistrySnapshot& snap,
+                  const std::string& name, Method m) -> int64_t {
+    const metrics::MetricSnapshot* h =
+        snap.Find(name, {{"method", MethodName(m)}});
+    return h == nullptr ? -1 : h->count;
+  };
+  const metrics::RegistrySnapshot before =
+      metrics::Registry::Global()->Snapshot();
+  for (uint8_t m = 1; m <= kMaxMethod; ++m) {
+    auto r = channel.CallSync(static_cast<Method>(m), "", 5.0);
+    ASSERT_TRUE(r.ok()) << MethodName(static_cast<Method>(m)) << ": "
+                        << r.status();
+  }
+  const metrics::RegistrySnapshot after =
+      metrics::Registry::Global()->Snapshot();
+  for (uint8_t m = 1; m <= kMaxMethod; ++m) {
+    const Method method = static_cast<Method>(m);
+    for (const char* name : {"rpc.call_latency_us", "rpc.server_handle_us"}) {
+      ASSERT_GE(count(before, name, method), 0)
+          << name << " has no series for " << MethodName(method);
+      EXPECT_EQ(count(after, name, method) - count(before, name, method), 1)
+          << name << "{method=" << MethodName(method) << "}";
+    }
+  }
+}
+
+// --- asynchronous, acknowledged cross-task Send (worker side) ---
+
+constexpr char kWorkerDevice[] = "/job:worker/task:0/device:CPU:0";
+constexpr char kPsDevice[] = "/job:ps/task:0/device:CPU:0";
+
+// A worker partition that sends one tensor to another task; with
+// `local_waiter`, it also parks a same-task Recv that no Send will ever
+// satisfy, so the step can only end when something aborts it.
+std::unique_ptr<Graph> CrossTaskSendPartition(bool local_waiter) {
+  auto graph = std::make_unique<Graph>();
+  GraphBuilder b(graph.get());
+  {
+    GraphBuilder::DeviceScope scope(&b, kWorkerDevice);
+    Output x = ops::Const(&b, 1.0f);
+    b.Op("_Send")
+        .Name("send_x")
+        .Input(x)
+        .Attr("T", DataType::kFloat)
+        .Attr("tensor_name", "x")
+        .Attr("send_device", kWorkerDevice)
+        .Attr("recv_device", kPsDevice)
+        .Finalize();
+    if (local_waiter) {
+      b.Op("_Recv")
+          .Name("local_wait")
+          .Attr("tensor_type", DataType::kFloat)
+          .Attr("tensor_name", "never_sent")
+          .Attr("send_device", kWorkerDevice)
+          .Attr("recv_device", kWorkerDevice)
+          .Finalize();
+    }
+  }
+  TF_CHECK_OK(b.status());
+  for (Node* n : graph->nodes()) n->set_assigned_device(kWorkerDevice);
+  return graph;
+}
+
+// One worker service in this process, its hub channel pointed at
+// `hub_port`, driven through the same RemoteWorker stub the master uses.
+struct WorkerRig {
+  explicit WorkerRig(int hub_port) : service(Options(hub_port)) {
+    TF_CHECK_OK(service.Start(0));
+    stub = std::make_unique<RemoteWorker>("worker", 0, service.port(),
+                                          /*rpc_deadline_seconds=*/10.0,
+                                          /*injector=*/nullptr,
+                                          /*delay_pool=*/nullptr);
+  }
+  static WorkerService::Options Options(int hub_port) {
+    WorkerService::Options options;
+    options.job = "worker";
+    options.hub_port = hub_port;
+    // Longer than any wait below: a failure must come from the ack itself,
+    // not from the send deadline.
+    options.rpc_deadline_seconds = 30.0;
+    return options;
+  }
+
+  // Dispatches one step; `done` fires with the RunGraph status.
+  void Run(int64_t step_id) {
+    args.step_id = step_id;
+    args.call_frame = &frame;
+    stub->RunSubgraphsAsync("h", args, [this](Status s) {
+      std::lock_guard<std::mutex> l(mu);
+      status = s;
+      finished = true;
+      cv.notify_all();
+    });
+  }
+  bool WaitFinished(double seconds) {
+    std::unique_lock<std::mutex> l(mu);
+    return cv.wait_for(l, std::chrono::duration<double>(seconds),
+                       [this] { return finished; });
+  }
+
+  // Declared before the service and stub: tearing those down fails any
+  // outstanding dispatch, whose callback still writes here.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool finished = false;
+  Status status;
+  CallFrame frame{{}, 0};
+  Executor::Args args;
+  WorkerService service;
+  std::unique_ptr<RemoteWorker> stub;
+};
+
+TEST(WorkerSendAckTest, HubAbortedAckFailsStepAndAbortsLocalWaiters) {
+  // A real hub with no step registered answers every SendTensor with
+  // Aborted. The executors' Send returns before that ack; the ack must
+  // still fail the step, and it must abort the same-task Recv that would
+  // otherwise wait forever.
+  RendezvousHub hub;
+  TF_CHECK_OK(hub.Start());
+  WorkerRig rig(hub.port());
+  TF_CHECK_OK(rig.stub->RegisterSubgraph(
+      "h", "seg", CrossTaskSendPartition(/*local_waiter=*/true),
+      kWorkerDevice));
+  const auto start = std::chrono::steady_clock::now();
+  rig.Run(/*step_id=*/41);
+  ASSERT_TRUE(rig.WaitFinished(10.0)) << "RunGraph hung on a failed ack";
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(rig.status.code(), Code::kAborted) << rig.status;
+  EXPECT_NE(rig.status.message().find("step 41 is not active"),
+            std::string::npos)
+      << rig.status;
+  EXPECT_LT(elapsed, 5.0);
+}
+
+TEST(WorkerSendAckTest, CutHubConnectionFailsStepInsteadOfOk) {
+  // A hub that reads SendTensor frames but never acks them: the executors
+  // finish at once, yet RunGraph must wait for the ack — and when the
+  // connection is cut, fail with the transport error instead of OK.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::shared_ptr<RpcServer::Responder>> parked;
+  RpcServer hub;  // destroyed (joined) before what its handler touches
+  hub.RegisterHandler(
+      Method::kSendTensor,
+      [&](const std::string&, std::shared_ptr<RpcServer::Responder> r) {
+        std::lock_guard<std::mutex> l(mu);
+        parked.push_back(std::move(r));
+        cv.notify_all();
+      });
+  TF_CHECK_OK(hub.Start(0));
+  WorkerRig rig(hub.port());
+  TF_CHECK_OK(rig.stub->RegisterSubgraph(
+      "h", "seg", CrossTaskSendPartition(/*local_waiter=*/false),
+      kWorkerDevice));
+  rig.Run(/*step_id=*/42);
+  {
+    std::unique_lock<std::mutex> l(mu);
+    ASSERT_TRUE(cv.wait_for(l, std::chrono::seconds(10),
+                            [&] { return !parked.empty(); }));
+  }
+  EXPECT_FALSE(rig.WaitFinished(0.2)) << "answered with an ack in flight: "
+                                      << rig.status;
+  hub.Shutdown();
+  ASSERT_TRUE(rig.WaitFinished(10.0)) << "RunGraph hung after the cut";
+  EXPECT_EQ(rig.status.code(), Code::kUnavailable) << rig.status;
 }
 
 }  // namespace

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "graph/control_flow_builder.h"
 #include "graph/dot.h"
 #include "graph/ops.h"
@@ -186,6 +191,138 @@ TEST_F(PlacerPartitionTest, CrossDeviceControlEdgeCarriedByDummy) {
   }
   EXPECT_EQ(sends, 1);
   EXPECT_EQ(recvs, 1);
+}
+
+// Counts the transfer nodes of a partitioning and, per _Recv, the nodes it
+// gates through control edges.
+struct TransferCounts {
+  int sends = 0;
+  int recvs = 0;
+  std::map<std::string, std::set<std::string>> gated_by_recv;
+  // Control inputs of each control-token dummy (a Const feeding a _Send).
+  std::vector<std::set<std::string>> dummy_sources;
+};
+
+TransferCounts CountTransfers(
+    const std::map<std::string, std::unique_ptr<Graph>>& parts) {
+  TransferCounts counts;
+  for (auto& [device, part] : parts) {
+    for (Node* n : part->nodes()) {
+      if (n->IsSend()) {
+        ++counts.sends;
+        for (const Edge* e : n->in_edges()) {
+          if (e->IsControlEdge() || !e->src->IsOp("Const")) continue;
+          std::set<std::string> sources;
+          for (const Edge* c : e->src->in_edges()) {
+            if (c->IsControlEdge()) sources.insert(c->src->name());
+          }
+          counts.dummy_sources.push_back(sources);
+        }
+      }
+      if (n->IsRecv()) {
+        ++counts.recvs;
+        for (const Edge* e : n->out_edges()) {
+          if (e->IsControlEdge()) {
+            counts.gated_by_recv[n->name()].insert(e->dst->name());
+          }
+        }
+      }
+    }
+  }
+  return counts;
+}
+
+TEST_F(PlacerPartitionTest, ControlEdgesFromOneDeviceRideOneToken) {
+  Graph g;
+  GraphBuilder b(&g);
+  Node* a;
+  Node* bb;
+  Node* c;
+  {
+    GraphBuilder::DeviceScope scope(&b, "/task:0");
+    a = b.Op("NoOp").Name("a").FinalizeNode();
+    bb = b.Op("NoOp").Name("b").FinalizeNode();
+    c = b.Op("NoOp").Name("c").FinalizeNode();
+  }
+  {
+    GraphBuilder::DeviceScope scope(&b, "/task:1");
+    b.Op("NoOp").Name("dst").ControlInput(a).ControlInput(bb).ControlInput(c)
+        .FinalizeNode();
+  }
+  ASSERT_TRUE(b.ok()) << b.status();
+  ASSERT_TRUE(PlaceGraph(&g, device_ptrs_).ok());
+  auto parts = PartitionGraph(g);
+  ASSERT_TRUE(parts.ok()) << parts.status();
+  TransferCounts counts = CountTransfers(parts.value());
+  EXPECT_EQ(counts.sends, 1);
+  EXPECT_EQ(counts.recvs, 1);
+  ASSERT_EQ(counts.dummy_sources.size(), 1u);
+  EXPECT_EQ(counts.dummy_sources[0], (std::set<std::string>{"a", "b", "c"}));
+  ASSERT_EQ(counts.gated_by_recv.size(), 1u);
+  EXPECT_EQ(counts.gated_by_recv.begin()->second,
+            std::set<std::string>{"dst"});
+}
+
+TEST_F(PlacerPartitionTest, SameControlSourceSetSharesOneToken) {
+  Graph g;
+  GraphBuilder b(&g);
+  Node* a;
+  Node* bb;
+  {
+    GraphBuilder::DeviceScope scope(&b, "/task:0");
+    a = b.Op("NoOp").Name("a").FinalizeNode();
+    bb = b.Op("NoOp").Name("b").FinalizeNode();
+  }
+  {
+    GraphBuilder::DeviceScope scope(&b, "/task:1");
+    // Control inputs listed in different orders: the set is what counts.
+    b.Op("NoOp").Name("d1").ControlInput(a).ControlInput(bb).FinalizeNode();
+    b.Op("NoOp").Name("d2").ControlInput(bb).ControlInput(a).FinalizeNode();
+  }
+  ASSERT_TRUE(b.ok()) << b.status();
+  ASSERT_TRUE(PlaceGraph(&g, device_ptrs_).ok());
+  auto parts = PartitionGraph(g);
+  ASSERT_TRUE(parts.ok()) << parts.status();
+  TransferCounts counts = CountTransfers(parts.value());
+  EXPECT_EQ(counts.sends, 1);
+  EXPECT_EQ(counts.recvs, 1);
+  ASSERT_EQ(counts.gated_by_recv.size(), 1u);
+  EXPECT_EQ(counts.gated_by_recv.begin()->second,
+            (std::set<std::string>{"d1", "d2"}));
+}
+
+TEST_F(PlacerPartitionTest, DifferentControlSourceSetsGetOwnTokens) {
+  Graph g;
+  GraphBuilder b(&g);
+  Node* a;
+  Node* bb;
+  Node* c;
+  {
+    GraphBuilder::DeviceScope scope(&b, "/task:0");
+    a = b.Op("NoOp").Name("a").FinalizeNode();
+    bb = b.Op("NoOp").Name("b").FinalizeNode();
+    c = b.Op("NoOp").Name("c").FinalizeNode();
+  }
+  {
+    GraphBuilder::DeviceScope scope(&b, "/task:1");
+    b.Op("NoOp").Name("d1").ControlInput(a).ControlInput(bb).FinalizeNode();
+    b.Op("NoOp").Name("d2").ControlInput(a).ControlInput(bb).ControlInput(c)
+        .FinalizeNode();
+  }
+  ASSERT_TRUE(b.ok()) << b.status();
+  ASSERT_TRUE(PlaceGraph(&g, device_ptrs_).ok());
+  auto parts = PartitionGraph(g);
+  ASSERT_TRUE(parts.ok()) << parts.status();
+  TransferCounts counts = CountTransfers(parts.value());
+  EXPECT_EQ(counts.sends, 2);
+  EXPECT_EQ(counts.recvs, 2);
+  std::set<std::set<std::string>> source_sets(counts.dummy_sources.begin(),
+                                              counts.dummy_sources.end());
+  EXPECT_EQ(source_sets, (std::set<std::set<std::string>>{
+                             {"a", "b"}, {"a", "b", "c"}}));
+  std::set<std::set<std::string>> gated;
+  for (auto& [recv, dsts] : counts.gated_by_recv) gated.insert(dsts);
+  EXPECT_EQ(gated, (std::set<std::set<std::string>>{{"d1"}, {"d2"}}));
 }
 
 TEST_F(PlacerPartitionTest, PartitionRequiresPlacement) {

@@ -169,6 +169,20 @@ TEST(TensorTest, ParseRejectsTruncated) {
   EXPECT_FALSE(Tensor::ParseFromBytes(bytes, &offset).ok());
 }
 
+TEST(TensorTest, ParseRejectsElementCountBeyondPayload) {
+  // 2^62 floats is 2^64 bytes: the byte count wraps to 0 in size_t, so
+  // the header must be judged against the payload by element count.
+  std::string bytes;
+  for (int64_t v : {static_cast<int64_t>(DataType::kFloat), int64_t{1},
+                    int64_t{1} << 62}) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+  size_t offset = 0;
+  Result<Tensor> parsed = Tensor::ParseFromBytes(bytes, &offset);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), Code::kDataLoss) << parsed.status();
+}
+
 TEST(TensorTest, ParseRejectsGarbage) {
   std::string bytes(64, '\xff');
   size_t offset = 0;
