@@ -3,7 +3,7 @@
 # tests (DESIGN.md §8, §9) and a bench smoke against the committed
 # hot-path baseline.
 #
-#   scripts/check.sh              # full: tier-1 build+ctest, socket subset, TSan subset, ASan+UBSan ctest, bench + profiler + optimizer + input smoke
+#   scripts/check.sh              # full: tier-1 build+ctest, socket subset, TSan subset, ASan+UBSan ctest (1 GiB allocation cap), bench + profiler + optimizer + input smoke
 #   scripts/check.sh --tsan-only
 #   scripts/check.sh --asan-only
 #   scripts/check.sh --bench-only
@@ -68,11 +68,16 @@ run_tsan() {
 }
 
 # ASan+UBSan over all of ctest (TFREPRO_SANITIZE=address turns on both).
+# No decoded count may size an allocation beyond its input (DESIGN.md
+# §2.1), so any single allocation over 1 GiB aborts the case; worker
+# processes inherit the cap through ASAN_OPTIONS.
 run_asan() {
-  echo "== ASan+UBSan (TFREPRO_SANITIZE=address): all of ctest =="
+  echo "== ASan+UBSan (TFREPRO_SANITIZE=address): all of ctest, allocations <= 1 GiB =="
   cmake -B build-asan -S . -DTFREPRO_SANITIZE=address
   cmake --build build-asan -j "$JOBS"
-  (cd build-asan && ctest --output-on-failure -j "$JOBS")
+  (cd build-asan &&
+   ASAN_OPTIONS="${ASAN_OPTIONS:+$ASAN_OPTIONS:}max_allocation_size_mb=1024" \
+     ctest --output-on-failure -j "$JOBS")
 }
 
 # Bench smoke: re-run bench_executor and fail if null-step latency

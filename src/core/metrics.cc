@@ -10,6 +10,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/coding.h"
+
 namespace tfrepro {
 namespace metrics {
 
@@ -105,35 +107,6 @@ int64_t RegistrySnapshot::TotalValue(const std::string& name) const {
 }
 
 namespace {
-
-void AppendJsonString(std::ostringstream* os, const std::string& s) {
-  *os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *os << "\\\"";
-        break;
-      case '\\':
-        *os << "\\\\";
-        break;
-      case '\n':
-        *os << "\\n";
-        break;
-      case '\t':
-        *os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *os << buf;
-        } else {
-          *os << c;
-        }
-    }
-  }
-  *os << '"';
-}
 
 void AppendTags(std::ostringstream* os, const TagMap& tags) {
   *os << "{";

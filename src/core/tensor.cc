@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "core/coding.h"
+
 namespace tfrepro {
 
 Tensor::Tensor(DataType dtype, const TensorShape& shape)
@@ -138,21 +140,6 @@ Status Tensor::CopyDataFrom(const Tensor& other) {
   return Status::OK();
 }
 
-namespace {
-
-void AppendInt64(std::string* out, int64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadInt64(const std::string& in, size_t* offset, int64_t* v) {
-  if (*offset + sizeof(int64_t) > in.size()) return false;
-  std::memcpy(v, in.data() + *offset, sizeof(int64_t));
-  *offset += sizeof(int64_t);
-  return true;
-}
-
-}  // namespace
-
 void Tensor::AppendToBytes(std::string* out) const {
   AppendInt64(out, static_cast<int64_t>(dtype_));
   if (!IsInitialized()) {
@@ -161,13 +148,9 @@ void Tensor::AppendToBytes(std::string* out) const {
     // dead tensors across a process boundary (§3.4 deadness propagation).
     return;
   }
-  AppendInt64(out, shape_.rank());
-  for (int i = 0; i < shape_.rank(); ++i) AppendInt64(out, shape_.dim(i));
+  AppendShape(out, shape_);
   if (dtype_ == DataType::kString) {
-    for (const std::string& s : buffer_->strings) {
-      AppendInt64(out, static_cast<int64_t>(s.size()));
-      out->append(s);
-    }
+    for (const std::string& s : buffer_->strings) AppendString(out, s);
   } else {
     out->append(buffer_->bytes.data(), buffer_->bytes.size());
   }
@@ -176,52 +159,38 @@ void Tensor::AppendToBytes(std::string* out) const {
 Result<Tensor> Tensor::ParseFromBytes(const std::string& bytes,
                                       size_t* offset) {
   int64_t dtype_val = 0;
-  int64_t rank = 0;
   if (!ReadInt64(bytes, offset, &dtype_val)) {
     return DataLoss("truncated tensor header");
   }
   if (dtype_val == static_cast<int64_t>(DataType::kInvalid)) {
     return Tensor();  // uninitialized tensor: header only, no buffer
   }
-  if (!ReadInt64(bytes, offset, &rank)) {
-    return DataLoss("truncated tensor header");
-  }
-  if (rank < 0 || rank > 16) {
-    return DataLoss("corrupt tensor rank " + std::to_string(rank));
-  }
-  std::vector<int64_t> dims(rank);
-  for (int64_t i = 0; i < rank; ++i) {
-    if (!ReadInt64(bytes, offset, &dims[i])) {
-      return DataLoss("truncated tensor dims");
-    }
-  }
-  TF_RETURN_IF_ERROR(ValidateShape(dims));
+  TensorShape shape;
+  TF_RETURN_IF_ERROR(ReadShape(bytes, offset, &shape));
   DataType dtype = static_cast<DataType>(dtype_val);
   if (DataTypeSize(dtype) == 0 && dtype != DataType::kString) {
     return DataLoss("corrupt tensor dtype " + std::to_string(dtype_val));
   }
-  TensorShape shape(dims);
+  // Every element takes at least its fixed width (a string: its length
+  // prefix), so the element count is judged against the input before
+  // anything is allocated.
+  const size_t element_size = dtype == DataType::kString
+                                  ? sizeof(int64_t)
+                                  : DataTypeSize(dtype);
+  if (!CountFits(bytes, *offset, shape.num_elements(), element_size)) {
+    return DataLoss("truncated tensor data");
+  }
   if (dtype == DataType::kString) {
     Tensor t(dtype, shape);
     for (int64_t i = 0; i < t.num_elements(); ++i) {
-      int64_t len = 0;
-      if (!ReadInt64(bytes, offset, &len) || len < 0 ||
-          *offset + static_cast<size_t>(len) > bytes.size()) {
+      if (!ReadString(bytes, offset, &t.str(i))) {
         return DataLoss("truncated string element");
       }
-      t.str(i).assign(bytes.data() + *offset, len);
-      *offset += len;
     }
     return t;
   }
-  // POD payload: checked against the input before anything is allocated
-  // (dividing, so a huge element count cannot wrap the byte count), then
-  // copied straight into the new buffer — no zero-fill pass first.
-  const size_t element_size = DataTypeSize(dtype);
-  if (static_cast<uint64_t>(shape.num_elements()) >
-      (bytes.size() - *offset) / element_size) {
-    return DataLoss("truncated tensor data");
-  }
+  // POD payload: copied straight into the new buffer — no zero-fill pass
+  // first.
   const size_t nbytes =
       static_cast<size_t>(shape.num_elements()) * element_size;
   Tensor t;

@@ -5,13 +5,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #include "distributed/fault_injector.h"
-#include "graph/subgraph.h"
-#include "runtime/partition.h"
-#include "runtime/placer.h"
+#include "runtime/session.h"
 
 namespace tfrepro {
 namespace distributed {
@@ -27,20 +24,6 @@ Result<std::pair<std::string, int>> TaskOfDevice(const std::string& device) {
     return InvalidArgument("device '" + device + "' has no job/task");
   }
   return std::make_pair(parsed.value().job, parsed.value().task);
-}
-
-// Cache key for a compiled step signature. Stable across master
-// incarnations, so durable-state replay finds the same slots.
-std::string CompileKey(const std::vector<std::string>& feed_names,
-                       const std::vector<std::string>& fetches,
-                       const std::vector<std::string>& targets) {
-  std::ostringstream key_os;
-  for (const auto& f : feed_names) key_os << f << ",";
-  key_os << "|";
-  for (const auto& f : fetches) key_os << f << ",";
-  key_os << "|";
-  for (const auto& t : targets) key_os << t << ",";
-  return key_os.str();
 }
 }  // namespace
 
@@ -136,7 +119,7 @@ Status MasterSession::InitDurableState(const MasterState* restored) {
   // re-registered (see CompileLocked).
   std::lock_guard<std::mutex> lock(mu_);
   for (const CompiledSignature& sig : restored->compiled) {
-    const std::string key = CompileKey(sig.feeds, sig.fetches, sig.targets);
+    const std::string key = SignatureKey(sig.feeds, sig.fetches, sig.targets);
     if (compiled_.find(key) != compiled_.end()) continue;
     Result<CompiledStep*> step =
         CompileLocked(key, sig.feeds, sig.fetches, sig.targets, sig.handle);
@@ -207,7 +190,7 @@ Result<MasterSession::CompiledStep*> MasterSession::GetOrCompile(
     const std::vector<std::string>& feed_names,
     const std::vector<std::string>& fetches,
     const std::vector<std::string>& targets) {
-  const std::string key = CompileKey(feed_names, fetches, targets);
+  const std::string key = SignatureKey(feed_names, fetches, targets);
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = compiled_.find(key);
@@ -234,22 +217,11 @@ Result<MasterSession::CompiledStep*> MasterSession::CompileLocked(
     const std::string& key, const std::vector<std::string>& feed_names,
     const std::vector<std::string>& fetches,
     const std::vector<std::string>& targets, const std::string& handle) {
-  // Prune (§3.2), place across every device in the cluster (§3.3),
-  // optimize (§5), partition with Send/Recv insertion (§3.3).
-  std::unique_ptr<Graph> client_graph = graph_->Clone();
-  TF_RETURN_IF_ERROR(RewriteGraphForExecution(client_graph.get(), feed_names,
-                                              fetches, targets));
-  std::vector<Device*> devices = cluster_->all_devices();
-  TF_RETURN_IF_ERROR(PlaceGraph(client_graph.get(), devices, options_.placer));
-  // As in DirectSession: feeds/fetches are structurally protected, but Run
-  // targets are plain node names the optimizer must leave in place.
-  OptimizerOptions opt = options_.optimizer;
-  for (const std::string& t : targets) {
-    opt.preserve.insert(t.substr(0, t.find(':')));
-  }
-  TF_RETURN_IF_ERROR(OptimizeGraph(client_graph.get(), devices.front(), opt));
+  // Compiled across every device in the cluster (§3.3).
   Result<std::map<std::string, std::unique_ptr<Graph>>> partitions =
-      PartitionGraph(*client_graph);
+      CompileSignature(*graph_, feed_names, fetches, targets,
+                       cluster_->all_devices(), options_.placer,
+                       options_.optimizer);
   TF_RETURN_IF_ERROR(partitions.status());
 
   auto step = std::make_unique<CompiledStep>();

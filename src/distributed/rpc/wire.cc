@@ -101,31 +101,6 @@ metrics::Histogram* MethodHistograms::get(uint8_t method) const {
   return method < hists_.size() ? hists_[method] : nullptr;
 }
 
-void AppendInt64(std::string* out, int64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadInt64(const std::string& in, size_t* offset, int64_t* v) {
-  if (*offset + sizeof(int64_t) > in.size()) return false;
-  std::memcpy(v, in.data() + *offset, sizeof(int64_t));
-  *offset += sizeof(int64_t);
-  return true;
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendInt64(out, static_cast<int64_t>(s.size()));
-  out->append(s);
-}
-
-bool ReadString(const std::string& in, size_t* offset, std::string* s) {
-  int64_t len = 0;
-  if (!ReadInt64(in, offset, &len)) return false;
-  if (len < 0 || *offset + static_cast<size_t>(len) > in.size()) return false;
-  s->assign(in.data() + *offset, static_cast<size_t>(len));
-  *offset += static_cast<size_t>(len);
-  return true;
-}
-
 void AppendStatus(std::string* out, const Status& s) {
   AppendInt64(out, static_cast<int64_t>(s.code()));
   AppendString(out, s.ok() ? std::string() : s.message());
@@ -152,10 +127,7 @@ void AppendTensorMeta(const Tensor& t, std::string* body,
     return;
   }
   AppendInt64(body, static_cast<int64_t>(t.dtype()));
-  AppendInt64(body, t.shape().rank());
-  for (int i = 0; i < t.shape().rank(); ++i) {
-    AppendInt64(body, t.shape().dim(i));
-  }
+  AppendShape(body, t.shape());
   *payload_data = t.raw_data();
   *payload_len = t.TotalBytes();
 }

@@ -6,14 +6,12 @@
 //
 // frame_len counts everything after itself. Connections are multiplexed:
 // many requests may be in flight, responses are matched by request_id, and
-// long-poll calls (RecvTensor) may be answered far out of order. All
-// integers are host-endian — both ends always run on one machine (the
-// paper's cluster is ours shrunk to localhost), and the frame never leaves
-// it.
+// long-poll calls (RecvTensor) may be answered far out of order. Integers
+// are little-endian, the byte layout of core/coding.h (DESIGN.md §2.1).
 //
-// Bodies are built with the Append*/Read* helpers below (fixed-width ints,
-// length-prefixed strings), mirroring Tensor::AppendToBytes. A tensor with
-// a POD payload is sent minimal-copy: AppendTensorMeta puts only the
+// Bodies are built from the core/coding.h fields (fixed-width ints,
+// length-prefixed strings) plus the Status field below. A tensor with a
+// POD payload is sent minimal-copy: AppendTensorMeta puts only the
 // dtype/rank/dims header in the body and hands back a pointer to the
 // tensor's own buffer, which WriteFrame gathers with writev — the payload
 // crosses the user/kernel boundary once and is never copied into a staging
@@ -27,6 +25,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/coding.h"
 #include "core/metrics.h"
 #include "core/status.h"
 #include "core/tensor.h"
@@ -86,11 +85,6 @@ struct Frame {
 constexpr uint32_t kMaxFrameBytes = 1u << 30;
 
 // --- body builders/parsers ---
-
-void AppendInt64(std::string* out, int64_t v);
-bool ReadInt64(const std::string& in, size_t* offset, int64_t* v);
-void AppendString(std::string* out, const std::string& s);
-bool ReadString(const std::string& in, size_t* offset, std::string* s);
 
 // Status as (code, message); OK is (0, "").
 void AppendStatus(std::string* out, const Status& s);

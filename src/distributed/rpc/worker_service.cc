@@ -308,11 +308,11 @@ void WorkerService::HandleRunGraph(
   size_t offset = 0;
   std::string handle;
   int64_t step_id = 0, num_fetches = 0, num_feeds = 0;
+  // A feed takes at least its dtype field (an uninitialized tensor).
   if (!ReadString(body, &offset, &handle) ||
       !ReadInt64(body, &offset, &step_id) ||
-      !ReadInt64(body, &offset, &num_fetches) ||
-      !ReadInt64(body, &offset, &num_feeds) || num_fetches < 0 ||
-      num_feeds < 0) {
+      !ReadInt64(body, &offset, &num_fetches) || num_fetches < 0 ||
+      !ReadCount(body, &offset, sizeof(int64_t), &num_feeds)) {
     responder->Respond(InvalidArgument("malformed RunGraph request"),
                        std::string());
     return;

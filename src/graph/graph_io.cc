@@ -1,72 +1,11 @@
 #include "graph/graph_io.h"
 
-#include <cstring>
 #include <map>
 #include <vector>
 
+#include "core/coding.h"
+
 namespace tfrepro {
-
-namespace {
-
-void AppendInt64(std::string* out, int64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadInt64(const std::string& in, size_t* offset, int64_t* v) {
-  if (*offset + sizeof(int64_t) > in.size()) return false;
-  std::memcpy(v, in.data() + *offset, sizeof(int64_t));
-  *offset += sizeof(int64_t);
-  return true;
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendInt64(out, static_cast<int64_t>(s.size()));
-  out->append(s);
-}
-
-bool ReadString(const std::string& in, size_t* offset, std::string* s) {
-  int64_t len = 0;
-  if (!ReadInt64(in, offset, &len) || len < 0 ||
-      *offset + static_cast<size_t>(len) > in.size()) {
-    return false;
-  }
-  s->assign(in.data() + *offset, static_cast<size_t>(len));
-  *offset += static_cast<size_t>(len);
-  return true;
-}
-
-void AppendFloat(std::string* out, float v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadFloat(const std::string& in, size_t* offset, float* v) {
-  if (*offset + sizeof(float) > in.size()) return false;
-  std::memcpy(v, in.data() + *offset, sizeof(float));
-  *offset += sizeof(float);
-  return true;
-}
-
-void AppendShape(std::string* out, const TensorShape& shape) {
-  AppendInt64(out, shape.rank());
-  for (int i = 0; i < shape.rank(); ++i) AppendInt64(out, shape.dim(i));
-}
-
-Result<TensorShape> ReadShape(const std::string& in, size_t* offset) {
-  int64_t rank = 0;
-  if (!ReadInt64(in, offset, &rank) || rank < 0 || rank > 16) {
-    return DataLoss("corrupt shape rank");
-  }
-  std::vector<int64_t> dims(rank);
-  for (int64_t i = 0; i < rank; ++i) {
-    if (!ReadInt64(in, offset, &dims[i])) {
-      return DataLoss("truncated shape dims");
-    }
-  }
-  TF_RETURN_IF_ERROR(ValidateShape(dims));
-  return TensorShape(dims);
-}
-
-}  // namespace
 
 void AppendAttrValueToBytes(const AttrValue& attr, std::string* out) {
   AppendInt64(out, static_cast<int64_t>(attr.kind()));
@@ -160,9 +99,9 @@ Result<AttrValue> ParseAttrValueFromBytes(const std::string& bytes,
       return AttrValue(static_cast<DataType>(v));
     }
     case AttrValue::Kind::kShape: {
-      Result<TensorShape> shape = ReadShape(bytes, offset);
-      TF_RETURN_IF_ERROR(shape.status());
-      return AttrValue(std::move(shape).value());
+      TensorShape shape;
+      TF_RETURN_IF_ERROR(ReadShape(bytes, offset, &shape));
+      return AttrValue(std::move(shape));
     }
     case AttrValue::Kind::kTensor: {
       Result<Tensor> tensor = Tensor::ParseFromBytes(bytes, offset);
@@ -171,7 +110,7 @@ Result<AttrValue> ParseAttrValueFromBytes(const std::string& bytes,
     }
     case AttrValue::Kind::kIntList: {
       int64_t n = 0;
-      if (!ReadInt64(bytes, offset, &n) || n < 0) return truncated;
+      if (!ReadCount(bytes, offset, sizeof(int64_t), &n)) return truncated;
       std::vector<int64_t> v(n);
       for (int64_t i = 0; i < n; ++i) {
         if (!ReadInt64(bytes, offset, &v[i])) return truncated;
@@ -180,7 +119,7 @@ Result<AttrValue> ParseAttrValueFromBytes(const std::string& bytes,
     }
     case AttrValue::Kind::kFloatList: {
       int64_t n = 0;
-      if (!ReadInt64(bytes, offset, &n) || n < 0) return truncated;
+      if (!ReadCount(bytes, offset, sizeof(float), &n)) return truncated;
       std::vector<float> v(n);
       for (int64_t i = 0; i < n; ++i) {
         if (!ReadFloat(bytes, offset, &v[i])) return truncated;
@@ -189,7 +128,7 @@ Result<AttrValue> ParseAttrValueFromBytes(const std::string& bytes,
     }
     case AttrValue::Kind::kStringList: {
       int64_t n = 0;
-      if (!ReadInt64(bytes, offset, &n) || n < 0) return truncated;
+      if (!ReadCount(bytes, offset, sizeof(int64_t), &n)) return truncated;
       std::vector<std::string> v(n);
       for (int64_t i = 0; i < n; ++i) {
         if (!ReadString(bytes, offset, &v[i])) return truncated;
@@ -198,7 +137,7 @@ Result<AttrValue> ParseAttrValueFromBytes(const std::string& bytes,
     }
     case AttrValue::Kind::kTypeList: {
       int64_t n = 0;
-      if (!ReadInt64(bytes, offset, &n) || n < 0) return truncated;
+      if (!ReadCount(bytes, offset, sizeof(int64_t), &n)) return truncated;
       DataTypeVector v(n);
       for (int64_t i = 0; i < n; ++i) {
         int64_t t = 0;
@@ -209,13 +148,13 @@ Result<AttrValue> ParseAttrValueFromBytes(const std::string& bytes,
     }
     case AttrValue::Kind::kShapeList: {
       int64_t n = 0;
-      if (!ReadInt64(bytes, offset, &n) || n < 0) return truncated;
+      if (!ReadCount(bytes, offset, sizeof(int64_t), &n)) return truncated;
       std::vector<TensorShape> v;
       v.reserve(n);
       for (int64_t i = 0; i < n; ++i) {
-        Result<TensorShape> shape = ReadShape(bytes, offset);
-        TF_RETURN_IF_ERROR(shape.status());
-        v.push_back(std::move(shape).value());
+        TensorShape shape;
+        TF_RETURN_IF_ERROR(ReadShape(bytes, offset, &shape));
+        v.push_back(std::move(shape));
       }
       return AttrValue(std::move(v));
     }
@@ -262,7 +201,8 @@ Result<std::unique_ptr<Graph>> ParseGraphFromBytes(const std::string& bytes,
                                                    const OpRegistry* registry) {
   auto graph = std::make_unique<Graph>(registry);
   int64_t num_nodes = 0;
-  if (!ReadInt64(bytes, offset, &num_nodes) || num_nodes < 0) {
+  // A node takes at least four (empty) strings and an attr count.
+  if (!ReadCount(bytes, offset, 5 * sizeof(int64_t), &num_nodes)) {
     return DataLoss("truncated graph node count");
   }
   std::vector<Node*> nodes;

@@ -1,9 +1,7 @@
 // Binary (de)serialization of graphs and attribute values, used by the
 // socket transport to ship per-device partitions to worker processes
-// (RegisterSubgraph over the wire, paper §3.3). The format mirrors
-// Tensor::AppendToBytes: fixed-width little-endian integers, length-prefixed
-// strings, appended to a growing byte string and parsed back with a moving
-// offset.
+// (RegisterSubgraph over the wire, paper §3.3). Built from the
+// core/coding.h fields (DESIGN.md §2.1), like Tensor::AppendToBytes.
 //
 // Round-trip contract: nodes keep their name, op, requested and assigned
 // devices, and every attr kind (including Tensor attrs, so constant-folded

@@ -6,22 +6,13 @@
 #include <functional>
 #include <sstream>
 
+#include "core/coding.h"
+
 namespace tfrepro {
 
 namespace {
 
 constexpr char kMagic[8] = {'T', 'F', 'R', 'C', 'K', 'P', 'T', '1'};
-
-void AppendInt64(std::string* out, int64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadInt64(const std::string& in, size_t* offset, int64_t* v) {
-  if (*offset + sizeof(int64_t) > in.size()) return false;
-  std::memcpy(v, in.data() + *offset, sizeof(int64_t));
-  *offset += sizeof(int64_t);
-  return true;
-}
 
 Result<std::string> ReadWholeFile(const std::string& filename) {
   std::ifstream in(filename, std::ios::binary);
@@ -42,8 +33,7 @@ Status WriteCheckpoint(
   bytes.append(kMagic, sizeof(kMagic));
   AppendInt64(&bytes, static_cast<int64_t>(entries.size()));
   for (const auto& [name, tensor] : entries) {
-    AppendInt64(&bytes, static_cast<int64_t>(name.size()));
-    bytes.append(name);
+    AppendString(&bytes, name);
     tensor.AppendToBytes(&bytes);
   }
   // Write via a temp file + rename for crash atomicity: a checkpoint that
@@ -67,11 +57,11 @@ Status WriteCheckpoint(
 
 namespace {
 
-// Shared scan over a checkpoint's entries.
+// Decodes a checkpoint's entries in order, handing each to `visit` until it
+// returns true. Any corruption, a truncated file included, is DataLoss.
 Status ScanCheckpoint(
     const std::string& filename,
-    const std::function<bool(const std::string&, const std::string&, size_t*)>&
-        visit) {
+    const std::function<bool(const std::string&, Tensor)>& visit) {
   Result<std::string> bytes = ReadWholeFile(filename);
   TF_RETURN_IF_ERROR(bytes.status());
   const std::string& data = bytes.value();
@@ -85,16 +75,16 @@ Status ScanCheckpoint(
     return DataLoss("corrupt checkpoint header in '" + filename + "'");
   }
   for (int64_t i = 0; i < count; ++i) {
-    int64_t name_len = 0;
-    if (!ReadInt64(data, &offset, &name_len) || name_len < 0 ||
-        offset + static_cast<size_t>(name_len) > data.size()) {
+    std::string name;
+    if (!ReadString(data, &offset, &name)) {
       return DataLoss("corrupt entry name in '" + filename + "'");
     }
-    std::string name(data.data() + offset, name_len);
-    offset += name_len;
-    if (visit(name, data, &offset)) {
-      return Status::OK();
+    Result<Tensor> t = Tensor::ParseFromBytes(data, &offset);
+    if (!t.ok()) {
+      return DataLoss("corrupt entry '" + name + "' in '" + filename +
+                      "': " + t.status().message());
     }
+    if (visit(name, std::move(t).value())) return Status::OK();
   }
   return Status::OK();
 }
@@ -105,21 +95,13 @@ Result<Tensor> ReadCheckpointTensor(const std::string& filename,
                                     const std::string& tensor_name) {
   Tensor found;
   bool have = false;
-  Status scan = ScanCheckpoint(
-      filename, [&](const std::string& name, const std::string& data,
-                    size_t* offset) {
-        Result<Tensor> t = Tensor::ParseFromBytes(data, offset);
-        if (!t.ok()) {
-          return false;  // scan surfaces corruption via the parse below
-        }
-        if (name == tensor_name) {
-          found = std::move(t).value();
-          have = true;
-          return true;
-        }
-        return false;
-      });
-  TF_RETURN_IF_ERROR(scan);
+  TF_RETURN_IF_ERROR(
+      ScanCheckpoint(filename, [&](const std::string& name, Tensor t) {
+        if (name != tensor_name) return false;
+        found = std::move(t);
+        have = true;
+        return true;
+      }));
   if (!have) {
     return NotFound("tensor '" + tensor_name + "' not found in checkpoint '" +
                     filename + "'");
@@ -130,15 +112,11 @@ Result<Tensor> ReadCheckpointTensor(const std::string& filename,
 Result<std::vector<std::string>> ListCheckpointTensors(
     const std::string& filename) {
   std::vector<std::string> names;
-  Status scan = ScanCheckpoint(
-      filename, [&](const std::string& name, const std::string& data,
-                    size_t* offset) {
-        Result<Tensor> t = Tensor::ParseFromBytes(data, offset);
-        if (!t.ok()) return true;  // stop on corruption
+  TF_RETURN_IF_ERROR(
+      ScanCheckpoint(filename, [&](const std::string& name, Tensor) {
         names.push_back(name);
         return false;
-      });
-  TF_RETURN_IF_ERROR(scan);
+      }));
   return names;
 }
 

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/coding.h"
+
 namespace tfrepro {
 
 namespace {
@@ -16,32 +18,6 @@ int BucketOf(double micros) {
     ++b;
   }
   return b;
-}
-
-void AppendJsonString(std::ostringstream* os, const std::string& s) {
-  *os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *os << "\\\"";
-        break;
-      case '\\':
-        *os << "\\\\";
-        break;
-      case '\n':
-        *os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *os << buf;
-        } else {
-          *os << c;
-        }
-    }
-  }
-  *os << '"';
 }
 
 void AppendFixed(std::ostringstream* os, double v) {

@@ -52,6 +52,41 @@ DirectSession::~DirectSession() {
   }
 }
 
+std::string SignatureKey(const std::vector<std::string>& feed_names,
+                         const std::vector<std::string>& fetches,
+                         const std::vector<std::string>& targets) {
+  std::ostringstream key_os;
+  for (const auto& f : feed_names) key_os << f << ",";
+  key_os << "|";
+  for (const auto& f : fetches) key_os << f << ",";
+  key_os << "|";
+  for (const auto& t : targets) key_os << t << ",";
+  return key_os.str();
+}
+
+Result<std::map<std::string, std::unique_ptr<Graph>>> CompileSignature(
+    const Graph& graph, const std::vector<std::string>& feed_names,
+    const std::vector<std::string>& fetches,
+    const std::vector<std::string>& targets,
+    const std::vector<Device*>& devices, const PlacerOptions& placer,
+    OptimizerOptions optimizer) {
+  std::unique_ptr<Graph> client_graph = graph.Clone();
+  TF_RETURN_IF_ERROR(RewriteGraphForExecution(client_graph.get(), feed_names,
+                                              fetches, targets));
+  TF_RETURN_IF_ERROR(InferShapes(*client_graph));
+  TF_RETURN_IF_ERROR(PlaceGraph(client_graph.get(), devices, placer));
+  // Feeds/fetches are structurally protected (_Feed/_Fetch are never
+  // optimized away) and stateful nodes are never touched; Run targets are
+  // plain node names, so add them to the preserve set to keep the
+  // optimizer from renaming, fusing or eliding them.
+  for (const std::string& t : targets) {
+    optimizer.preserve.insert(t.substr(0, t.find(':')));
+  }
+  TF_RETURN_IF_ERROR(
+      OptimizeGraph(client_graph.get(), devices.front(), optimizer));
+  return PartitionGraph(*client_graph);
+}
+
 Result<std::unique_ptr<DirectSession>> DirectSession::Create(
     const Graph& graph, const SessionOptions& options) {
   if (options.num_threads < 1 || options.num_devices < 1) {
@@ -64,13 +99,7 @@ Result<DirectSession::ExecutorsAndGraphs*> DirectSession::GetOrCreateExecutors(
     const std::vector<std::string>& feed_names,
     const std::vector<std::string>& fetches,
     const std::vector<std::string>& targets) {
-  std::ostringstream key_os;
-  for (const auto& f : feed_names) key_os << f << ",";
-  key_os << "|";
-  for (const auto& f : fetches) key_os << f << ",";
-  key_os << "|";
-  for (const auto& t : targets) key_os << t << ",";
-  std::string key = key_os.str();
+  const std::string key = SignatureKey(feed_names, fetches, targets);
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = executor_cache_.find(key);
@@ -78,29 +107,10 @@ Result<DirectSession::ExecutorsAndGraphs*> DirectSession::GetOrCreateExecutors(
     return it->second.get();
   }
 
-  // Prune + rewrite for this step signature (paper §3.2).
-  std::unique_ptr<Graph> client_graph = graph_->Clone();
-  TF_RETURN_IF_ERROR(RewriteGraphForExecution(client_graph.get(), feed_names,
-                                              fetches, targets));
-  if (options_.validate_shapes) {
-    TF_RETURN_IF_ERROR(InferShapes(*client_graph));
-  }
-
-  // Place, optimize, partition (§3.3, §5).
-  TF_RETURN_IF_ERROR(PlaceGraph(client_graph.get(), device_mgr_.ListDevices(),
-                                options_.placer));
-  // Feeds/fetches are structurally protected (_Feed/_Fetch are never
-  // optimized away) and stateful nodes are never touched; Run targets are
-  // plain node names, so add them to the preserve set to keep the
-  // optimizer from renaming, fusing or eliding them.
-  OptimizerOptions opt = options_.optimizer;
-  for (const std::string& t : targets) {
-    opt.preserve.insert(t.substr(0, t.find(':')));
-  }
-  TF_RETURN_IF_ERROR(OptimizeGraph(client_graph.get(),
-                                   device_mgr_.default_device(), opt));
   Result<std::map<std::string, std::unique_ptr<Graph>>> partitions =
-      PartitionGraph(*client_graph);
+      CompileSignature(*graph_, feed_names, fetches, targets,
+                       device_mgr_.ListDevices(), options_.placer,
+                       options_.optimizer);
   TF_RETURN_IF_ERROR(partitions.status());
 
   auto entry = std::make_unique<ExecutorsAndGraphs>();

@@ -40,11 +40,28 @@
 
 namespace tfrepro {
 
+// The cache key of one step signature (feeds | fetches | targets). It is
+// stable across processes, so a restarted master's durable-state replay
+// finds the same slots.
+std::string SignatureKey(const std::vector<std::string>& feed_names,
+                         const std::vector<std::string>& fetches,
+                         const std::vector<std::string>& targets);
+
+// Compiles one step signature of `graph` onto `devices`, for both sessions:
+// rewrite for the feeds, fetches and targets (paper §3.2), static shape
+// check, place (§3.3), optimize with the Run targets preserved (§5), and
+// partition with Send/Recv insertion (§3.3). Returns one graph per device.
+// Locking, caching and executor creation or registration stay with the
+// caller.
+Result<std::map<std::string, std::unique_ptr<Graph>>> CompileSignature(
+    const Graph& graph, const std::vector<std::string>& feed_names,
+    const std::vector<std::string>& fetches,
+    const std::vector<std::string>& targets,
+    const std::vector<Device*>& devices, const PlacerOptions& placer,
+    OptimizerOptions optimizer);
+
 struct SessionOptions {
   int num_threads = 4;
-  // Run static shape inference when compiling a step signature and fail
-  // fast on provable rank/dimension mismatches.
-  bool validate_shapes = true;
   // Number of CPU devices to expose (multi-device placement and Send/Recv
   // paths are exercised even on one machine).
   int num_devices = 1;

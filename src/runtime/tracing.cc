@@ -1,12 +1,11 @@
 #include "runtime/tracing.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
 
+#include "core/coding.h"
 #include "core/metrics.h"
 
 namespace tfrepro {
@@ -23,32 +22,6 @@ std::mutex* GlobalSinkMu() {
 std::vector<TraceCollector*>* GlobalSinks() {
   static auto* sinks = new std::vector<TraceCollector*>();
   return sinks;
-}
-
-void AppendJsonString(std::ostringstream* os, const std::string& s) {
-  *os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *os << "\\\"";
-        break;
-      case '\\':
-        *os << "\\\\";
-        break;
-      case '\n':
-        *os << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *os << buf;
-        } else {
-          *os << c;
-        }
-    }
-  }
-  *os << '"';
 }
 
 // "/job:worker/task:0/device:CPU:0" -> "/job:worker/task:0". Device-less
@@ -295,59 +268,33 @@ std::string StepStats::ToChromeTraceJson() const {
 
 namespace {
 
-// Wire-compatible primitives (same layout as distributed/rpc/wire.cc's
-// AppendInt64/ReadInt64/AppendString/ReadString, duplicated locally so the
-// runtime layer does not depend on the rpc layer).
-void AppendI64(std::string* out, int64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadI64(const std::string& data, size_t* pos, int64_t* v) {
-  if (*pos > data.size() || data.size() - *pos < sizeof(*v)) return false;
-  std::memcpy(v, data.data() + *pos, sizeof(*v));
-  *pos += sizeof(*v);
-  return true;
-}
-
-void AppendStr(std::string* out, const std::string& s) {
-  AppendI64(out, static_cast<int64_t>(s.size()));
-  out->append(s);
-}
-
-bool ReadStr(const std::string& data, size_t* pos, std::string* s) {
-  int64_t len = 0;
-  if (!ReadI64(data, pos, &len)) return false;
-  if (len < 0 || static_cast<size_t>(len) > data.size() - *pos) return false;
-  s->assign(data.data() + *pos, static_cast<size_t>(len));
-  *pos += static_cast<size_t>(len);
-  return true;
-}
-
 void AppendArgs(std::string* out,
                 const std::map<std::string, std::string>& args) {
-  AppendI64(out, static_cast<int64_t>(args.size()));
+  AppendInt64(out, static_cast<int64_t>(args.size()));
   for (const auto& [k, v] : args) {
-    AppendStr(out, k);
-    AppendStr(out, v);
+    AppendString(out, k);
+    AppendString(out, v);
   }
 }
 
 bool ReadArgs(const std::string& data, size_t* pos,
               std::map<std::string, std::string>* args) {
   int64_t n = 0;
-  if (!ReadI64(data, pos, &n)) return false;
-  if (n < 0) return false;
+  if (!ReadCount(data, pos, 2 * sizeof(int64_t), &n)) return false;
   for (int64_t i = 0; i < n; ++i) {
     std::string k, v;
-    if (!ReadStr(data, pos, &k) || !ReadStr(data, pos, &v)) return false;
+    if (!ReadString(data, pos, &k) || !ReadString(data, pos, &v)) return false;
     (*args)[std::move(k)] = std::move(v);
   }
   return true;
 }
 
-// Sanity cap on deserialized event-vector sizes: a malformed length
-// prefix must not turn into a multi-gigabyte allocation.
-constexpr int64_t kMaxEvents = int64_t{1} << 24;
+// Smallest encoding of one event of each kind (empty strings, no args):
+// the divisors of the count check that precedes each reserve.
+constexpr size_t kMinNodeBytes = 6 * sizeof(int64_t);
+constexpr size_t kMinTransferBytes = 8 * sizeof(int64_t);
+constexpr size_t kMinInstantBytes = 4 * sizeof(int64_t);
+constexpr size_t kMinSpanBytes = 5 * sizeof(int64_t);
 
 // Shift that preserves the "0 means unrecorded" convention.
 int64_t ShiftNonZero(int64_t micros, int64_t delta) {
@@ -357,40 +304,40 @@ int64_t ShiftNonZero(int64_t micros, int64_t delta) {
 }  // namespace
 
 void StepStats::AppendToBytes(std::string* out) const {
-  AppendI64(out, step_id);
-  AppendI64(out, static_cast<int64_t>(nodes.size()));
+  AppendInt64(out, step_id);
+  AppendInt64(out, static_cast<int64_t>(nodes.size()));
   for (const NodeExecStats& n : nodes) {
-    AppendStr(out, n.node_name);
-    AppendStr(out, n.op);
-    AppendStr(out, n.device);
-    AppendI64(out, n.scheduled_micros);
-    AppendI64(out, n.start_micros);
-    AppendI64(out, n.end_micros);
+    AppendString(out, n.node_name);
+    AppendString(out, n.op);
+    AppendString(out, n.device);
+    AppendInt64(out, n.scheduled_micros);
+    AppendInt64(out, n.start_micros);
+    AppendInt64(out, n.end_micros);
   }
-  AppendI64(out, static_cast<int64_t>(transfers.size()));
+  AppendInt64(out, static_cast<int64_t>(transfers.size()));
   for (const TransferStats& t : transfers) {
-    AppendI64(out, t.kind == TransferStats::Kind::kSend ? 0 : 1);
-    AppendStr(out, t.tensor_name);
-    AppendStr(out, t.send_device);
-    AppendStr(out, t.recv_device);
-    AppendI64(out, t.bytes);
-    AppendI64(out, t.send_micros);
-    AppendI64(out, t.recv_start_micros);
-    AppendI64(out, t.recv_end_micros);
+    AppendInt64(out, t.kind == TransferStats::Kind::kSend ? 0 : 1);
+    AppendString(out, t.tensor_name);
+    AppendString(out, t.send_device);
+    AppendString(out, t.recv_device);
+    AppendInt64(out, t.bytes);
+    AppendInt64(out, t.send_micros);
+    AppendInt64(out, t.recv_start_micros);
+    AppendInt64(out, t.recv_end_micros);
   }
-  AppendI64(out, static_cast<int64_t>(instants.size()));
+  AppendInt64(out, static_cast<int64_t>(instants.size()));
   for (const InstantEvent& i : instants) {
-    AppendStr(out, i.name);
-    AppendStr(out, i.scope);
-    AppendI64(out, i.micros);
+    AppendString(out, i.name);
+    AppendString(out, i.scope);
+    AppendInt64(out, i.micros);
     AppendArgs(out, i.args);
   }
-  AppendI64(out, static_cast<int64_t>(spans.size()));
+  AppendInt64(out, static_cast<int64_t>(spans.size()));
   for (const SpanEvent& s : spans) {
-    AppendStr(out, s.name);
-    AppendStr(out, s.scope);
-    AppendI64(out, s.start_micros);
-    AppendI64(out, s.end_micros);
+    AppendString(out, s.name);
+    AppendString(out, s.scope);
+    AppendInt64(out, s.start_micros);
+    AppendInt64(out, s.end_micros);
     AppendArgs(out, s.args);
   }
 }
@@ -399,61 +346,55 @@ bool StepStats::ParseFromBytes(const std::string& data, size_t* pos,
                                StepStats* out) {
   *out = StepStats();
   int64_t count = 0;
-  if (!ReadI64(data, pos, &out->step_id)) return false;
-  if (!ReadI64(data, pos, &count) || count < 0 || count > kMaxEvents) {
-    return false;
-  }
+  if (!ReadInt64(data, pos, &out->step_id)) return false;
+  if (!ReadCount(data, pos, kMinNodeBytes, &count)) return false;
   out->nodes.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {
     NodeExecStats n;
-    if (!ReadStr(data, pos, &n.node_name) || !ReadStr(data, pos, &n.op) ||
-        !ReadStr(data, pos, &n.device) ||
-        !ReadI64(data, pos, &n.scheduled_micros) ||
-        !ReadI64(data, pos, &n.start_micros) ||
-        !ReadI64(data, pos, &n.end_micros)) {
+    if (!ReadString(data, pos, &n.node_name) ||
+        !ReadString(data, pos, &n.op) || !ReadString(data, pos, &n.device) ||
+        !ReadInt64(data, pos, &n.scheduled_micros) ||
+        !ReadInt64(data, pos, &n.start_micros) ||
+        !ReadInt64(data, pos, &n.end_micros)) {
       return false;
     }
     out->nodes.push_back(std::move(n));
   }
-  if (!ReadI64(data, pos, &count) || count < 0 || count > kMaxEvents) {
-    return false;
-  }
+  if (!ReadCount(data, pos, kMinTransferBytes, &count)) return false;
   out->transfers.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {
     TransferStats t;
     int64_t kind = 0;
-    if (!ReadI64(data, pos, &kind) || !ReadStr(data, pos, &t.tensor_name) ||
-        !ReadStr(data, pos, &t.send_device) ||
-        !ReadStr(data, pos, &t.recv_device) || !ReadI64(data, pos, &t.bytes) ||
-        !ReadI64(data, pos, &t.send_micros) ||
-        !ReadI64(data, pos, &t.recv_start_micros) ||
-        !ReadI64(data, pos, &t.recv_end_micros)) {
+    if (!ReadInt64(data, pos, &kind) ||
+        !ReadString(data, pos, &t.tensor_name) ||
+        !ReadString(data, pos, &t.send_device) ||
+        !ReadString(data, pos, &t.recv_device) ||
+        !ReadInt64(data, pos, &t.bytes) ||
+        !ReadInt64(data, pos, &t.send_micros) ||
+        !ReadInt64(data, pos, &t.recv_start_micros) ||
+        !ReadInt64(data, pos, &t.recv_end_micros)) {
       return false;
     }
     t.kind = kind == 0 ? TransferStats::Kind::kSend : TransferStats::Kind::kRecv;
     out->transfers.push_back(std::move(t));
   }
-  if (!ReadI64(data, pos, &count) || count < 0 || count > kMaxEvents) {
-    return false;
-  }
+  if (!ReadCount(data, pos, kMinInstantBytes, &count)) return false;
   out->instants.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {
     InstantEvent e;
-    if (!ReadStr(data, pos, &e.name) || !ReadStr(data, pos, &e.scope) ||
-        !ReadI64(data, pos, &e.micros) || !ReadArgs(data, pos, &e.args)) {
+    if (!ReadString(data, pos, &e.name) || !ReadString(data, pos, &e.scope) ||
+        !ReadInt64(data, pos, &e.micros) || !ReadArgs(data, pos, &e.args)) {
       return false;
     }
     out->instants.push_back(std::move(e));
   }
-  if (!ReadI64(data, pos, &count) || count < 0 || count > kMaxEvents) {
-    return false;
-  }
+  if (!ReadCount(data, pos, kMinSpanBytes, &count)) return false;
   out->spans.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {
     SpanEvent s;
-    if (!ReadStr(data, pos, &s.name) || !ReadStr(data, pos, &s.scope) ||
-        !ReadI64(data, pos, &s.start_micros) ||
-        !ReadI64(data, pos, &s.end_micros) || !ReadArgs(data, pos, &s.args)) {
+    if (!ReadString(data, pos, &s.name) || !ReadString(data, pos, &s.scope) ||
+        !ReadInt64(data, pos, &s.start_micros) ||
+        !ReadInt64(data, pos, &s.end_micros) || !ReadArgs(data, pos, &s.args)) {
       return false;
     }
     out->spans.push_back(std::move(s));

@@ -90,8 +90,7 @@ struct StepStats {
 
   // Byte (de)serialization for the RPC wire (DESIGN.md §12): a traced
   // RunGraph response carries the worker's StepStats back to the master.
-  // The encoding matches the rpc wire body helpers (host-endian int64s,
-  // int64-length-prefixed strings) without depending on them.
+  // Built from the core/coding.h fields (DESIGN.md §2.1).
   void AppendToBytes(std::string* out) const;
   // Parses one StepStats starting at *pos, advancing *pos past it. Returns
   // false (leaving *out unspecified) on truncated or malformed input.

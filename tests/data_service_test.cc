@@ -139,8 +139,8 @@ TEST(DataServiceTest, RetriedCursorIsRetransmittedNotRegenerated) {
 
   auto call = [&](int64_t consumer, int64_t cursor) {
     std::string body;
-    rpc::AppendInt64(&body, consumer);
-    rpc::AppendInt64(&body, cursor);
+    AppendInt64(&body, consumer);
+    AppendInt64(&body, cursor);
     Status status;
     std::string resp;
     handler.HandleGetElement(body,

@@ -20,6 +20,7 @@
 #include "graph/ops.h"
 #include "nn/embedding.h"
 #include "nn/layers.h"
+#include "runtime/session.h"
 #include "train/optimizer.h"
 #include "train/saver.h"
 #include "train/sync_replicas.h"
@@ -261,6 +262,34 @@ TEST(MasterSessionTest, MissingDeviceConstraintFails) {
   auto session = MasterSession::Create(g, cluster.value().get());
   std::vector<Tensor> out;
   EXPECT_FALSE(session.value()->Run({x.name()}, &out).ok());
+}
+
+TEST(MasterSessionTest, RejectsAnInvalidGraphAsDirectSessionDoes) {
+  // Both sessions compile through one CompileSignature, so a graph with a
+  // provable shape mismatch fails at compile time in each with the same
+  // shape-inference error, instead of reaching kernels in one of them.
+  auto cluster = Cluster::Create(PsWorkerSpec(1, 1));
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  Graph g;
+  GraphBuilder b(&g);
+  Output a = ops::Placeholder(&b, DataType::kFloat, TensorShape({2, 3}), "a");
+  Output w = ops::Placeholder(&b, DataType::kFloat, TensorShape({4, 5}), "w");
+  Output p = ops::MatMul(&b, a, w);  // inner dims 3 vs 4: invalid
+  ASSERT_TRUE(b.ok()) << b.status();
+
+  std::vector<Tensor> out;
+  auto direct = DirectSession::Create(g);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  Status direct_status = direct.value()->Run({p.name()}, &out);
+  auto master = MasterSession::Create(g, cluster.value().get());
+  ASSERT_TRUE(master.ok()) << master.status();
+  Status master_status = master.value()->Run({p.name()}, &out);
+
+  EXPECT_NE(direct_status.message().find("shape inference"),
+            std::string::npos)
+      << direct_status;
+  EXPECT_EQ(master_status.code(), direct_status.code()) << master_status;
+  EXPECT_EQ(master_status.message(), direct_status.message());
 }
 
 TEST(MasterSessionTest, ControlGatedReadSeesEveryPsUpdate) {

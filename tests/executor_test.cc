@@ -16,6 +16,18 @@ namespace {
 
 using ops::Const;
 
+// The [1,2] left operand of the failing MatMuls below, fed as "a". A fed
+// operand's _Feed node has no static shape, so an inner-dimension mismatch
+// against a [1,3] right operand passes the compile-time shape check and
+// fails in the MatMul kernel.
+Output FedA(GraphBuilder* b) {
+  return ops::Placeholder(b, DataType::kFloat, TensorShape({1, 2}), "a");
+}
+
+Tensor A12() {
+  return Tensor::FromVector<float>({1, 2}, TensorShape({1, 2}));
+}
+
 TEST(ExecutorErrorTest, KernelErrorAbortsPendingRecvInSameStep) {
   // Two devices: device 1 computes a failing op whose result device 0
   // awaits via Recv. The failure must abort the step's rendezvous so the
@@ -25,9 +37,7 @@ TEST(ExecutorErrorTest, KernelErrorAbortsPendingRecvInSameStep) {
   Output bad_a, bad_b;
   {
     GraphBuilder::DeviceScope scope(&b, "/device:CPU:1");
-    // Runtime failure: MatMul inner-dim mismatch (disable shape validation
-    // to let it reach execution).
-    bad_a = Const(&b, Tensor::FromVector<float>({1, 2}, TensorShape({1, 2})));
+    bad_a = FedA(&b);  // runtime failure: MatMul inner-dim mismatch
     bad_b = Const(&b, Tensor::FromVector<float>({1, 2, 3}, TensorShape({1, 3})));
   }
   Output bad;
@@ -43,10 +53,9 @@ TEST(ExecutorErrorTest, KernelErrorAbortsPendingRecvInSameStep) {
   ASSERT_TRUE(b.ok()) << b.status();
   SessionOptions options;
   options.num_devices = 2;
-  options.validate_shapes = false;
   auto session = DirectSession::Create(g, options);
   std::vector<Tensor> out;
-  Status s = session.value()->Run({consume.name()}, &out);
+  Status s = session.value()->Run({{"a", A12()}}, {consume.name()}, {}, &out);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("MatMul"), std::string::npos);
 }
@@ -60,15 +69,13 @@ TEST(ExecutorErrorTest, StepErrorCancelsPendingDequeue) {
   Output q = ops::FIFOQueue(&b, {DataType::kFloat}, 4);
   std::vector<Output> dq = ops::QueueDequeue(&b, q, {DataType::kFloat});
   Output bad = ops::MatMul(
-      &b, Const(&b, Tensor::FromVector<float>({1, 2}, TensorShape({1, 2}))),
+      &b, FedA(&b),
       Const(&b, Tensor::FromVector<float>({1, 2, 3}, TensorShape({1, 3}))));
   Output sum = ops::Add(&b, dq[0], ops::SumAll(&b, bad));
   ASSERT_TRUE(b.ok());
-  SessionOptions options;
-  options.validate_shapes = false;
-  auto session = DirectSession::Create(g, options);
+  auto session = DirectSession::Create(g);
   std::vector<Tensor> out;
-  Status s = session.value()->Run({sum.name()}, &out);
+  Status s = session.value()->Run({{"a", A12()}}, {sum.name()}, {}, &out);
   EXPECT_FALSE(s.ok());  // and, crucially, it returned at all
 }
 
@@ -78,14 +85,13 @@ TEST(ExecutorErrorTest, SessionUsableAfterFailedStep) {
   Output x = ops::Placeholder(&b, DataType::kFloat, TensorShape(), "x");
   Output ok_out = ops::Square(&b, x);
   Output bad = ops::MatMul(
-      &b, Const(&b, Tensor::FromVector<float>({1, 2}, TensorShape({1, 2}))),
+      &b, FedA(&b),
       Const(&b, Tensor::FromVector<float>({1, 2, 3}, TensorShape({1, 3}))));
   ASSERT_TRUE(b.ok());
-  SessionOptions options;
-  options.validate_shapes = false;
-  auto session = DirectSession::Create(g, options);
+  auto session = DirectSession::Create(g);
   std::vector<Tensor> out;
-  EXPECT_FALSE(session.value()->Run({bad.name()}, &out).ok());
+  EXPECT_FALSE(
+      session.value()->Run({{"a", A12()}}, {bad.name()}, {}, &out).ok());
   // The failure is step-local: the next step succeeds.
   TF_CHECK_OK(session.value()->Run({{"x", Tensor::Scalar(3.0f)}},
                                    {ok_out.name()}, {}, &out));
@@ -96,9 +102,10 @@ TEST(ExecutorErrorTest, FirstErrorWinsWithMultipleFailures) {
   Graph g;
   GraphBuilder b(&g);
   std::vector<Output> bads;
+  Output a = FedA(&b);
   for (int i = 0; i < 4; ++i) {
     Output bad = ops::MatMul(
-        &b, Const(&b, Tensor::FromVector<float>({1, 2}, TensorShape({1, 2}))),
+        &b, a,
         Const(&b, Tensor::FromVector<float>({float(i), 2, 3},
                                             TensorShape({1, 3}))));
     bads.push_back(ops::SumAll(&b, bad));
@@ -106,11 +113,10 @@ TEST(ExecutorErrorTest, FirstErrorWinsWithMultipleFailures) {
   Output total = ops::AddN(&b, bads);
   ASSERT_TRUE(b.ok());
   SessionOptions options;
-  options.validate_shapes = false;
   options.optimizer.do_cse = false;
   auto session = DirectSession::Create(g, options);
   std::vector<Tensor> out;
-  Status s = session.value()->Run({total.name()}, &out);
+  Status s = session.value()->Run({{"a", A12()}}, {total.name()}, {}, &out);
   EXPECT_FALSE(s.ok());
   // Exactly one coherent error message (no concatenated garbage).
   EXPECT_NE(s.message().find("MatMul"), std::string::npos);
@@ -139,18 +145,16 @@ TEST(ExecutorErrorTest, ConcurrentFailingAndSucceedingSteps) {
   Output x = ops::Placeholder(&b, DataType::kFloat, TensorShape(), "x");
   Output good = ops::Square(&b, x);
   Output bad = ops::MatMul(
-      &b, Const(&b, Tensor::FromVector<float>({1, 2}, TensorShape({1, 2}))),
+      &b, FedA(&b),
       Const(&b, Tensor::FromVector<float>({1, 2, 3}, TensorShape({1, 3}))));
   ASSERT_TRUE(b.ok());
-  SessionOptions options;
-  options.validate_shapes = false;
-  auto session = DirectSession::Create(g, options);
+  auto session = DirectSession::Create(g);
   DirectSession* sess = session.value().get();
 
   std::thread failing([&]() {
     for (int i = 0; i < 20; ++i) {
       std::vector<Tensor> out;
-      EXPECT_FALSE(sess->Run({bad.name()}, &out).ok());
+      EXPECT_FALSE(sess->Run({{"a", A12()}}, {bad.name()}, {}, &out).ok());
     }
   });
   std::thread succeeding([&]() {

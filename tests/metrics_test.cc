@@ -1,12 +1,14 @@
 // Tests for the metrics registry (DESIGN.md §8): concurrent counter
 // increments, histogram bucket boundaries, snapshot isolation, tag
-// separation, and the JSON export.
+// separation, and the JSON export with its string escaper.
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "core/coding.h"
 #include "core/metrics.h"
 
 namespace tfrepro {
@@ -163,6 +165,22 @@ TEST(RegistryTest, JsonExportContainsEntries) {
   // Valid JSON shape, at least superficially.
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
+}
+
+// The one JSON string escaper (core/coding.h), shared by the metrics
+// export, the Chrome trace and the profile dump.
+TEST(JsonStringTest, EscapesWhatJsonRequiresAndPassesTheRest) {
+  auto json = [](const std::string& s) {
+    std::ostringstream os;
+    AppendJsonString(&os, s);
+    return os.str();
+  };
+  EXPECT_EQ(json("a\"b"), R"("a\"b")");
+  EXPECT_EQ(json("a\\b"), R"("a\\b")");
+  EXPECT_EQ(json("a\nb"), R"("a\nb")");
+  EXPECT_EQ(json("a\tb"), R"("a\tb")");
+  EXPECT_EQ(json("a\x01" "b"), R"("a\u0001b")");
+  EXPECT_EQ(json("caf\xc3\xa9"), "\"caf\xc3\xa9\"");  // UTF-8 unchanged
 }
 
 TEST(RegistryTest, GlobalIsSingleton) {

@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/coding.h"
+#include "golden.h"
 #include "graph/ops.h"
 #include "runtime/placer.h"
 #include "runtime/session.h"
@@ -144,6 +146,13 @@ TEST(ProfileStoreTest, WriteJsonIsAtomicAndParseable) {
   EXPECT_NE(content.str().find("\"steps\":1"), std::string::npos);
   EXPECT_NE(content.str().find("n\\\"quoted\\\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(ProfileStoreTest, TabInOpNameIsWrittenAsBackslashT) {
+  ProfileStore store;
+  store.AddStepStats(MakeStep("n", "Op\tX", "/device:CPU:0", 1));
+  EXPECT_NE(store.ToJson().find("\"Op\\tX\""), std::string::npos)
+      << store.ToJson();
 }
 
 TEST(ProfilerSessionTest, SampledStepsFeedTheSessionStore) {
@@ -356,6 +365,21 @@ TEST(StepStatsTest, WireRoundTripPreservesEverything) {
 
   std::string bytes;
   stats.AppendToBytes(&bytes);
+  // Pinned to the bytes of an earlier build (DESIGN.md §2.1).
+  EXPECT_EQ(Hex(bytes),
+            "2a00000000000000010000000000000002000000000000006d6d060000000000"
+            "00004d61744d756c1f000000000000002f6a6f623a776f726b65722f7461736b"
+            "3a312f6465766963653a4350553a300a00000000000000140000000000000023"
+            "000000000000000100000000000000010000000000000004000000000000006d"
+            "6d3a301b000000000000002f6a6f623a70732f7461736b3a302f646576696365"
+            "3a4350553a301f000000000000002f6a6f623a776f726b65722f7461736b3a31"
+            "2f6465766963653a4350553a3080000000000000000000000000000000150000"
+            "00000000001e0000000000000001000000000000000500000000000000666175"
+            "6c7412000000000000002f6a6f623a776f726b65722f7461736b3a3119000000"
+            "00000000010000000000000004000000000000006b696e640800000000000000"
+            "696e6a656374656401000000000000000a0000000000000071756575652e7761"
+            "697412000000000000002f6a6f623a776f726b65722f7461736b3a3105000000"
+            "0000000009000000000000000000000000000000");
   StepStats parsed;
   size_t pos = 0;
   ASSERT_TRUE(StepStats::ParseFromBytes(bytes, &pos, &parsed));
@@ -372,12 +396,12 @@ TEST(StepStatsTest, WireRoundTripPreservesEverything) {
   ASSERT_EQ(parsed.spans.size(), 1u);
   EXPECT_EQ(parsed.spans[0].end_micros, 9);
 
-  // Truncated payloads fail cleanly instead of reading out of bounds.
-  for (size_t cut : {size_t{0}, bytes.size() / 2, bytes.size() - 1}) {
+  // Every strict prefix fails cleanly instead of reading out of bounds.
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
     StepStats junk;
     size_t p = 0;
-    EXPECT_FALSE(
-        StepStats::ParseFromBytes(bytes.substr(0, cut), &p, &junk));
+    EXPECT_FALSE(StepStats::ParseFromBytes(bytes.substr(0, cut), &p, &junk))
+        << "cut at " << cut;
   }
 
   // ShiftTimes moves recorded timestamps but leaves zeros ("unrecorded")
@@ -386,6 +410,23 @@ TEST(StepStatsTest, WireRoundTripPreservesEverything) {
   EXPECT_EQ(parsed.nodes[0].start_micros, 120);
   EXPECT_EQ(parsed.transfers[0].send_micros, 0);
   EXPECT_EQ(parsed.transfers[0].recv_start_micros, 121);
+}
+
+TEST(StepStatsTest, EventCountBeyondInputIsRejected) {
+  // Each event vector in turn claims 2^24 events with 64 bytes behind
+  // them: rejected before the count sizes a reserve (2^24 node records
+  // would be about 2 GB).
+  for (int vec = 0; vec < 4; ++vec) {
+    std::string bytes;
+    AppendInt64(&bytes, /*step_id=*/7);
+    for (int i = 0; i < vec; ++i) AppendInt64(&bytes, 0);
+    AppendInt64(&bytes, int64_t{1} << 24);
+    bytes.append(64, '\0');
+    StepStats parsed;
+    size_t pos = 0;
+    EXPECT_FALSE(StepStats::ParseFromBytes(bytes, &pos, &parsed))
+        << "event vector " << vec;
+  }
 }
 
 }  // namespace

@@ -624,6 +624,34 @@ TEST(WorkerSendAckTest, HubAbortedAckFailsStepAndAbortsLocalWaiters) {
   EXPECT_LT(elapsed, 5.0);
 }
 
+TEST(WorkerServiceTest, FeedCountBeyondRunGraphBodyIsRejected) {
+  // A RunGraph body claiming 2^60 feeds with none behind them gets an
+  // error answer, not a feed vector sized by the count, and the worker
+  // keeps serving.
+  RendezvousHub hub;
+  TF_CHECK_OK(hub.Start());
+  WorkerRig rig(hub.port());
+  std::string body;
+  AppendString(&body, "h");
+  AppendInt64(&body, /*step_id=*/43);
+  AppendInt64(&body, /*num_fetches=*/0);
+  AppendInt64(&body, /*num_feeds=*/int64_t{1} << 60);
+  RpcChannel channel("worker", rig.service.port());
+  Result<std::string> response =
+      channel.CallSync(Method::kRunGraph, body, 10.0);
+  ASSERT_TRUE(response.ok()) << response.status();
+  size_t offset = 0;
+  Status app;
+  ASSERT_TRUE(ReadStatus(response.value(), &offset, &app));
+  EXPECT_FALSE(app.ok());
+
+  Result<std::string> ping = channel.CallSync(Method::kPing, "", 10.0);
+  ASSERT_TRUE(ping.ok()) << ping.status();
+  offset = 0;
+  ASSERT_TRUE(ReadStatus(ping.value(), &offset, &app));
+  EXPECT_TRUE(app.ok()) << app;
+}
+
 TEST(WorkerSendAckTest, CutHubConnectionFailsStepInsteadOfOk) {
   // A hub that reads SendTensor frames but never acks them: the executors
   // finish at once, yet RunGraph must wait for the ack — and when the

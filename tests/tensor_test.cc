@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/coding.h"
 #include "core/tensor_shape.h"
+#include "golden.h"
 
 namespace tfrepro {
 namespace {
@@ -118,10 +120,24 @@ TEST(TensorTest, CopyDataFromChecksShapeAndType) {
   EXPECT_FALSE(a.CopyDataFrom(d).ok());
 }
 
+// Pins an encoding to the bytes of an earlier build (DESIGN.md §2.1) and
+// rejects every strict prefix of it.
+void ExpectPinned(const std::string& bytes, const std::string& golden_hex) {
+  EXPECT_EQ(Hex(bytes), golden_hex);
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    size_t offset = 0;
+    EXPECT_FALSE(Tensor::ParseFromBytes(bytes.substr(0, cut), &offset).ok())
+        << "cut at " << cut;
+  }
+}
+
 TEST(TensorTest, SerializeRoundTripFloat) {
   Tensor a = Tensor::FromVector<float>({1.5f, -2.25f, 0, 4}, TensorShape({2, 2}));
   std::string bytes;
   a.AppendToBytes(&bytes);
+  ExpectPinned(bytes,
+               "01000000000000000200000000000000020000000000000002000000"
+               "000000000000c03f000010c00000000000008040");
   size_t offset = 0;
   Result<Tensor> b = Tensor::ParseFromBytes(bytes, &offset);
   ASSERT_TRUE(b.ok());
@@ -138,11 +154,25 @@ TEST(TensorTest, SerializeRoundTripString) {
   a.str(1) = std::string("\x00\x01 raw", 6);
   std::string bytes;
   a.AppendToBytes(&bytes);
+  ExpectPinned(bytes,
+               "06000000000000000100000000000000020000000000000005000000"
+               "0000000068656c6c6f0600000000000000000120726177");
   size_t offset = 0;
   Result<Tensor> b = Tensor::ParseFromBytes(bytes, &offset);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(b.value().str(0), "hello");
   EXPECT_EQ(b.value().str(1), a.str(1));
+}
+
+TEST(TensorTest, SerializeRoundTripUninitialized) {
+  std::string bytes;
+  Tensor().AppendToBytes(&bytes);
+  ExpectPinned(bytes, "0000000000000000");
+  size_t offset = 0;
+  Result<Tensor> parsed = Tensor::ParseFromBytes(bytes, &offset);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(offset, bytes.size());
+  EXPECT_FALSE(parsed.value().IsInitialized());
 }
 
 TEST(TensorTest, SerializeMultipleTensorsSequentially) {
@@ -187,6 +217,19 @@ TEST(TensorTest, ParseRejectsGarbage) {
   std::string bytes(64, '\xff');
   size_t offset = 0;
   EXPECT_FALSE(Tensor::ParseFromBytes(bytes, &offset).ok());
+}
+
+TEST(TensorTest, ParseRejectsStringCountBeyondPayload) {
+  // A 24-byte header claiming 2^40 string elements and no payload: each
+  // element needs at least its 8-byte length, so nothing is allocated.
+  std::string bytes;
+  AppendInt64(&bytes, static_cast<int64_t>(DataType::kString));
+  AppendShape(&bytes, TensorShape({int64_t{1} << 40}));
+  ASSERT_EQ(bytes.size(), 24u);
+  size_t offset = 0;
+  Result<Tensor> parsed = Tensor::ParseFromBytes(bytes, &offset);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), Code::kDataLoss) << parsed.status();
 }
 
 TEST(TensorTest, TotalBytes) {

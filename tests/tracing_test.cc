@@ -339,6 +339,19 @@ TEST(TracingTest, WriteChromeTraceRoundTrip) {
   EXPECT_FALSE(stats.WriteChromeTrace("/nonexistent-dir/x/y.json").ok());
 }
 
+TEST(TracingTest, TabInNodeNameIsWrittenAsBackslashT) {
+  StepStats stats;
+  NodeExecStats n;
+  n.node_name = "a\tb";
+  n.op = "Op";
+  n.device = "/job:worker/task:0/device:CPU:0";
+  n.start_micros = 1;
+  n.end_micros = 2;
+  stats.nodes.push_back(n);
+  const std::string json = stats.ToChromeTraceJson();
+  EXPECT_NE(json.find("\"a\\tb\""), std::string::npos) << json;
+}
+
 TEST(TracingTest, GlobalSpansReachLiveCollectors) {
   TraceCollector collector(/*capture_global_events=*/true);
   RecordGlobalSpan("queue.enqueue_blocked", "/job:worker/task:1", 1000, 3500,

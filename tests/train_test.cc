@@ -8,8 +8,10 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
 
+#include "golden.h"
 #include "graph/ops.h"
 #include "runtime/session.h"
 #include "train/coordinator.h"
@@ -361,6 +363,37 @@ TEST(CheckpointFormatTest, CorruptFileReportsDataLoss) {
   Result<Tensor> r = ReadCheckpointTensor(path, "v");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Code::kDataLoss);
+}
+
+// A two-entry checkpoint file pinned to the bytes of an earlier build
+// (DESIGN.md §2.1); every strict prefix of the file is DataLoss.
+TEST(CheckpointFormatTest, FileBytesArePinned) {
+  const std::string path = ::testing::TempDir() + "/pinned_ckpt";
+  TF_CHECK_OK(WriteCheckpoint(
+      path, {{"w", Tensor::FromVector<float>({0.5f, -1.0f}, TensorShape({2}))},
+             {"step", Tensor::Scalar(int64_t{7})}}));
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream content;
+  content << in.rdbuf();
+  const std::string bytes = content.str();
+  EXPECT_EQ(Hex(bytes),
+            "544652434b505431020000000000000001000000000000007701000000000000"
+            "00010000000000000002000000000000000000003f000080bf04000000000000"
+            "0073746570040000000000000000000000000000000700000000000000");
+  Result<std::vector<std::string>> names = ListCheckpointTensors(path);
+  ASSERT_TRUE(names.ok()) << names.status();
+  EXPECT_EQ(names.value(), (std::vector<std::string>{"w", "step"}));
+
+  const std::string cut_path = ::testing::TempDir() + "/cut_ckpt";
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    {
+      std::ofstream out(cut_path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(cut));
+    }
+    Result<std::vector<std::string>> r = ListCheckpointTensors(cut_path);
+    ASSERT_FALSE(r.ok()) << "cut at " << cut;
+    EXPECT_EQ(r.status().code(), Code::kDataLoss) << "cut at " << cut;
+  }
 }
 
 TEST(CheckpointFormatTest, MissingTensorReportsNotFound) {
