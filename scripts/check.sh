@@ -22,15 +22,17 @@ JOBS="$(nproc)"
 TSAN_TESTS=(metrics_test tracing_test fault_tolerance_test queue_test
             threadpool_test rendezvous_stress_test chaos_test
             serving_test session_stress_test optimizer_fuzz_test
-            dataset_test kernels_test rpc_transport_test)
-# Three chaos seeds and five fuzz seeds under TSan keep the pass under a
-# few minutes; the full sweeps run in the regular tier-1 ctest. Of
-# kernels_test only the MatMul and GEMM cases run: they split products
-# across pool threads (DESIGN.md §15).
+            dataset_test kernels_test rpc_transport_test distributed_test)
+# Three chaos seeds and five fuzz and session-differential seeds under
+# TSan keep the pass under a few minutes; the full sweeps run in the
+# regular tier-1 ctest. Of kernels_test only the MatMul and GEMM cases
+# run: they split products across pool threads (DESIGN.md §15). The
+# differential runs in-process here (no TFREPRO_TRANSPORT).
 declare -A TSAN_FILTER=(
   [chaos_test]="--gtest_filter=ChaosTest.Seed0:ChaosTest.Seed1:ChaosTest.Seed2"
   [optimizer_fuzz_test]="--gtest_filter=OptimizerFuzzTest.Seed0:OptimizerFuzzTest.Seed1:OptimizerFuzzTest.Seed2:OptimizerFuzzTest.Seed3:OptimizerFuzzTest.Seed4"
   [kernels_test]="--gtest_filter=GemmTest.*:KernelsTest.MatMul*"
+  [distributed_test]="--gtest_filter=SessionDifferentialTest.Seed0:SessionDifferentialTest.Seed1:SessionDifferentialTest.Seed2:SessionDifferentialTest.Seed3:SessionDifferentialTest.Seed4"
 )
 
 run_tier1() {
@@ -46,6 +48,8 @@ run_tier1() {
 # All are also tier-1 ctest entries (distributed_socket_test,
 # socket_chaos_test, rpc_transport_test); this target runs them standalone
 # with hard timeouts so a wedged worker process can never hang the check.
+# The chaos smoke repeats ten times (one pass takes well under a second),
+# so an abort that depends on where a kill lands still shows up.
 run_socket() {
   echo "== socket transport: distributed_test over real processes + SIGKILL chaos + send acks =="
   cmake --build build -j "$JOBS" --target distributed_test socket_chaos_test \
@@ -53,7 +57,7 @@ run_socket() {
   TFREPRO_TRANSPORT=socket TFREPRO_WORKER_BINARY="$PWD/build/bin/worker_main" \
       timeout 300 ./build/tests/distributed_test
   TFREPRO_WORKER_BINARY="$PWD/build/bin/worker_main" \
-      timeout 120 ./build/tests/socket_chaos_test
+      timeout 120 ./build/tests/socket_chaos_test --gtest_repeat=10
   timeout 60 ./build/tests/rpc_transport_test --gtest_filter='WorkerSendAckTest.*'
 }
 

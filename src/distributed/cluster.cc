@@ -1,7 +1,9 @@
 #include "distributed/cluster.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "distributed/fault_injector.h"
@@ -61,15 +63,29 @@ TaskWorker::TaskWorker(const std::string& job, int task_index, int num_threads,
 
 Status TaskWorker::RegisterSubgraph(const std::string& handle,
                                     const std::string& segment,
-                                    std::unique_ptr<Graph> partition,
+                                    std::shared_ptr<const Graph> partition,
                                     const std::string& device_name) {
   Result<Device*> device = device_mgr_.LookupDevice(device_name);
   TF_RETURN_IF_ERROR(device.status());
   Result<std::unique_ptr<Executor>> executor =
       Executor::Create(partition.get(), device.value(), segment);
   TF_RETURN_IF_ERROR(executor.status());
+  // The executor's _Fetch kernels have validated their int "index" attrs.
+  int num_fetch_slots = 0;
+  for (Node* node : partition->nodes()) {
+    if (node->op() != "_Fetch") continue;
+    const int64_t index = node->GetAttr("index").i();
+    if (index < 0 || index >= std::numeric_limits<int>::max()) {
+      return InvalidArgument("_Fetch index " + std::to_string(index) +
+                             " out of range");
+    }
+    num_fetch_slots = std::max(num_fetch_slots, static_cast<int>(index) + 1);
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  subgraphs_[handle].push_back(
+  Registration& registration = subgraphs_[handle];
+  registration.num_fetch_slots =
+      std::max(registration.num_fetch_slots, num_fetch_slots);
+  registration.graphs.push_back(
       RegisteredGraph{std::move(partition), std::move(executor).value()});
   return Status::OK();
 }
@@ -151,9 +167,14 @@ void TaskWorker::RunSubgraphsNow(const std::string& handle,
                     handle + "'"));
       return;
     }
-    for (const RegisteredGraph& rg : it->second) {
+    for (const RegisteredGraph& rg : it->second.graphs) {
       executors.push_back(rg.executor.get());
     }
+  }
+  if (executors.size() == 1) {
+    // One partition: its completion is the task's.
+    executors[0]->RunAsync(args, std::move(done));
+    return;
   }
   struct SharedState {
     std::mutex mu;
@@ -184,23 +205,30 @@ bool TaskWorker::HasSubgraphs(const std::string& handle) const {
   return subgraphs_.count(handle) > 0;
 }
 
+Result<int> TaskWorker::NumFetchSlots(const std::string& handle) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = subgraphs_.find(handle);
+  if (it == subgraphs_.end()) {
+    return NotFound("task " + task_name() + " has no subgraphs for handle '" +
+                    handle + "'");
+  }
+  return it->second.num_fetch_slots;
+}
+
 void TaskWorker::Reset() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Destroy executors before wiping the device kernel caches: executors
     // hold raw pointers to segment-cached stateful kernels.
     subgraphs_.clear();
-    ++incarnation_;
+    incarnation_.fetch_add(1);
   }
   for (Device* device : device_mgr_.ListDevices()) {
     device->ResetState();
   }
 }
 
-int64_t TaskWorker::incarnation() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return incarnation_;
-}
+int64_t TaskWorker::incarnation() const { return incarnation_.load(); }
 
 Status ValidateSpec(const ClusterSpec& spec) {
   if (spec.jobs.empty()) {

@@ -19,6 +19,7 @@
 #ifndef TFREPRO_DISTRIBUTED_CLUSTER_H_
 #define TFREPRO_DISTRIBUTED_CLUSTER_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -99,13 +100,14 @@ class WorkerInterface {
 
   // Registers one per-device partition under (handle, device); creates its
   // executor (remotely: ships the serialized partition to the worker
-  // process). Takes ownership of the partition graph. `handle` names the
-  // step's subgraph set; `segment` keys kernel sharing and must be stable
-  // for the whole session so stateful kernels (variables, queues) are
-  // shared across step signatures.
+  // process). The partition is immutable and may be shared with the
+  // master, which keeps it to re-register after a restart. `handle` names
+  // the step's subgraph set; `segment` keys kernel sharing and must be
+  // stable for the whole session so stateful kernels (variables, queues)
+  // are shared across step signatures.
   virtual Status RegisterSubgraph(const std::string& handle,
                                   const std::string& segment,
-                                  std::unique_ptr<Graph> partition,
+                                  std::shared_ptr<const Graph> partition,
                                   const std::string& device_name) = 0;
 
   // Runs all subgraphs registered under `handle` for one step; `done` fires
@@ -142,7 +144,7 @@ class TaskWorker : public WorkerInterface {
 
   Status RegisterSubgraph(const std::string& handle,
                           const std::string& segment,
-                          std::unique_ptr<Graph> partition,
+                          std::shared_ptr<const Graph> partition,
                           const std::string& device_name) override;
 
   void RunSubgraphsAsync(const std::string& handle, const Executor::Args& args,
@@ -155,6 +157,10 @@ class TaskWorker : public WorkerInterface {
   void PingAsync(std::function<void(Status)> done) override;
 
   bool HasSubgraphs(const std::string& handle) const override;
+
+  // The call-frame size the subgraphs registered under `handle` fill: their
+  // largest _Fetch index + 1. NotFound for an unknown handle.
+  Result<int> NumFetchSlots(const std::string& handle) const;
 
   // Wipes every registered subgraph/executor and all device state (cached
   // kernels, resources) — the task comes back as a fresh process with empty
@@ -177,11 +183,15 @@ class TaskWorker : public WorkerInterface {
   DeviceMgr device_mgr_;
   mutable std::mutex mu_;
   struct RegisteredGraph {
-    std::unique_ptr<Graph> graph;
+    std::shared_ptr<const Graph> graph;
     std::unique_ptr<Executor> executor;
   };
-  std::map<std::string, std::vector<RegisteredGraph>> subgraphs_;
-  int64_t incarnation_ = 1;
+  struct Registration {
+    std::vector<RegisteredGraph> graphs;
+    int num_fetch_slots = 0;
+  };
+  std::map<std::string, Registration> subgraphs_;
+  std::atomic<int64_t> incarnation_{1};
 };
 
 // Owns every task of a cluster, behind whichever transport. The master and

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <set>
 #include <thread>
 
 #include "distributed/fault_injector.h"
@@ -36,7 +35,9 @@ MasterSession::MasterSession(const Graph& graph, Cluster* cluster,
       session_prefix_(restored != nullptr
                           ? restored->session_prefix
                           : "master_" + std::to_string(next_master_id++)),
-      timer_pool_("net_timer", 2),
+      timer_pool_(options.use_network_model
+                      ? std::make_unique<ThreadPool>("net_timer", 2)
+                      : nullptr),
       profiler_(ProfilerSession::ResolveSampleEvery(
           options.profile_sample_every)) {
   if (restored != nullptr) {
@@ -103,6 +104,35 @@ Result<std::unique_ptr<MasterSession>> MasterSession::Create(
         [raw](WorkerInterface* worker) { raw->HandleDeadTask(worker); });
   }
   return session;
+}
+
+Result<std::unique_ptr<MasterSession>> MasterSession::Create(
+    const Graph& graph, const SessionOptions& options) {
+  if (options.num_threads < 1 || options.num_devices < 1) {
+    return InvalidArgument("session needs >= 1 thread and >= 1 device");
+  }
+  ClusterSpec spec;
+  spec.jobs[options.job_name] = 1;
+  Cluster::Options cluster_options;
+  cluster_options.threads_per_task = options.num_threads;
+  cluster_options.devices_per_task = options.num_devices;
+  Result<std::unique_ptr<InProcessCluster>> cluster =
+      InProcessCluster::Create(spec, cluster_options);
+  TF_RETURN_IF_ERROR(cluster.status());
+  Options master_options;
+  master_options.optimizer = options.optimizer;
+  master_options.placer = options.placer;
+  master_options.profile_sample_every = options.profile_sample_every;
+  Result<std::unique_ptr<MasterSession>> session =
+      Create(graph, cluster.value().get(), master_options);
+  TF_RETURN_IF_ERROR(session.status());
+  session.value()->owned_cluster_ = std::move(cluster).value();
+  return session;
+}
+
+Result<std::unique_ptr<MasterSession>> MasterSession::Create(
+    const Graph& graph) {
+  return Create(graph, SessionOptions());
 }
 
 Status MasterSession::InitDurableState(const MasterState* restored) {
@@ -226,11 +256,16 @@ Result<MasterSession::CompiledStep*> MasterSession::CompileLocked(
 
   auto step = std::make_unique<CompiledStep>();
   step->handle = handle;
-  std::set<WorkerInterface*> participating;
-  // A restarted master recompiling from its durable log finds surviving
-  // workers still registered under the same handle: re-adopt those
-  // registrations instead of re-registering.
-  std::map<WorkerInterface*, bool> holds_handle;
+  // Per participating task: the incarnation read before registering on
+  // it, and whether it already holds the handle. A restarted master
+  // recompiling from its durable log finds surviving workers still
+  // registered under the same handle: re-adopt those registrations instead
+  // of re-registering.
+  struct TaskRegistration {
+    int64_t incarnation = 0;
+    bool held = false;
+  };
+  std::map<WorkerInterface*, TaskRegistration> tasks;
   for (auto& [device_name, part] : partitions.value()) {
     Result<std::pair<std::string, int>> task = TaskOfDevice(device_name);
     TF_RETURN_IF_ERROR(task.status());
@@ -238,22 +273,30 @@ Result<MasterSession::CompiledStep*> MasterSession::CompileLocked(
         cluster_->worker(task.value().first, task.value().second);
     TF_RETURN_IF_ERROR(worker.status());
     WorkerInterface* w = worker.value();
-    auto [held, inserted] = holds_handle.emplace(w, false);
-    if (inserted) held->second = w->HasSubgraphs(handle);
-    if (held->second) {
+    auto [reg, inserted] = tasks.try_emplace(w);
+    if (inserted) {
+      reg->second.incarnation = w->incarnation();
+      reg->second.held = w->HasSubgraphs(handle);
+    }
+    // The master retains the partition so it can re-register the subgraph
+    // after a task restart (§4.3 recovery).
+    std::shared_ptr<const Graph> graph = std::move(part);
+    if (reg->second.held) {
       counters_.partition_reuses->Increment();
     } else {
-      // The worker gets a clone; the master retains the original so it can
-      // re-register the subgraph after a task restart (§4.3 recovery).
       TF_RETURN_IF_ERROR(
-          w->RegisterSubgraph(handle, session_prefix_, part->Clone(),
-                              device_name));
+          w->RegisterSubgraph(handle, session_prefix_, graph, device_name));
     }
-    participating.insert(w);
     step->partitions.push_back(
-        PartitionRecord{w, device_name, std::move(part)});
+        PartitionRecord{w, device_name, std::move(graph)});
   }
-  step->participating.assign(participating.begin(), participating.end());
+  step->participating = std::vector<Participant>(tasks.size());
+  Participant* p = step->participating.data();
+  for (const auto& [w, reg] : tasks) {
+    p->worker = w;
+    p->registered_incarnation = reg.incarnation;
+    ++p;
+  }
 
   CompiledStep* raw = step.get();
   compiled_[key] = std::move(step);
@@ -261,17 +304,24 @@ Result<MasterSession::CompiledStep*> MasterSession::CompileLocked(
 }
 
 Status MasterSession::EnsureRegistered(CompiledStep* step) {
-  // Serialized so concurrent Runs cannot double-register after a restart.
-  std::lock_guard<std::mutex> lock(register_mu_);
-  for (WorkerInterface* worker : step->participating) {
-    if (worker->HasSubgraphs(step->handle)) continue;
-    for (const PartitionRecord& rec : step->partitions) {
-      if (rec.worker != worker) continue;
-      TF_RETURN_IF_ERROR(worker->RegisterSubgraph(
-          step->handle, session_prefix_, rec.graph->Clone(),
-          rec.device_name));
-      counters_.reregistrations->Increment();
+  for (Participant& p : step->participating) {
+    // Only a restart loses registrations, and every restart bumps the
+    // incarnation: the common case asks the task nothing.
+    if (p.worker->incarnation() == p.registered_incarnation.load()) continue;
+    // Serialized so concurrent Runs cannot double-register after a restart.
+    std::lock_guard<std::mutex> lock(register_mu_);
+    // Read before registering, so a restart racing this one is seen later.
+    const int64_t incarnation = p.worker->incarnation();
+    if (incarnation == p.registered_incarnation.load()) continue;
+    if (!p.worker->HasSubgraphs(step->handle)) {
+      for (const PartitionRecord& rec : step->partitions) {
+        if (rec.worker != p.worker) continue;
+        TF_RETURN_IF_ERROR(p.worker->RegisterSubgraph(
+            step->handle, session_prefix_, rec.graph, rec.device_name));
+        counters_.reregistrations->Increment();
+      }
     }
+    p.registered_incarnation.store(incarnation);
   }
   return Status::OK();
 }
@@ -305,8 +355,11 @@ void MasterSession::HandleDeadTask(WorkerInterface* worker) {
       for (auto& [key, compiled] : compiled_) steps.push_back(compiled.get());
     }
     for (CompiledStep* step : steps) {
-      if (std::find(step->participating.begin(), step->participating.end(),
-                    worker) == step->participating.end()) {
+      if (std::none_of(step->participating.begin(),
+                       step->participating.end(),
+                       [worker](const Participant& p) {
+                         return p.worker == worker;
+                       })) {
         continue;
       }
       Status rs = EnsureRegistered(step);
@@ -372,9 +425,9 @@ Status MasterSession::RunOnce(CompiledStep* step,
 
   // Fail fast instead of dispatching to a task the transport knows is down
   // (injected fault, or a reaped worker process over sockets).
-  for (WorkerInterface* worker : step->participating) {
-    if (cluster_->TaskIsDown(worker)) {
-      return Unavailable("task " + worker->task_name() + " is down");
+  for (const Participant& p : step->participating) {
+    if (cluster_->TaskIsDown(p.worker)) {
+      return Unavailable("task " + p.worker->task_name() + " is down");
     }
   }
   TF_RETURN_IF_ERROR(EnsureRegistered(step));
@@ -419,8 +472,8 @@ Status MasterSession::RunOnce(CompiledStep* step,
   FaultInjector* injector = cluster_->fault_injector();
   std::shared_ptr<Rendezvous> rendezvous;
   if (options_.use_network_model) {
-    rendezvous =
-        std::make_shared<ThrottledRendezvous>(options_.network, &timer_pool_);
+    rendezvous = std::make_shared<ThrottledRendezvous>(options_.network,
+                                                       timer_pool_.get());
   } else {
     rendezvous = std::make_shared<LocalRendezvous>();
   }
@@ -445,8 +498,8 @@ Status MasterSession::RunOnce(CompiledStep* step,
   // `state` — never `this` — because a parked (hung) callback can outlive
   // both this call and the session.
   state->remaining = step->participating.size();
-  for (WorkerInterface* worker : step->participating) {
-    worker->RunSubgraphsAsync(step->handle, args, [state](const Status& s) {
+  for (const Participant& p : step->participating) {
+    p.worker->RunSubgraphsAsync(step->handle, args, [state](const Status& s) {
       bool fan_abort = false;
       {
         std::lock_guard<std::mutex> lock(state->mu);
@@ -522,8 +575,10 @@ Status MasterSession::RunOnce(CompiledStep* step,
     *outputs = state->call_frame.fetches();
     for (size_t i = 0; i < outputs->size(); ++i) {
       if (!(*outputs)[i].IsInitialized()) {
-        return InvalidArgument("fetch '" + fetches[i] +
-                               "' produced no value (dead tensor)");
+        return InvalidArgument(
+            "fetch '" + fetches[i] +
+            "' produced no value (the fetched tensor was dead — it may be on "
+            "an untaken conditional branch)");
       }
     }
   }
@@ -531,7 +586,8 @@ Status MasterSession::RunOnce(CompiledStep* step,
 }
 
 Status MasterSession::PrepareRetry(CompiledStep* step) {
-  for (WorkerInterface* worker : step->participating) {
+  for (const Participant& p : step->participating) {
+    WorkerInterface* worker = p.worker;
     if (!cluster_->TaskIsDown(worker)) continue;
     if (!options_.restart_failed_tasks) {
       return Unavailable("task " + worker->task_name() +

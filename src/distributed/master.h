@@ -30,6 +30,24 @@
 //     a restarted MasterSession rebuilds its subgraph cache (re-adopting
 //     registrations still alive on the workers) and auto-resumes from the
 //     last checkpoint when the recovery handler is installed.
+//
+// Local execution is the one-task case (DirectSession, runtime/session.h):
+// Create(graph, SessionOptions) builds and owns a one-task in-process
+// cluster, and every Run takes the same step path.
+//
+// Concurrent-Run guarantees (relied on by serving, which fans many client
+// threads over one session):
+//   * Run() may be called from any number of threads concurrently. Each
+//     call gets a private step id, rendezvous, call frame and cancellation
+//     scope; the session mutex is held only for the compiled-step lookup
+//     and step-id mint, never across step execution.
+//   * Concurrent steps share stateful kernels (variables, queues), with the
+//     paper's relaxed consistency: a step reading a variable while another
+//     writes it sees either value (kernels guard their buffers; no torn
+//     reads, no cross-step ordering).
+//   * The first Run of a new signature compiles it under the session mutex,
+//     briefly blocking other Runs' lookups; latency-sensitive callers
+//     pre-compile with Warmup().
 
 #ifndef TFREPRO_DISTRIBUTED_MASTER_H_
 #define TFREPRO_DISTRIBUTED_MASTER_H_
@@ -54,6 +72,9 @@
 #include "runtime/tracing.h"
 
 namespace tfrepro {
+
+struct SessionOptions;  // runtime/session.h
+
 namespace distributed {
 
 class MasterSession {
@@ -144,8 +165,16 @@ class MasterSession {
     return Create(graph, cluster, Options{});
   }
 
-  // Runs one distributed step (same contract as DirectSession::Run),
-  // retrying per Options on retryable failures. With run_options.trace,
+  // The one-task session (DirectSession): clones `graph` onto a cluster
+  // {options.job_name: 1} that the session owns. The cluster is in-process
+  // whatever TFREPRO_TRANSPORT says.
+  static Result<std::unique_ptr<MasterSession>> Create(
+      const Graph& graph, const SessionOptions& options);
+  static Result<std::unique_ptr<MasterSession>> Create(const Graph& graph);
+
+  // Runs one step: feeds[i] supplies the tensor named feed_names[i], the
+  // fetched tensors are returned in `outputs` (same order as fetches).
+  // Retries per Options on retryable failures. With run_options.trace,
   // metadata->step_stats carries per-node events from every participating
   // task plus cross-task transfer events and any injected-fault markers
   // (events are from the final attempt when the step was retried).
@@ -165,6 +194,15 @@ class MasterSession {
   Status Run(const std::vector<std::string>& fetches,
              std::vector<Tensor>* outputs) {
     return Run({}, fetches, {}, outputs);
+  }
+
+  // Compiles and registers one step signature without running it, so the
+  // first real Run (and every concurrent first Run) hits the cache.
+  // `feed_names` are the names later passed as feeds.
+  Status Warmup(const std::vector<std::string>& feed_names,
+                const std::vector<std::string>& fetches,
+                const std::vector<std::string>& targets) {
+    return GetOrCompile(feed_names, fetches, targets).status();
   }
 
   // Installs the hook invoked after one or more tasks were restarted,
@@ -205,16 +243,24 @@ class MasterSession {
                 const MasterState* restored);
 
   // One partition retained by the master so it can re-register a restarted
-  // task's subgraphs (the worker's copy dies with the task).
+  // task's subgraphs. Immutable, so an in-process worker shares it.
   struct PartitionRecord {
     WorkerInterface* worker;
     std::string device_name;
-    std::unique_ptr<Graph> graph;
+    std::shared_ptr<const Graph> graph;
+  };
+
+  // A task one step dispatches to, with the task incarnation its subgraphs
+  // were registered on. A restart bumps the incarnation, so the step path
+  // learns of a lost registration without asking the task.
+  struct Participant {
+    WorkerInterface* worker = nullptr;
+    std::atomic<int64_t> registered_incarnation{0};
   };
 
   struct CompiledStep {
     std::string handle;
-    std::vector<WorkerInterface*> participating;
+    std::vector<Participant> participating;
     std::vector<PartitionRecord> partitions;
   };
 
@@ -237,8 +283,8 @@ class MasterSession {
   // signature with its original handle). No-op without options_.state_path.
   Status InitDurableState(const MasterState* restored);
 
-  // Re-registers subgraphs on any participating task that lost them to a
-  // restart (detected via HasSubgraphs).
+  // Re-registers subgraphs on any participating task restarted since they
+  // were registered (its incarnation changed and HasSubgraphs says no).
   Status EnsureRegistered(CompiledStep* step);
 
   // Prober verdict: `worker` missed K consecutive probes. Restarts it and
@@ -265,11 +311,15 @@ class MasterSession {
   // under the current options.
   Status PrepareRetry(CompiledStep* step);
 
+  // The one-task session's cluster; null when the caller owns it. Declared
+  // first so it is destroyed last, after everything that points into it.
+  std::unique_ptr<Cluster> owned_cluster_;
   Options options_;
   Cluster* cluster_;
   std::unique_ptr<Graph> graph_;
   std::string session_prefix_;
-  ThreadPool timer_pool_;
+  // Delays cross-task deliveries; only with options_.use_network_model.
+  std::unique_ptr<ThreadPool> timer_pool_;
   ProfilerSession profiler_;
 
   std::mutex mu_;

@@ -42,7 +42,7 @@ RemoteWorker::RemoteWorker(const std::string& job, int task_index, int port,
 
 Status RemoteWorker::RegisterSubgraph(const std::string& handle,
                                       const std::string& segment,
-                                      std::unique_ptr<Graph> partition,
+                                      std::shared_ptr<const Graph> partition,
                                       const std::string& device_name) {
   std::string body;
   AppendString(&body, handle);

@@ -38,7 +38,7 @@ class RemoteWorker : public WorkerInterface {
   int task_index() const override { return task_index_; }
 
   Status RegisterSubgraph(const std::string& handle, const std::string& segment,
-                          std::unique_ptr<Graph> partition,
+                          std::shared_ptr<const Graph> partition,
                           const std::string& device_name) override;
 
   void RunSubgraphsAsync(const std::string& handle, const Executor::Args& args,

@@ -138,6 +138,14 @@ void RpcChannel::Call(Method method, std::string body, const char* payload,
 
   std::unique_lock<std::mutex> lock(mu_);
   for (int attempt = 0;; ++attempt) {
+    // A completion running on the dying reader (a step abort fanned out
+    // from a failed call) cannot reap that reader: it would join itself.
+    // Answer what the backoff window ReaderLoop just set would answer.
+    if (fd_ < 0 && reader_.get_id() == std::this_thread::get_id()) {
+      lock.unlock();
+      done(Unavailable("connection to " + peer_ + " lost"), std::string());
+      return;
+    }
     // Reap the previous connection's reader before redialing. Joining must
     // happen unlocked: the dying reader takes mu_ on its way out.
     if (fd_ < 0 && reader_.joinable()) {

@@ -317,6 +317,22 @@ void WorkerService::HandleRunGraph(
                        std::string());
     return;
   }
+  // The frame is sized by what the registered subgraphs fill, never by the
+  // wire: a short body must not be able to ask for 2^31 fetch slots.
+  Result<int> num_fetch_slots = worker_.NumFetchSlots(handle);
+  if (!num_fetch_slots.ok()) {
+    responder->Respond(num_fetch_slots.status(), std::string());
+    return;
+  }
+  if (num_fetches < num_fetch_slots.value()) {
+    responder->Respond(
+        InvalidArgument("RunGraph for '" + handle + "' carries " +
+                        std::to_string(num_fetches) +
+                        " fetch slots; its subgraphs fill " +
+                        std::to_string(num_fetch_slots.value())),
+        std::string());
+    return;
+  }
   std::vector<Tensor> feeds;
   feeds.reserve(num_feeds);
   for (int64_t i = 0; i < num_feeds; ++i) {
@@ -336,7 +352,7 @@ void WorkerService::HandleRunGraph(
 
   auto ctx = std::make_shared<StepCtx>();
   ctx->frame = std::make_unique<CallFrame>(std::move(feeds),
-                                           static_cast<int>(num_fetches));
+                                           num_fetch_slots.value());
   ctx->rendezvous = std::make_shared<WorkerRendezvous>(
       &hub_, &recv_done_pool_, step_id, options_.rpc_deadline_seconds,
       &ctx->cancellation);

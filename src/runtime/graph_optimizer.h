@@ -1,5 +1,5 @@
 // Session-level graph-optimization tier (paper §5, DESIGN.md §13): a pass
-// manager run at graph-compile time by DirectSession, MasterSession and
+// manager run at graph-compile time by the session (CompileSignature) and
 // serving::FreezeGraph. Passes: identity elision, common-subexpression
 // elimination, element-wise fusion, constant folding (the middle three in a
 // fixed-point loop — folding a fused chain's const inputs exposes new CSE

@@ -9,8 +9,8 @@
 //     measured per-node cost, and src/sim consumes the overall dispatch
 //     mean via ObservedFrameworkProfile().
 //
-//   * ProfilerSession — the sampling policy. Owned by DirectSession and
-//     MasterSession; decides "trace this step?" every Nth Run with an exact
+//   * ProfilerSession — the sampling policy. Owned by the session
+//     (MasterSession, of which DirectSession is the one-task case); decides "trace this step?" every Nth Run with an exact
 //     cadence under concurrency (an atomic counter, not a per-thread
 //     approximation), where N comes from RunOptions.sample_every, the
 //     session option, or the TFREPRO_PROFILE_EVERY environment variable.

@@ -7,8 +7,8 @@
 //     sender/receiver, bytes, Send time and Recv wait interval;
 //   * instant events — out-of-band markers (injected faults, retries).
 //
-// Collection is enabled per step via RunOptions on DirectSession::Run /
-// MasterSession::Run; when no collector is attached the hot paths do no
+// Collection is enabled per step via RunOptions on MasterSession::Run
+// (DirectSession is its one-task case); when no collector is attached the hot paths do no
 // clock reads and no allocation. The resulting StepStats exports Chrome
 // trace_event JSON (chrome://tracing / https://ui.perfetto.dev): one
 // process row per task, one thread row per device plus a "transfers" row,
@@ -148,7 +148,7 @@ void RecordGlobalSpan(const std::string& name, const std::string& scope,
                       int64_t start_micros, int64_t end_micros,
                       std::map<std::string, std::string> args = {});
 
-// Per-step options consumed by DirectSession::Run and MasterSession::Run.
+// Per-step options consumed by MasterSession::Run.
 struct RunOptions {
   // Collect per-node and transfer events for this step.
   bool trace = false;

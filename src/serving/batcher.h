@@ -49,7 +49,7 @@ class DynamicBatcher {
     int64_t max_batch_size = 32;
     int64_t batch_timeout_us = 1000;
     int64_t max_enqueued = 1024;
-    // Batch threads run dispatched batches concurrently (DirectSession
+    // Batch threads run dispatched batches concurrently (the session
     // supports concurrent Run); >1 overlaps a forming batch with a running
     // one when the model is slower than arrival.
     int num_batch_threads = 1;

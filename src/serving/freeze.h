@@ -27,9 +27,9 @@ namespace serving {
 
 struct FreezeOptions {
   // Optimizer passes run on the frozen graph — the same session-level tier
-  // DirectSession/MasterSession run at compile time (DESIGN.md §13),
-  // including element-wise fusion. The fetch names are added to
-  // `optimizer.preserve` automatically.
+  // the session runs at compile time (DESIGN.md §13), including
+  // element-wise fusion. The fetch names are added to `optimizer.preserve`
+  // automatically.
   OptimizerOptions optimizer;
 };
 

@@ -6,8 +6,8 @@
 // request stays valid (ref-counted via shared_ptr) until the last in-flight
 // request finishes — the zero-downtime hot-swap protocol.
 //
-// Run() is safe from any number of threads concurrently (DirectSession's
-// concurrent-Run guarantees; the frozen graph holds no mutable state on the
+// Run() is safe from any number of threads concurrently (the session's
+// concurrent-Run guarantees, distributed/master.h; the frozen graph holds no mutable state on the
 // inference path).
 
 #ifndef TFREPRO_SERVING_SERVABLE_H_

@@ -10,43 +10,17 @@
 //     task restart; restores the latest checkpoint so the retried step
 //     resumes from the last durable state. Returns the restored step via
 //     last_restored_step().
-//
-// Works with any session type exposing DirectSession's Run signature
-// (DirectSession, distributed::MasterSession), like Saver itself.
 
 #ifndef TFREPRO_TRAIN_CHECKPOINT_POLICY_H_
 #define TFREPRO_TRAIN_CHECKPOINT_POLICY_H_
 
 #include <mutex>
 #include <string>
-#include <type_traits>
-#include <utility>
 
 #include "train/saver.h"
 
 namespace tfrepro {
 namespace train {
-
-namespace internal {
-// Detects sessions that track checkpoint progress durably
-// (distributed::MasterSession::NoteCheckpoint); other session types
-// (DirectSession) are simply not notified.
-template <typename Session, typename = void>
-struct HasNoteCheckpoint : std::false_type {};
-template <typename Session>
-struct HasNoteCheckpoint<
-    Session, std::void_t<decltype(std::declval<Session*>()->NoteCheckpoint(
-                 std::declval<const std::string&>(), int64_t{0}))>>
-    : std::true_type {};
-
-template <typename Session>
-void MaybeNoteCheckpoint(Session* session, const std::string& prefix,
-                         int64_t step) {
-  if constexpr (HasNoteCheckpoint<Session>::value) {
-    session->NoteCheckpoint(prefix, step);
-  }
-}
-}  // namespace internal
 
 class CheckpointPolicy {
  public:
@@ -55,36 +29,16 @@ class CheckpointPolicy {
   // other means under `prefix`).
   CheckpointPolicy(Saver* saver, std::string prefix, int save_every_n_steps);
 
-  // Saves "<prefix>-<step>" when `step` is a multiple of the period.
-  template <typename Session>
-  Status AfterStep(Session* session, int64_t step) {
-    if (save_every_n_ <= 0 || step % save_every_n_ != 0) {
-      return Status::OK();
-    }
-    Result<std::string> base = saver_->Save(session, prefix_, step);
-    TF_RETURN_IF_ERROR(base.status());
-    // Sessions with durable master state record the new checkpoint so a
-    // restarted master resumes from it without client help.
-    internal::MaybeNoteCheckpoint(session, prefix_, step);
-    std::lock_guard<std::mutex> lock(mu_);
-    last_saved_step_ = step;
-    return Status::OK();
-  }
+  // Saves "<prefix>-<step>" when `step` is a multiple of the period, and
+  // notes it with the session so a restarted master (durable state)
+  // resumes from it without client help.
+  Status AfterStep(distributed::MasterSession* session, int64_t step);
 
   // Restores the newest checkpoint under the prefix. NotFound when no
   // checkpoint exists yet (callers decide whether that is fatal — a
   // failure before the first save usually is, since the restarted task's
   // variables are gone).
-  template <typename Session>
-  Status Recover(Session* session) {
-    Result<std::string> latest = Saver::LatestCheckpoint(prefix_);
-    TF_RETURN_IF_ERROR(latest.status());
-    TF_RETURN_IF_ERROR(saver_->Restore(session, latest.value()));
-    std::lock_guard<std::mutex> lock(mu_);
-    last_restored_step_ = StepOfCheckpoint(latest.value());
-    ++recoveries_;
-    return Status::OK();
-  }
+  Status Recover(distributed::MasterSession* session);
 
   // Parses the step number out of a checkpoint base path
   // ("<prefix>-<step>"); -1 when unparseable.

@@ -90,6 +90,33 @@ Saver::Saver(GraphBuilder* b, const std::vector<Output>& vars,
   }
 }
 
+Result<std::string> Saver::Save(distributed::MasterSession* session,
+                                const std::string& prefix, int64_t step) {
+  std::string base = prefix + "-" + std::to_string(step);
+  for (size_t i = 0; i < groups_.size(); ++i) {
+    TF_RETURN_IF_ERROR(session->Run(
+        {{groups_[i].filename_feed, Tensor::Scalar(GroupFile(base, i))}}, {},
+        {groups_[i].save_op}, nullptr));
+  }
+  kept_.push_back(base);
+  while (options_.max_to_keep > 0 &&
+         static_cast<int>(kept_.size()) > options_.max_to_keep) {
+    RemoveCheckpoint(kept_.front());
+    kept_.pop_front();
+  }
+  return base;
+}
+
+Status Saver::Restore(distributed::MasterSession* session,
+                      const std::string& base) {
+  for (size_t i = 0; i < groups_.size(); ++i) {
+    TF_RETURN_IF_ERROR(session->Run(
+        {{groups_[i].filename_feed, Tensor::Scalar(GroupFile(base, i))}}, {},
+        {groups_[i].restore_op}, nullptr));
+  }
+  return Status::OK();
+}
+
 std::string Saver::GroupFile(const std::string& base, size_t i) const {
   if (groups_.size() == 1) return base;
   return base + "@" + std::to_string(i);

@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "distributed/master.h"
 #include "graph/graph_builder.h"
 #include "graph/ops.h"
-#include "runtime/session.h"
 
 namespace tfrepro {
 namespace train {
@@ -40,37 +40,12 @@ class Saver {
       : Saver(b, vars, Options{}) {}
 
   // Writes a checkpoint to "<prefix>-<step>" (single task) or
-  // "<prefix>-<step>@<k>" per task group, and applies retention. Works with
-  // any session type exposing DirectSession's Run signature (DirectSession,
-  // distributed::MasterSession).
-  template <typename Session>
-  Result<std::string> Save(Session* session, const std::string& prefix,
-                           int64_t step) {
-    std::string base = prefix + "-" + std::to_string(step);
-    for (size_t i = 0; i < groups_.size(); ++i) {
-      TF_RETURN_IF_ERROR(session->Run(
-          {{groups_[i].filename_feed, Tensor::Scalar(GroupFile(base, i))}},
-          {}, {groups_[i].save_op}, nullptr));
-    }
-    kept_.push_back(base);
-    while (options_.max_to_keep > 0 &&
-           static_cast<int>(kept_.size()) > options_.max_to_keep) {
-      RemoveCheckpoint(kept_.front());
-      kept_.pop_front();
-    }
-    return base;
-  }
+  // "<prefix>-<step>@<k>" per task group, and applies retention.
+  Result<std::string> Save(distributed::MasterSession* session,
+                           const std::string& prefix, int64_t step);
 
   // Restores all tracked variables from a checkpoint written by Save.
-  template <typename Session>
-  Status Restore(Session* session, const std::string& base) {
-    for (size_t i = 0; i < groups_.size(); ++i) {
-      TF_RETURN_IF_ERROR(session->Run(
-          {{groups_[i].filename_feed, Tensor::Scalar(GroupFile(base, i))}},
-          {}, {groups_[i].restore_op}, nullptr));
-    }
-    return Status::OK();
-  }
+  Status Restore(distributed::MasterSession* session, const std::string& base);
 
   // Returns the newest checkpoint previously written with this prefix.
   static Result<std::string> LatestCheckpoint(const std::string& prefix);

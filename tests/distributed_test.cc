@@ -17,6 +17,7 @@
 #include "distributed/fault_injector.h"
 #include "distributed/master.h"
 #include "distributed/rpc/process_cluster.h"
+#include "fuzz_graph.h"
 #include "graph/ops.h"
 #include "nn/embedding.h"
 #include "nn/layers.h"
@@ -896,6 +897,81 @@ TEST(MasterSessionTest, StaleBackupGradientIsDroppedNotAggregated) {
     EXPECT_EQ(dropped->value() - dropped_before, kSteps - 1);
   }
 }
+
+// Session differential over the fuzz DAGs (fuzz_graph.h): each seed's
+// trajectory runs through a one-task session and through a MasterSession
+// over {ps:1, worker:2} with arity-balanced placement, variables pinned to
+// the ps task. Every fetched tensor must agree bit for bit, and a traced
+// train step must show the cluster run really moved tensors between tasks.
+// Under TFREPRO_TRANSPORT=socket the cluster side crosses real processes.
+std::string TaskOfDevice(const std::string& device) {
+  return device.substr(0, device.find("/device:"));
+}
+
+void RunSessionDifferential(uint32_t seed) {
+  fuzz::FuzzGraph fg;
+  fuzz::BuildFuzzGraph(seed, "/job:ps/task:0", &fg);
+  if (::testing::Test::HasFatalFailure()) return;
+  const auto feeds = fuzz::FuzzFeeds(seed);
+
+  SessionOptions local_options;
+  local_options.job_name = "ps";
+  auto local = DirectSession::Create(fg.graph, local_options);
+  ASSERT_TRUE(local.ok()) << local.status();
+  const std::vector<std::string> expected =
+      fuzz::RunFuzzTrajectory(local.value().get(), fg, feeds);
+
+  auto cluster = Cluster::Create(PsWorkerSpec(1, 2));
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  MasterSession::Options options;
+  options.placer.balance = PlacerOptions::Balance::kArity;
+  auto session = MasterSession::Create(fg.graph, cluster.value().get(),
+                                       options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  RunMetadata traced;
+  const std::vector<std::string> actual =
+      fuzz::RunFuzzTrajectory(session.value().get(), fg, feeds, &traced);
+
+  ASSERT_EQ(actual.size(), expected.size()) << "seed " << seed;
+  ASSERT_FALSE(actual.empty()) << "seed " << seed;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i])
+        << "seed " << seed << ": fetched tensor " << i
+        << " differs between the one-task session and the cluster";
+  }
+  int cross_task = 0;
+  for (const TransferStats& t : traced.step_stats.transfers) {
+    if (TaskOfDevice(t.send_device) != TaskOfDevice(t.recv_device)) {
+      ++cross_task;
+    }
+  }
+  EXPECT_GT(cross_task, 0) << "seed " << seed
+                           << ": the traced step moved nothing between tasks";
+}
+
+#define SESSION_DIFFERENTIAL_SEED(n) \
+  TEST(SessionDifferentialTest, Seed##n) { RunSessionDifferential(n); }
+
+SESSION_DIFFERENTIAL_SEED(0)
+SESSION_DIFFERENTIAL_SEED(1)
+SESSION_DIFFERENTIAL_SEED(2)
+SESSION_DIFFERENTIAL_SEED(3)
+SESSION_DIFFERENTIAL_SEED(4)
+SESSION_DIFFERENTIAL_SEED(5)
+SESSION_DIFFERENTIAL_SEED(6)
+SESSION_DIFFERENTIAL_SEED(7)
+SESSION_DIFFERENTIAL_SEED(8)
+SESSION_DIFFERENTIAL_SEED(9)
+SESSION_DIFFERENTIAL_SEED(10)
+SESSION_DIFFERENTIAL_SEED(11)
+SESSION_DIFFERENTIAL_SEED(12)
+SESSION_DIFFERENTIAL_SEED(13)
+SESSION_DIFFERENTIAL_SEED(14)
+SESSION_DIFFERENTIAL_SEED(15)
+SESSION_DIFFERENTIAL_SEED(16)
+SESSION_DIFFERENTIAL_SEED(17)
+SESSION_DIFFERENTIAL_SEED(18)
+SESSION_DIFFERENTIAL_SEED(19)
 
 }  // namespace
 }  // namespace tfrepro

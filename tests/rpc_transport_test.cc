@@ -652,6 +652,60 @@ TEST(WorkerServiceTest, FeedCountBeyondRunGraphBodyIsRejected) {
   EXPECT_TRUE(app.ok()) << app;
 }
 
+TEST(WorkerServiceTest, FetchCountIsBoundedByTheRegisteredSubgraphs) {
+  // A short RunGraph body claiming 2^31 - 1 fetch slots: the step's frame
+  // is sized by the registered subgraphs' _Fetch indices, never by the
+  // wire, so nothing allocates 2^31 tensors and the worker keeps serving.
+  RendezvousHub hub;
+  TF_CHECK_OK(hub.Start());
+  WorkerRig rig(hub.port());
+  RpcChannel channel("worker", rig.service.port());
+  auto run_graph = [&](const std::string& handle, int64_t num_fetches) {
+    std::string body;
+    AppendString(&body, handle);
+    AppendInt64(&body, /*step_id=*/44);
+    AppendInt64(&body, num_fetches);
+    AppendInt64(&body, /*num_feeds=*/0);
+    AppendInt64(&body, /*traced=*/0);
+    Result<std::string> response =
+        channel.CallSync(Method::kRunGraph, body, 10.0);
+    if (!response.ok()) return response.status();
+    Status app;
+    size_t offset = 0;
+    EXPECT_TRUE(ReadStatus(response.value(), &offset, &app));
+    return app;
+  };
+  const int64_t kHuge = (int64_t{1} << 31) - 1;
+
+  // Unknown handle: refused before anything is sized.
+  EXPECT_EQ(run_graph("h", kHuge).code(), Code::kNotFound);
+
+  // A registered subgraph filling fetch slot 1 needs a frame of two.
+  auto graph = std::make_unique<Graph>();
+  {
+    GraphBuilder b(graph.get());
+    GraphBuilder::DeviceScope scope(&b, kWorkerDevice);
+    b.Op("_Fetch")
+        .Input(ops::Const(&b, 1.0f))
+        .Attr("T", DataType::kFloat)
+        .Attr("index", int64_t{1})
+        .Finalize();
+    TF_CHECK_OK(b.status());
+  }
+  for (Node* n : graph->nodes()) n->set_assigned_device(kWorkerDevice);
+  TF_CHECK_OK(
+      rig.stub->RegisterSubgraph("f", "seg", std::move(graph), kWorkerDevice));
+  EXPECT_EQ(run_graph("f", 1).code(), Code::kInvalidArgument);
+  EXPECT_TRUE(run_graph("f", kHuge).ok());
+
+  Result<std::string> ping = channel.CallSync(Method::kPing, "", 10.0);
+  ASSERT_TRUE(ping.ok()) << ping.status();
+  Status app;
+  size_t offset = 0;
+  ASSERT_TRUE(ReadStatus(ping.value(), &offset, &app));
+  EXPECT_TRUE(app.ok()) << app;
+}
+
 TEST(WorkerSendAckTest, CutHubConnectionFailsStepInsteadOfOk) {
   // A hub that reads SendTensor frames but never acks them: the executors
   // finish at once, yet RunGraph must wait for the ack — and when the

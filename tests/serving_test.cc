@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -333,33 +334,24 @@ TEST(DynamicBatcherTest, MismatchedShapeGetsIndividualError) {
   auto servable = MakeValueServable(1.0f, 1);
   DynamicBatcher::Options options;
   options.max_batch_size = 2;
-  options.batch_timeout_us = 100 * 1000;
+  // Long enough that the batch only ever closes full, at two requests.
+  options.batch_timeout_us = 10 * 1000 * 1000;
   DynamicBatcher batcher([&] { return servable; }, options);
 
-  // Two concurrent requests with different shapes fill one batch; the
-  // mismatching one fails alone, the head-compatible one is served.
-  std::atomic<int> ok{0}, invalid{0};
-  std::vector<std::thread> clients;
-  clients.emplace_back([&] {
-    DynamicBatcher::Response r =
-        batcher.RunOne(Tensor::Vec<float>({0, 0, 0, 0}));
-    if (r.status.ok()) ok.fetch_add(1);
-  });
-  clients.emplace_back([&] {
-    DynamicBatcher::Response r = batcher.RunOne(Tensor::Vec<float>({0, 0}));
-    if (r.status.ok()) {
-      ok.fetch_add(1);
-    } else if (r.status.code() == Code::kInvalidArgument) {
-      invalid.fetch_add(1);
-    }
-  });
-  for (std::thread& t : clients) t.join();
-  // Whichever request headed the batch defines the batch shape; the other
-  // can either land in the same batch (individual InvalidArgument) or in
-  // its own later batch (served fine). Either way nothing hangs or crashes
-  // and at least one request is served.
-  EXPECT_GE(ok.load(), 1);
-  EXPECT_EQ(ok.load() + invalid.load(), 2);
+  // The [4]-shaped request heads the batch, so it defines the batch shape:
+  // it is served, and the [2]-shaped one in the same batch fails alone.
+  std::promise<DynamicBatcher::Response> head, mismatched;
+  TF_CHECK_OK(batcher.Enqueue(
+      Tensor::Vec<float>({0, 0, 0, 0}),
+      [&](DynamicBatcher::Response r) { head.set_value(std::move(r)); }));
+  while (batcher.queue_depth() != 1) std::this_thread::yield();
+  TF_CHECK_OK(batcher.Enqueue(
+      Tensor::Vec<float>({0, 0}),
+      [&](DynamicBatcher::Response r) { mismatched.set_value(std::move(r)); }));
+  DynamicBatcher::Response served = head.get_future().get();
+  DynamicBatcher::Response refused = mismatched.get_future().get();
+  EXPECT_TRUE(served.status.ok()) << served.status;
+  EXPECT_EQ(refused.status.code(), Code::kInvalidArgument) << refused.status;
 }
 
 TEST(ServingIntegrationTest, HotSwapLosesNoRequests) {

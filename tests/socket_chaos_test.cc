@@ -276,5 +276,55 @@ TEST(SocketChaosTest, IdleKillCaughtByProber) {
   EXPECT_EQ(*out[0].data<float>(), 2.0f);
 }
 
+// A kill that lands while a RunGraph is in flight: the dead connection's
+// reader thread fails the call, and the step abort fanned out from that
+// failure runs on the same thread. Fanning out must not reap (join) the
+// reader it runs on; the master must survive, return a retryable error,
+// and serve the next step once the task is restarted.
+TEST(SocketChaosTest, KillDuringInFlightRunGraphIsRetryable) {
+  ClusterSpec spec;
+  spec.jobs["ps"] = 1;
+  spec.jobs["worker"] = 1;
+  spec.transport = "socket";
+  auto cluster_or = ProcessCluster::Create(spec, ProcessCluster::Options());
+  ASSERT_TRUE(cluster_or.ok()) << cluster_or.status();
+  ProcessCluster* cluster = cluster_or.value().get();
+
+  // Each task blocks in a dequeue from an empty queue, so the step is
+  // still in flight on both when the kill lands.
+  Graph g;
+  GraphBuilder b(&g);
+  std::vector<Node*> blocked;
+  for (const char* task : {"/job:ps/task:0", "/job:worker/task:0"}) {
+    GraphBuilder::DeviceScope scope(&b, task);
+    Output q = ops::FIFOQueue(&b, {DataType::kFloat}, 4);
+    blocked.push_back(
+        ops::Group(&b, {ops::QueueDequeue(&b, q, {DataType::kFloat})[0]}));
+  }
+  Output c = Const(&b, 3.0f);
+  ASSERT_TRUE(b.ok()) << b.status();
+
+  MasterSession::Options options;
+  options.step_deadline_seconds = 5.0;
+  auto session = MasterSession::Create(g, cluster, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+
+  std::thread killer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    TF_CHECK_OK(cluster->KillTaskProcess("worker", 0));
+  });
+  Status s = session.value()->Run(
+      {}, {}, {blocked[0]->name(), blocked[1]->name()}, nullptr);
+  killer.join();
+  EXPECT_FALSE(s.ok());
+  EXPECT_TRUE(s.IsRetryable()) << s;
+
+  TF_CHECK_OK(cluster->RestartTask("worker", 0));
+  std::vector<Tensor> out;
+  Status again = session.value()->Run({c.name()}, &out);
+  ASSERT_TRUE(again.ok()) << again;
+  EXPECT_EQ(*out[0].data<float>(), 3.0f);
+}
+
 }  // namespace
 }  // namespace tfrepro
