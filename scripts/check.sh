@@ -44,31 +44,60 @@ run_tier1() {
 
 # Socket-transport subset (DESIGN.md §11): the distributed suite re-run
 # with every task as a real worker_main process, the SIGKILL chaos smoke,
-# and the acknowledged-Send cases (a failed SendTensor ack fails the step).
-# All are also tier-1 ctest entries (distributed_socket_test,
-# socket_chaos_test, rpc_transport_test); this target runs them standalone
-# with hard timeouts so a wedged worker process can never hang the check.
-# The chaos smoke repeats ten times (one pass takes well under a second),
-# so an abort that depends on where a kill lands still shows up.
+# the acknowledged-Send cases (a failed SendTensor ack fails the step) and
+# the worker-to-worker push cases. All are also tier-1 ctest entries
+# (distributed_socket_test, socket_chaos_test, rpc_transport_test); this
+# target runs them standalone with hard timeouts so a wedged worker
+# process can never hang the check. The chaos smoke repeats ten times (one
+# pass takes well under a second), so an abort that depends on where a
+# kill lands still shows up.
 run_socket() {
-  echo "== socket transport: distributed_test over real processes + SIGKILL chaos + send acks =="
+  echo "== socket transport: distributed_test over real processes + SIGKILL chaos + send acks + direct pushes =="
   cmake --build build -j "$JOBS" --target distributed_test socket_chaos_test \
       rpc_transport_test worker_main
   TFREPRO_TRANSPORT=socket TFREPRO_WORKER_BINARY="$PWD/build/bin/worker_main" \
       timeout 300 ./build/tests/distributed_test
   TFREPRO_WORKER_BINARY="$PWD/build/bin/worker_main" \
       timeout 120 ./build/tests/socket_chaos_test --gtest_repeat=10
-  timeout 60 ./build/tests/rpc_transport_test --gtest_filter='WorkerSendAckTest.*'
+  timeout 60 ./build/tests/rpc_transport_test \
+      --gtest_filter='WorkerSendAckTest.*:DirectTransferTest.*'
 }
 
+# Transfer cases of distributed_test re-run over TSan-built worker
+# processes: cross-task pushes, acks and the wire model race inside those
+# processes, not in the test binary.
+TSAN_SOCKET_FILTER="MasterSessionTest.CrossTaskComputation:MasterSessionTest.ParameterServerTraining:MasterSessionTest.ControlGatedReadSeesEveryPsUpdate:MasterSessionTest.NetworkModelDelaysCrossTaskTransfers:MasterSessionTest.RunReturnsOnlyAfterEveryTransferIsAcknowledged:SessionDifferentialTest.Seed0:SessionDifferentialTest.Seed1"
+
 run_tsan() {
-  echo "== TSan (TFREPRO_SANITIZE=thread): ${TSAN_TESTS[*]} =="
+  echo "== TSan (TFREPRO_SANITIZE=thread): ${TSAN_TESTS[*]} + socket_chaos_test and distributed_test transfers over TSan worker processes =="
   cmake -B build-tsan -S . -DTFREPRO_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS" --target "${TSAN_TESTS[@]}"
+  cmake --build build-tsan -j "$JOBS" --target "${TSAN_TESTS[@]}" \
+      socket_chaos_test worker_main
   for t in "${TSAN_TESTS[@]}"; do
     echo "-- $t (tsan)"
     "build-tsan/tests/$t" ${TSAN_FILTER[$t]:-}
   done
+  # A worker process's report would otherwise vanish with the process:
+  # every TSan process writes its reports under one directory, and any
+  # file there fails the gate.
+  local reports
+  reports="$(mktemp -d)"
+  local worker="$PWD/build-tsan/bin/worker_main"
+  echo "-- socket_chaos_test (tsan, TSan worker processes)"
+  TSAN_OPTIONS="${TSAN_OPTIONS:+$TSAN_OPTIONS:}log_path=$reports/tsan" \
+      TFREPRO_WORKER_BINARY="$worker" \
+      timeout 600 build-tsan/tests/socket_chaos_test
+  echo "-- distributed_test transfers over sockets (tsan, TSan worker processes)"
+  TSAN_OPTIONS="${TSAN_OPTIONS:+$TSAN_OPTIONS:}log_path=$reports/tsan" \
+      TFREPRO_TRANSPORT=socket TFREPRO_WORKER_BINARY="$worker" \
+      timeout 600 build-tsan/tests/distributed_test \
+      --gtest_filter="$TSAN_SOCKET_FILTER"
+  if [ -n "$(ls -A "$reports")" ]; then
+    echo "TSan FAILED: reports from the socket runs:"
+    cat "$reports"/*
+    exit 1
+  fi
+  rmdir "$reports"
 }
 
 # ASan+UBSan over all of ctest (TFREPRO_SANITIZE=address turns on both).

@@ -267,7 +267,11 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const ClusterSpec& spec,
 
 InProcessCluster::InProcessCluster(const ClusterSpec& spec,
                                    const Options& options)
-    : Cluster(spec, options.fault_injector) {
+    : Cluster(spec, options.fault_injector),
+      network_(options.network),
+      net_timer_(options.network.on()
+                     ? std::make_unique<ThreadPool>("net_timer", 2)
+                     : nullptr) {
   for (const auto& [job, count] : spec.jobs) {
     for (int i = 0; i < count; ++i) {
       workers_.push_back(std::make_unique<TaskWorker>(
@@ -315,6 +319,24 @@ Status InProcessCluster::RestartTask(const std::string& job, int task_index) {
 bool InProcessCluster::TaskIsDown(WorkerInterface* worker) const {
   return fault_injector_ != nullptr &&
          fault_injector_->IsDown(worker->task_name());
+}
+
+std::shared_ptr<Rendezvous> InProcessCluster::NewStepRendezvous(
+    const std::string& session, int64_t step_id) {
+  (void)session;
+  (void)step_id;
+  std::shared_ptr<Rendezvous> rendezvous;
+  if (net_timer_ != nullptr) {
+    rendezvous = std::make_shared<ThrottledRendezvous>(network_,
+                                                       net_timer_.get());
+  } else {
+    rendezvous = std::make_shared<LocalRendezvous>();
+  }
+  if (fault_injector_ != nullptr) {
+    rendezvous = std::make_shared<FaultInjectingRendezvous>(
+        fault_injector_, std::move(rendezvous));
+  }
+  return rendezvous;
 }
 
 std::vector<WorkerInterface*> InProcessCluster::workers() const {

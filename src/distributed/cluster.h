@@ -4,13 +4,18 @@
 //
 //   * "inprocess" (default): every task is a TaskWorker object in this
 //     process, dispatch is a function call, transfers go through a shared
-//     rendezvous. An optional NetworkModel injects per-transfer latency and
-//     bandwidth so tests and benchmarks reproduce network behaviour.
+//     rendezvous.
 //   * "socket": every task is a real OS process (worker_main) spoken to
 //     over length-prefixed TCP frames (src/distributed/rpc/, DESIGN.md
-//     §11). A killed process is a genuinely dead peer: connections reset,
-//     dispatches fail with retryable errors, and the master's recovery
-//     paths (§4.3) restart the process and restore from a checkpoint.
+//     §11); cross-task tensors go from the sending process straight to
+//     the receiving one. A killed process is a genuinely dead peer:
+//     connections reset, dispatches fail with retryable errors, and the
+//     master's recovery paths (§4.3) restart the process and restore from
+//     a checkpoint.
+//
+// Either transport applies an optional NetworkModel (per-transfer latency
+// and bandwidth) to cross-task transfers, so tests and benchmarks
+// reproduce network behaviour.
 //
 // The master only sees the abstract Cluster / WorkerInterface types, so
 // every fault-tolerance path (probing, restart, re-registration, recovery)
@@ -45,10 +50,14 @@ struct ClusterSpec {
 };
 
 // Models the wire between tasks: a transfer of `bytes` takes
-// latency + bytes / bandwidth seconds. Used by the throttled rendezvous.
+// latency + bytes / bandwidth seconds. Off while both fields are zero.
 struct NetworkModel {
   double latency_seconds = 0.0;
   double bytes_per_second = 0.0;  // 0 = infinite bandwidth
+
+  bool on() const {
+    return latency_seconds != 0.0 || bytes_per_second != 0.0;
+  }
 
   double TransferSeconds(size_t bytes) const {
     double t = latency_seconds;
@@ -59,8 +68,9 @@ struct NetworkModel {
   }
 };
 
-// A rendezvous that delays cross-task deliveries per a NetworkModel.
-// Local (same-task) transfers pass through untouched.
+// A rendezvous that delays cross-task deliveries per a NetworkModel (the
+// in-process transport's wire). Local (same-task) transfers pass through
+// untouched.
 class ThrottledRendezvous : public Rendezvous {
  public:
   ThrottledRendezvous(NetworkModel model, ThreadPool* timer_pool)
@@ -201,21 +211,22 @@ class Cluster {
   struct Options {
     int threads_per_task = 2;
     int devices_per_task = 1;
-    // Optional fault injector consulted on every step dispatch and
-    // cross-task transfer (not owned; must outlive the cluster). Over the
-    // socket transport, dispatch faults are applied client-side by the
-    // RemoteWorker stub and transfer drops at the master's rendezvous hub.
+    // Optional fault injector consulted on every step dispatch and, in
+    // process, every cross-task transfer (not owned; must outlive the
+    // cluster). Over the socket transport, dispatch faults are applied
+    // client-side by the RemoteWorker stub; transfers never pass through
+    // this process there, so a step with a transfer drop pending fails
+    // with Unimplemented.
     FaultInjector* fault_injector = nullptr;
+    // Wire model applied to every cross-task transfer; off by default.
+    NetworkModel network;
 
     // --- socket transport only ---
-    // Path to the worker_main binary; empty = TFREPRO_WORKER_BINARY, then
-    // alongside the current executable.
-    std::string worker_binary;
-    // Per-RPC deadline for control calls (Register/Ping/Shutdown) and the
-    // floor for RunGraph (which stretches to the step deadline).
+    // Per-RPC deadline for control calls (Register/Ping/Shutdown), for each
+    // worker's SendTensor acks, and the floor for RunGraph (which stretches
+    // to the step deadline). The worker_main binary comes from
+    // TFREPRO_WORKER_BINARY, else alongside the current executable.
     double rpc_deadline_seconds = 5.0;
-    // How long to wait for a spawned worker process to publish its port.
-    double spawn_timeout_seconds = 10.0;
   };
 
   virtual ~Cluster() = default;
@@ -249,15 +260,14 @@ class Cluster {
   // retry.
   virtual bool TaskIsDown(WorkerInterface* worker) const = 0;
 
-  // Hook for per-step rendezvous decoration. The master builds the step's
-  // base rendezvous (throttled / fault-injecting) and passes it here; the
-  // socket transport returns a wrapper registered with its tensor hub so
-  // worker processes can reach the step's transfers, in-process returns
-  // `base` unchanged.
-  virtual std::shared_ptr<Rendezvous> WrapStepRendezvous(
-      int64_t step_id, std::shared_ptr<Rendezvous> base) {
-    return base;
-  }
+  // The rendezvous of step `step_id` of `session`, built for this
+  // transport. In process it is the transfer chain itself; over sockets the
+  // tensors move between worker processes, and the master's rendezvous
+  // fans a step abort out to them (see rpc/process_cluster.h). The caller
+  // mints step ids and builds their rendezvous under one lock, so a
+  // session's steps are created in step-id order.
+  virtual std::shared_ptr<Rendezvous> NewStepRendezvous(
+      const std::string& session, int64_t step_id) = 0;
 
   const ClusterSpec& spec() const { return spec_; }
   FaultInjector* fault_injector() const { return fault_injector_; }
@@ -290,12 +300,23 @@ class InProcessCluster : public Cluster {
   Status RestartTask(const std::string& job, int task_index) override;
   bool TaskIsDown(WorkerInterface* worker) const override;
 
+  // A sharded LocalRendezvous, throttled when the wire model is on and
+  // fault-injecting when an injector is set.
+  std::shared_ptr<Rendezvous> NewStepRendezvous(const std::string& session,
+                                                int64_t step_id) override;
+
  private:
   InProcessCluster(const ClusterSpec& spec, const Options& options);
   Result<TaskWorker*> task_worker(const std::string& job,
                                   int task_index) const;
   std::vector<std::unique_ptr<TaskWorker>> workers_;
+  const NetworkModel network_;
+  // Sleeps out modeled transfer times; only while the wire model is on.
+  std::unique_ptr<ThreadPool> net_timer_;
 };
+
+// InvalidArgument unless `spec` names at least one job, each with a task.
+Status ValidateSpec(const ClusterSpec& spec);
 
 }  // namespace distributed
 }  // namespace tfrepro

@@ -41,8 +41,8 @@
 namespace tfrepro {
 namespace distributed {
 
-// The transport-independent request state machine. WorkerService and the
-// standalone DataServiceServer both delegate their kGetElement frames here.
+// The transport-independent request state machine. DataServiceServer
+// delegates its kGetElement frames here.
 class DataServiceHandler {
  public:
   // Must yield iterators producing the SAME element sequence every call —
@@ -142,9 +142,9 @@ class DataServiceClient {
   std::mutex call_mu_;  // serializes GetNext (single-consumer contract)
 };
 
-// Builds the record-file pipeline worker_main hosts when spawned as a
-// data-service task: RecordFile(files) [-> Repeat(repeat)] ->
-// ParallelMap(map_fn, parallelism) [-> Shuffle(shuffle_buffer, seed)].
+// Builds the record-file pipeline a data-service task hosts:
+// RecordFile(files) [-> Repeat(repeat)] -> ParallelMap(map_fn, parallelism)
+// [-> Shuffle(shuffle_buffer, seed)].
 Result<DataServiceHandler::IteratorFactory> RecordPipelineFactory(
     std::vector<std::string> files, const std::string& map_fn,
     int parallelism, DataTypeVector output_types, int64_t repeat,

@@ -8,21 +8,6 @@
 namespace tfrepro {
 namespace distributed {
 
-bool IsCrossTaskKey(const std::string& key) {
-  size_t first = key.find(';');
-  if (first == std::string::npos) return false;
-  size_t second = key.find(';', first + 1);
-  if (second == std::string::npos) return false;
-  std::string send_dev = key.substr(0, first);
-  std::string recv_dev = key.substr(first + 1, second - first - 1);
-  // Same task iff the "/job:X/task:N" prefixes match.
-  auto task_prefix = [](const std::string& dev) {
-    size_t pos = dev.find("/device:");
-    return pos == std::string::npos ? dev : dev.substr(0, pos);
-  };
-  return task_prefix(send_dev) != task_prefix(recv_dev);
-}
-
 FaultInjector::FaultInjector(uint64_t seed) : rng_(seed) {}
 
 void FaultInjector::RecordInjectedLocked(const std::string& kind,
@@ -145,6 +130,12 @@ bool FaultInjector::OnTransfer(const std::string& key) {
     return true;
   }
   return false;
+}
+
+bool FaultInjector::TransferDropPending() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return !drop_transfer_at_.empty() &&
+         *drop_transfer_at_.rbegin() > transfer_count_;
 }
 
 void FaultInjector::ParkHung(const std::string& task,

@@ -9,7 +9,9 @@
 //     only the master's step deadline can unblock the step;
 //   * delay every dispatch to a task (a straggler, §4.4);
 //   * drop the Nth cross-task tensor transfer — the receiving Recv blocks
-//     forever, again exercising the deadline path;
+//     forever, again exercising the deadline path (in process only: over
+//     sockets transfers never pass through the master, so a step with a
+//     drop pending fails with Unimplemented);
 //   * kill tasks at random with a seeded per-dispatch probability.
 //
 // All decisions are deterministic: scripted faults fire on exact per-task
@@ -17,7 +19,8 @@
 // stream seeded at construction, so the same seed and the same sequence of
 // runtime events replays the same failure schedule (see DecisionLog).
 //
-// The runtime hooks are TaskWorker::RunSubgraphsAsync (OnDispatch) and
+// The runtime hooks are TaskWorker::RunSubgraphsAsync and
+// rpc::RemoteWorker::RunSubgraphsAsync (OnDispatch) and, in process,
 // FaultInjectingRendezvous::Send (OnTransfer); the master consults IsDown
 // for health checks and MarkRestarted fires on task restart.
 
@@ -39,10 +42,6 @@
 
 namespace tfrepro {
 namespace distributed {
-
-// True when a rendezvous key "<send_dev>;<recv_dev>;..." crosses tasks
-// (the "/job:X/task:N" prefixes differ).
-bool IsCrossTaskKey(const std::string& key);
 
 class FaultInjector {
  public:
@@ -98,6 +97,9 @@ class FaultInjector {
 
   // Consulted per cross-task Send; true means "drop this transfer".
   bool OnTransfer(const std::string& key);
+
+  // True while a DropNthTransfer has not fired yet.
+  bool TransferDropPending() const;
 
   // Parks the done-callback of a hung dispatch. The callback is never
   // invoked; it is dropped (releasing whatever step state it keeps alive)
@@ -170,11 +172,6 @@ class FaultInjector {
 // says to drop. Local (same-task) transfers always pass through.
 class FaultInjectingRendezvous : public Rendezvous {
  public:
-  FaultInjectingRendezvous(FaultInjector* injector,
-                           std::unique_ptr<Rendezvous> base)
-      : injector_(injector), base_(std::move(base)) {}
-  // Shared-ownership variant: the master's per-step rendezvous chain is
-  // shared with straggler callbacks and (over sockets) the tensor hub.
   FaultInjectingRendezvous(FaultInjector* injector,
                            std::shared_ptr<Rendezvous> base)
       : injector_(injector), base_(std::move(base)) {}

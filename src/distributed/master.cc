@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <thread>
 
-#include "distributed/fault_injector.h"
 #include "runtime/session.h"
 
 namespace tfrepro {
@@ -35,9 +34,6 @@ MasterSession::MasterSession(const Graph& graph, Cluster* cluster,
       session_prefix_(restored != nullptr
                           ? restored->session_prefix
                           : "master_" + std::to_string(next_master_id++)),
-      timer_pool_(options.use_network_model
-                      ? std::make_unique<ThreadPool>("net_timer", 2)
-                      : nullptr),
       profiler_(ProfilerSession::ResolveSampleEvery(
           options.profile_sample_every)) {
   if (restored != nullptr) {
@@ -441,8 +437,7 @@ Status MasterSession::RunOnce(CompiledStep* step,
         : call_frame(std::move(feeds), num_fetches) {}
     CallFrame call_frame;
     CancellationManager cancellation;
-    // Shared: the socket transport's hub wrapper is co-owned by in-flight
-    // remote Recv serving until the step is torn down everywhere.
+    // Built by the transport (Cluster::NewStepRendezvous).
     std::shared_ptr<Rendezvous> rendezvous;
     // Keeps the step's collector alive for straggler kernels that record
     // events after a deadline already returned this Run call.
@@ -459,8 +454,12 @@ Status MasterSession::RunOnce(CompiledStep* step,
 
   Executor::Args args;
   {
+    // Minted and built together, so a session's step rendezvous are created
+    // in step-id order (the socket transport's step floor relies on it).
     std::lock_guard<std::mutex> lock(mu_);
     args.step_id = next_step_id_++;
+    state->rendezvous =
+        cluster_->NewStepRendezvous(session_prefix_, args.step_id);
   }
   if (step_id_out != nullptr) *step_id_out = args.step_id;
   if (state_log_ != nullptr) {
@@ -468,24 +467,6 @@ Status MasterSession::RunOnce(CompiledStep* step,
     // step id, a successor master must never issue it again.
     TF_RETURN_IF_ERROR(state_log_->AppendStep(args.step_id));
   }
-
-  FaultInjector* injector = cluster_->fault_injector();
-  std::shared_ptr<Rendezvous> rendezvous;
-  if (options_.use_network_model) {
-    rendezvous = std::make_shared<ThrottledRendezvous>(options_.network,
-                                                       timer_pool_.get());
-  } else {
-    rendezvous = std::make_shared<LocalRendezvous>();
-  }
-  if (injector != nullptr) {
-    rendezvous = std::make_shared<FaultInjectingRendezvous>(
-        injector, std::move(rendezvous));
-  }
-  // Transport hook: over sockets this registers the step's rendezvous with
-  // the master's tensor hub so worker processes can reach it; in-process it
-  // returns the rendezvous unchanged.
-  state->rendezvous =
-      cluster_->WrapStepRendezvous(args.step_id, std::move(rendezvous));
 
   args.rendezvous = state->rendezvous.get();
   args.call_frame = &state->call_frame;

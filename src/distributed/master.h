@@ -81,9 +81,6 @@ class MasterSession {
  public:
   struct Options {
     OptimizerOptions optimizer;
-    // Optional wire model applied to cross-task transfers.
-    NetworkModel network;
-    bool use_network_model = false;
 
     // Per-step deadline in seconds; 0 = wait forever (the pre-fault-
     // tolerance behaviour). When the deadline fires the step's rendezvous
@@ -318,8 +315,6 @@ class MasterSession {
   Cluster* cluster_;
   std::unique_ptr<Graph> graph_;
   std::string session_prefix_;
-  // Delays cross-task deliveries; only with options_.use_network_model.
-  std::unique_ptr<ThreadPool> timer_pool_;
   ProfilerSession profiler_;
 
   std::mutex mu_;

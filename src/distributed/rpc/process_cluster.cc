@@ -1,16 +1,16 @@
 #include "distributed/rpc/process_cluster.h"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <limits.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -23,66 +23,23 @@ namespace rpc {
 
 namespace {
 
-// The per-step rendezvous the master sees over the socket transport: the
-// base chain (throttled / fault-injecting / local) does the actual
-// matching; this wrapper makes the step reachable through the hub for its
-// lifetime and fans a CancelStep to every worker process on abort, because
-// a worker's process-local waiters cannot observe a master-side abort any
-// other way.
-class HubStepRendezvous : public Rendezvous {
- public:
-  HubStepRendezvous(ProcessCluster* cluster, int64_t step_id,
-                    std::shared_ptr<Rendezvous> base)
-      : cluster_(cluster), step_id_(step_id), base_(std::move(base)) {
-    cluster_->hub()->RegisterStep(step_id_, base_);
-  }
+// How long a spawned worker may take to report its port.
+constexpr double kSpawnTimeoutSeconds = 10.0;
 
-  ~HubStepRendezvous() override { cluster_->hub()->DeregisterStep(step_id_); }
-
-  Status Send(const std::string& key, const Tensor& value,
-              bool is_dead) override {
-    return base_->Send(key, value, is_dead);
-  }
-  Status Send(const std::string& key, uint64_t key_hash, const Tensor& value,
-              bool is_dead) override {
-    return base_->Send(key, key_hash, value, is_dead);
-  }
-  void RecvAsync(const std::string& key, DoneCallback done) override {
-    base_->RecvAsync(key, std::move(done));
-  }
-  void RecvAsync(const std::string& key, uint64_t key_hash,
-                 DoneCallback done) override {
-    base_->RecvAsync(key, key_hash, std::move(done));
-  }
-  void StartAbort(const Status& status) override {
-    base_->StartAbort(status);
-    cluster_->CancelStepOnWorkers(step_id_, status);
-  }
-
- private:
-  ProcessCluster* cluster_;
-  const int64_t step_id_;
-  std::shared_ptr<Rendezvous> base_;
-};
-
-Result<std::string> ResolveWorkerBinary(const std::string& explicit_path) {
+Result<std::string> ResolveWorkerBinary() {
   std::vector<std::string> candidates;
-  if (!explicit_path.empty()) {
-    candidates.push_back(explicit_path);
-  } else {
-    const char* env = std::getenv("TFREPRO_WORKER_BINARY");
-    if (env != nullptr && env[0] != '\0') candidates.push_back(env);
-    char exe[PATH_MAX];
-    ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    if (n > 0) {
-      exe[n] = '\0';
-      std::string dir(exe);
-      size_t slash = dir.rfind('/');
-      dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-      candidates.push_back(dir + "/worker_main");
-      candidates.push_back(dir + "/../bin/worker_main");
-      candidates.push_back(dir + "/bin/worker_main");
-    }
+  const char* env = std::getenv("TFREPRO_WORKER_BINARY");
+  if (env != nullptr && env[0] != '\0') candidates.push_back(env);
+  char exe[PATH_MAX];
+  ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+  if (n > 0) {
+    exe[n] = '\0';
+    std::string dir(exe);
+    size_t slash = dir.rfind('/');
+    dir = slash == std::string::npos ? "." : dir.substr(0, slash);
+    candidates.push_back(dir + "/worker_main");
+    candidates.push_back(dir + "/../bin/worker_main");
+    candidates.push_back(dir + "/bin/worker_main");
   }
   for (const std::string& candidate : candidates) {
     if (::access(candidate.c_str(), X_OK) == 0) return candidate;
@@ -92,12 +49,43 @@ Result<std::string> ResolveWorkerBinary(const std::string& explicit_path) {
     if (!tried.empty()) tried += ", ";
     tried += candidate;
   }
-  return NotFound(
-      "worker_main binary not found (tried: " + tried +
-      "); set Cluster::Options::worker_binary or TFREPRO_WORKER_BINARY");
+  return NotFound("worker_main binary not found (tried: " + tried +
+                  "); set TFREPRO_WORKER_BINARY");
 }
 
 }  // namespace
+
+SocketStepRendezvous::SocketStepRendezvous(ProcessCluster* cluster,
+                                           int64_t step_id,
+                                           const StepRouting& routing)
+    : cluster_(cluster), session_(routing.session), step_id_(step_id) {
+  routing.AppendToBytes(&routing_);
+}
+
+SocketStepRendezvous::~SocketStepRendezvous() {
+  if (cluster_ != nullptr) cluster_->EndStep(session_, step_id_);
+}
+
+Status SocketStepRendezvous::Send(const std::string& key, const Tensor& value,
+                                  bool is_dead) {
+  (void)value;
+  (void)is_dead;
+  return FailedPrecondition("the master moves no tensors over sockets: " +
+                            key);
+}
+
+void SocketStepRendezvous::RecvAsync(const std::string& key,
+                                     DoneCallback done) {
+  done(FailedPrecondition("the master moves no tensors over sockets: " + key),
+       Tensor(), false);
+}
+
+void SocketStepRendezvous::StartAbort(const Status& status) {
+  // The workers' waiters park in their own processes: tell each of them.
+  if (cluster_ != nullptr) {
+    cluster_->CancelStepOnWorkers(session_, step_id_, status);
+  }
+}
 
 ProcessCluster::ProcessCluster(const ClusterSpec& spec, const Options& options)
     : Cluster(spec, options.fault_injector),
@@ -106,24 +94,16 @@ ProcessCluster::ProcessCluster(const ClusterSpec& spec, const Options& options)
 
 Result<std::unique_ptr<ProcessCluster>> ProcessCluster::Create(
     const ClusterSpec& spec, const Options& options) {
-  if (spec.jobs.empty()) {
-    return InvalidArgument("cluster spec has no jobs");
-  }
-  for (const auto& [job, count] : spec.jobs) {
-    if (count <= 0) {
-      return InvalidArgument("job '" + job + "' has no tasks");
-    }
-  }
+  TF_RETURN_IF_ERROR(ValidateSpec(spec));
   std::unique_ptr<ProcessCluster> cluster(new ProcessCluster(spec, options));
   TF_RETURN_IF_ERROR(cluster->Initialize());
   return cluster;
 }
 
 Status ProcessCluster::Initialize() {
-  Result<std::string> binary = ResolveWorkerBinary(options_.worker_binary);
+  Result<std::string> binary = ResolveWorkerBinary();
   TF_RETURN_IF_ERROR(binary.status());
   worker_binary_ = binary.value();
-  TF_RETURN_IF_ERROR(hub_.Start());
   for (const auto& [job, count] : spec_.jobs) {
     for (int i = 0; i < count; ++i) {
       auto task = std::make_unique<Task>();
@@ -171,27 +151,21 @@ ProcessCluster::~ProcessCluster() {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   }
-  // Channels close before the hub so parked hub calls fail cleanly.
   for (const auto& task : tasks_) {
     if (task->stub != nullptr) task->stub->channel()->Shutdown();
   }
-  hub_.Shutdown();
 }
 
 Status ProcessCluster::SpawnProcess(Task* task) {
-  static std::atomic<uint64_t> spawn_counter{0};
-  const std::string port_file =
-      "/tmp/tfrepro_worker_" + std::to_string(::getpid()) + "_" + task->job +
-      "_" + std::to_string(task->task_index) + "_" +
-      std::to_string(spawn_counter.fetch_add(1)) + ".port";
-  ::unlink(port_file.c_str());
-
+  // Close-on-exec, so a sibling spawned meanwhile never inherits the pipe;
+  // only this child clears the flag on its write end.
+  int ready[2];
+  if (::pipe2(ready, O_CLOEXEC) != 0) return StatusFromErrno(errno, "pipe2");
   std::vector<std::string> args = {
       worker_binary_,
       "--job=" + task->job,
       "--task=" + std::to_string(task->task_index),
-      "--hub_port=" + std::to_string(hub_.port()),
-      "--port_file=" + port_file,
+      "--ready_fd=" + std::to_string(ready[1]),
       "--threads=" + std::to_string(options_.threads_per_task),
       "--devices=" + std::to_string(options_.devices_per_task),
   };
@@ -201,50 +175,63 @@ Status ProcessCluster::SpawnProcess(Task* task) {
   argv.push_back(nullptr);
 
   pid_t pid = ::fork();
-  if (pid < 0) return StatusFromErrno(errno, "fork");
-  if (pid == 0) {
-    ::execv(worker_binary_.c_str(), argv.data());
-    _exit(127);  // exec failed; the parent sees an early exit
+  if (pid < 0) {
+    Status s = StatusFromErrno(errno, "fork");
+    ::close(ready[0]);
+    ::close(ready[1]);
+    return s;
   }
+  if (pid == 0) {
+    ::fcntl(ready[1], F_SETFD, 0);
+    ::execv(worker_binary_.c_str(), argv.data());
+    _exit(127);  // exec failed; the parent sees EOF before a port
+  }
+  ::close(ready[1]);
 
-  // Readiness handshake: poll for the port file the child renames into
-  // place, watching for early death so a crash-looping binary fails fast
-  // instead of burning the whole spawn timeout.
-  const int64_t deadline =
-      metrics::NowMicros() +
-      static_cast<int64_t>(options_.spawn_timeout_seconds * 1e6);
+  // Readiness handshake: the child writes its port and closes the pipe.
   const std::string task_name =
       "/job:" + task->job + "/task:" + std::to_string(task->task_index);
+  const int64_t deadline =
+      metrics::NowMicros() + static_cast<int64_t>(kSpawnTimeoutSeconds * 1e6);
+  std::string text;
   for (;;) {
-    {
-      std::ifstream in(port_file);
-      int port = 0;
-      if (in && (in >> port) && port > 0) {
-        ::unlink(port_file.c_str());
-        std::lock_guard<std::mutex> lock(procs_mu_);
-        task->pid = pid;
-        task->port = port;
-        task->reaped = false;
-        return Status::OK();
-      }
-    }
-    int wstatus = 0;
-    if (::waitpid(pid, &wstatus, WNOHANG) == pid) {
-      ::unlink(port_file.c_str());
-      return Internal("worker process for " + task_name +
-                      " exited during startup (status " +
-                      std::to_string(wstatus) + ")");
-    }
-    if (metrics::NowMicros() >= deadline) {
+    const int64_t left_ms = (deadline - metrics::NowMicros()) / 1000;
+    pollfd pfd{ready[0], POLLIN, 0};
+    const int polled =
+        left_ms > 0 ? ::poll(&pfd, 1, static_cast<int>(left_ms)) : 0;
+    if (polled < 0 && errno == EINTR) continue;
+    if (polled <= 0) {
+      ::close(ready[0]);
       ::kill(pid, SIGKILL);
+      int wstatus = 0;
       ::waitpid(pid, &wstatus, 0);
-      ::unlink(port_file.c_str());
-      return DeadlineExceeded(
-          "worker process for " + task_name + " did not publish its port in " +
-          std::to_string(options_.spawn_timeout_seconds) + "s");
+      return DeadlineExceeded("worker process for " + task_name +
+                              " did not report its port in " +
+                              std::to_string(kSpawnTimeoutSeconds) + "s");
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    char buf[32];
+    const ssize_t n = ::read(ready[0], buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF: the child closed the pipe (or died)
+    text.append(buf, static_cast<size_t>(n));
   }
+  ::close(ready[0]);
+  const int port = std::atoi(text.c_str());
+  if (port <= 0) {
+    // EOF before a port: the child died during startup. The kill only
+    // matters for a child that closed the pipe yet lives on.
+    ::kill(pid, SIGKILL);
+    int wstatus = 0;
+    ::waitpid(pid, &wstatus, 0);
+    return Internal("worker process for " + task_name +
+                    " exited during startup (status " +
+                    std::to_string(wstatus) + ")");
+  }
+  std::lock_guard<std::mutex> lock(procs_mu_);
+  task->pid = pid;
+  task->port = port;
+  task->reaped = false;
+  return Status::OK();
 }
 
 Result<ProcessCluster::Task*> ProcessCluster::FindTask(const std::string& job,
@@ -343,14 +330,37 @@ Status ProcessCluster::KillTaskProcess(const std::string& job,
   return Status::OK();
 }
 
-std::shared_ptr<Rendezvous> ProcessCluster::WrapStepRendezvous(
-    int64_t step_id, std::shared_ptr<Rendezvous> base) {
-  return std::make_shared<HubStepRendezvous>(this, step_id, std::move(base));
+std::shared_ptr<Rendezvous> ProcessCluster::NewStepRendezvous(
+    const std::string& session, int64_t step_id) {
+  StepRouting routing;
+  routing.session = session;
+  {
+    std::lock_guard<std::mutex> lock(steps_mu_);
+    live_steps_.emplace(session, step_id);
+    routing.step_floor =
+        live_steps_.lower_bound({session, std::numeric_limits<int64_t>::min()})
+            ->second;
+  }
+  {
+    std::lock_guard<std::mutex> lock(procs_mu_);
+    for (const auto& task : tasks_) {
+      routing.ports[task->stub->task_name()] = task->port;
+    }
+  }
+  routing.network = options_.network;
+  return std::make_shared<SocketStepRendezvous>(this, step_id, routing);
 }
 
-void ProcessCluster::CancelStepOnWorkers(int64_t step_id,
+void ProcessCluster::EndStep(const std::string& session, int64_t step_id) {
+  std::lock_guard<std::mutex> lock(steps_mu_);
+  live_steps_.erase({session, step_id});
+}
+
+void ProcessCluster::CancelStepOnWorkers(const std::string& session,
+                                         int64_t step_id,
                                          const Status& reason) {
   std::string body;
+  AppendString(&body, session);
   AppendInt64(&body, step_id);
   AppendStatus(&body, reason);
   for (const auto& task : tasks_) {

@@ -8,17 +8,22 @@
 //   * shadow CPU devices mirroring each process's devices by name, so
 //     placement and partitioning run unchanged (kernels never execute on
 //     them);
-//   * the rendezvous hub, which fronts every step's master-side rendezvous
-//     to the worker processes (see rendezvous_hub.h).
+//   * the live steps of each session, whose lowest step id is the floor
+//     every RunGraph carries (worker_service.h).
 //
-// Process lifecycle: spawn writes the child's ephemeral service port to a
-// tmp file (renamed into place so the parent never reads a partial write);
-// the parent polls that file, bounded by spawn_timeout_seconds, and fails
-// the spawn if the child dies first. Liveness is waitpid(WNOHANG):
-// TaskIsDown reaps and reports a SIGKILLed child, and RestartTask respawns
-// it, retargets the stub, bumps the incarnation and lets the master's
-// existing re-register + checkpoint-recovery path do the rest. Destruction
-// drains gracefully: Shutdown RPC, bounded wait, SIGKILL stragglers.
+// Cross-task tensors never pass through this process: each RunGraph
+// carries every task's current port, and workers push tensors to each
+// other directly.
+//
+// Process lifecycle: the parent hands the child the write end of a pipe
+// (--ready_fd); the child binds an ephemeral service port, writes it there
+// and closes the pipe. The parent polls the read end for up to 10 s; EOF
+// before a port means the child died during startup. Liveness is
+// waitpid(WNOHANG): TaskIsDown reaps and reports a SIGKILLed child, and
+// RestartTask respawns it, retargets the stub, bumps the incarnation and
+// lets the master's existing re-register + checkpoint-recovery path do the
+// rest. Destruction drains gracefully: Shutdown RPC, bounded wait, SIGKILL
+// stragglers.
 //
 // KillTaskProcess is the chaos hook: SIGKILL a live worker, no respawn, no
 // bookkeeping — exactly what a machine failure looks like to the master.
@@ -30,18 +35,52 @@
 
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/status.h"
 #include "core/threadpool.h"
 #include "distributed/cluster.h"
 #include "distributed/rpc/remote_worker.h"
-#include "distributed/rpc/rendezvous_hub.h"
+#include "distributed/rpc/worker_service.h"
 
 namespace tfrepro {
 namespace distributed {
 namespace rpc {
+
+class ProcessCluster;
+
+// The master's rendezvous for one step over sockets. The master runs no
+// kernels and tensors go worker to worker, so it matches no tensors. It
+// carries the step's routing, which every RunGraph of the step appends,
+// and StartAbort fans CancelStep out to the workers. `cluster` is told when
+// the step ends, which can raise the session's floor; a stub driven
+// without a cluster passes null.
+class SocketStepRendezvous : public Rendezvous {
+ public:
+  SocketStepRendezvous(ProcessCluster* cluster, int64_t step_id,
+                       const StepRouting& routing);
+  ~SocketStepRendezvous() override;
+
+  SocketStepRendezvous(const SocketStepRendezvous&) = delete;
+  SocketStepRendezvous& operator=(const SocketStepRendezvous&) = delete;
+
+  // StepRouting::AppendToBytes of the step's routing.
+  const std::string& routing() const { return routing_; }
+
+  Status Send(const std::string& key, const Tensor& value,
+              bool is_dead) override;
+  void RecvAsync(const std::string& key, DoneCallback done) override;
+  void StartAbort(const Status& status) override;
+
+ private:
+  ProcessCluster* cluster_;
+  const std::string session_;
+  const int64_t step_id_;
+  std::string routing_;
+};
 
 class ProcessCluster : public Cluster {
  public:
@@ -60,23 +99,23 @@ class ProcessCluster : public Cluster {
   Status RestartTask(const std::string& job, int task_index) override;
   bool TaskIsDown(WorkerInterface* worker) const override;
 
-  // Registers the step with the hub and arranges CancelStep fan-out on
-  // abort, so worker-local rendezvous waiters unblock when the master
-  // aborts a step they cannot observe failing.
-  std::shared_ptr<Rendezvous> WrapStepRendezvous(
-      int64_t step_id, std::shared_ptr<Rendezvous> base) override;
+  // A SocketStepRendezvous whose routing names the session's current floor,
+  // every task's port and the wire model.
+  std::shared_ptr<Rendezvous> NewStepRendezvous(const std::string& session,
+                                                int64_t step_id) override;
 
   // Chaos hook: SIGKILL the task's live process and do nothing else — the
   // master must notice (failed dispatch or missed probes) and recover on
   // its own. Errors if the process is already gone.
   Status KillTaskProcess(const std::string& job, int task_index);
 
-  int hub_port() const { return hub_.port(); }
-  RendezvousHub* hub() { return &hub_; }
-
   // Fans CancelStep to every worker (fire-and-forget, short deadline);
-  // called by the per-step hub rendezvous wrapper on abort.
-  void CancelStepOnWorkers(int64_t step_id, const Status& reason);
+  // called by a step's rendezvous on abort.
+  void CancelStepOnWorkers(const std::string& session, int64_t step_id,
+                           const Status& reason);
+
+  // Called by a step's rendezvous when it is destroyed.
+  void EndStep(const std::string& session, int64_t step_id);
 
  private:
   struct Task {
@@ -103,14 +142,16 @@ class ProcessCluster : public Cluster {
 
   Options options_;
   std::string worker_binary_;
-  RendezvousHub hub_;
   // Carries injected dispatch delays and owns the shadow devices' (unused)
   // kernel pool.
   ThreadPool timer_pool_;
   std::vector<std::unique_ptr<Task>> tasks_;
-  // Guards pid/reaped state: TaskIsDown (any thread) races RestartTask and
-  // the destructor on waitpid, which collects each child exactly once.
+  // Guards pid/reaped/port state: TaskIsDown (any thread) races RestartTask
+  // and the destructor on waitpid, which collects each child exactly once.
   mutable std::mutex procs_mu_;
+  // (session, step id) of every step whose rendezvous is alive.
+  std::mutex steps_mu_;
+  std::set<std::pair<std::string, int64_t>> live_steps_;
 };
 
 }  // namespace rpc

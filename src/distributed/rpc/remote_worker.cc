@@ -8,6 +8,7 @@
 
 #include "core/metrics.h"
 #include "distributed/fault_injector.h"
+#include "distributed/rpc/process_cluster.h"
 #include "graph/graph_io.h"
 #include "runtime/kernel.h"
 #include "runtime/tracing.h"
@@ -62,8 +63,16 @@ void RemoteWorker::RunSubgraphsAsync(const std::string& handle,
   // Scripted faults are decided here, master-side, so one injector script
   // drives both transports identically. (Real crashes need none of this:
   // the dead process resets the connection and the channel fails the call.)
+  // Transfers go worker to worker, out of the injector's sight, so a
+  // scripted drop cannot fire: refuse the step rather than run it whole.
   double delay_seconds = 0.0;
   if (injector_ != nullptr) {
+    if (injector_->TransferDropPending()) {
+      done(Unimplemented(
+          "transfer drops are injected in process only; over sockets "
+          "tensors go from worker to worker"));
+      return;
+    }
     FaultInjector::Decision decision = injector_->OnDispatch(task_name());
     switch (decision.action) {
       case FaultInjector::Action::kKill:
@@ -91,6 +100,12 @@ void RemoteWorker::RunSubgraphsAsync(const std::string& handle,
 void RemoteWorker::DispatchNow(const std::string& handle,
                                const Executor::Args& args,
                                std::function<void(Status)> done) {
+  const auto* step = dynamic_cast<const SocketStepRendezvous*>(args.rendezvous);
+  if (step == nullptr) {
+    done(InvalidArgument("a RunGraph to " + task_name() +
+                         " needs the step's SocketStepRendezvous"));
+    return;
+  }
   std::string body;
   AppendString(&body, handle);
   AppendInt64(&body, args.step_id);
@@ -106,6 +121,7 @@ void RemoteWorker::DispatchNow(const std::string& handle,
   // StepStats back on this response (DESIGN.md §12).
   TraceCollector* trace = args.trace;
   AppendInt64(&body, trace != nullptr ? 1 : 0);
+  body.append(step->routing());
 
   // The RPC deadline stretches to the step deadline (never below the
   // control floor) so a wedged worker cannot hang a deadline-bearing step;

@@ -4,9 +4,13 @@
 //
 // Fault-injection decisions are applied client-side, before the RPC is
 // written: a scripted kill refuses the dispatch with Unavailable, a
-// scripted hang parks the callback, a delay defers the send. Real process
-// death needs no injector at all — the connection resets and the channel
-// fails the call with a retryable error.
+// scripted hang parks the callback, a delay defers the send, and a pending
+// transfer drop refuses the step with Unimplemented (transfers never pass
+// through the master). Real process death needs no injector at all — the
+// connection resets and the channel fails the call with a retryable error.
+//
+// A dispatch's Executor::Args::rendezvous must be the step's
+// SocketStepRendezvous (process_cluster.h): RunGraph appends its routing.
 
 #ifndef TFREPRO_DISTRIBUTED_RPC_REMOTE_WORKER_H_
 #define TFREPRO_DISTRIBUTED_RPC_REMOTE_WORKER_H_

@@ -45,16 +45,6 @@ RpcChannel::RpcChannel(std::string peer, int port, const Options& options)
 
 RpcChannel::~RpcChannel() { Shutdown(); }
 
-bool RpcChannel::connected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fd_ >= 0;
-}
-
-int RpcChannel::port() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return port_;
-}
-
 double RpcChannel::NextJitterFactor() {
   jitter_state_ ^= jitter_state_ >> 12;
   jitter_state_ ^= jitter_state_ << 25;

@@ -56,8 +56,8 @@ class RpcChannel {
     int max_send_retries = 1;
   };
 
-  // `peer` names the remote end in error messages ("/job:ps/task:0",
-  // "hub"). The channel dials lazily on the first call.
+  // `peer` names the remote end in error messages ("/job:ps/task:0"). The
+  // channel dials lazily on the first call.
   RpcChannel(std::string peer, int port) : RpcChannel(peer, port, Options()) {}
   RpcChannel(std::string peer, int port, const Options& options);
   ~RpcChannel();
@@ -95,9 +95,6 @@ class RpcChannel {
   // Fails pending calls with Cancelled and joins the reader/sweeper
   // threads. Idempotent; the destructor calls it.
   void Shutdown();
-
-  bool connected() const;
-  int port() const;
 
  private:
   struct Pending {

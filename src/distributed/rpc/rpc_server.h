@@ -1,11 +1,11 @@
-// Server side of the socket transport (DESIGN.md §11). One RpcServer per
-// process role: worker_main runs one for the worker service, the master
-// process runs one for the rendezvous hub. An accept thread hands each
-// connection to its own reader thread; handlers run inline on the reader
-// thread and respond through a Responder, which may be held past the
-// handler's return for long-poll methods (RecvTensor answers when the
-// matching Send arrives, RunGraph when the step's executors finish and its
-// sends are acknowledged).
+// Server side of the socket transport (DESIGN.md §11). Each worker_main
+// runs one for its worker service, which answers the master and the peers
+// that push it tensors; a data-service task runs another. An accept thread
+// hands each connection to its own reader thread; handlers run inline on
+// the reader thread and respond through a Responder, which may be held
+// past the handler's return (RunGraph answers when the step's executors
+// finish and its sends are acknowledged, SendTensor once the pushed value
+// is delivered off the reader thread).
 //
 // Response frames echo the request_id and method and carry
 // [status code, status message, method payload...] in the body, written

@@ -81,7 +81,6 @@ const char* MethodName(Method m) {
     case Method::kCancelStep: return "CancelStep";
     case Method::kShutdown: return "Shutdown";
     case Method::kSendTensor: return "SendTensor";
-    case Method::kRecvTensor: return "RecvTensor";
     case Method::kGetElement: return "GetElement";
   }
   return "?";

@@ -6,8 +6,8 @@
 //
 // frame_len counts everything after itself. Connections are multiplexed:
 // many requests may be in flight, responses are matched by request_id, and
-// long-poll calls (RecvTensor) may be answered far out of order. Integers
-// are little-endian, the byte layout of core/coding.h (DESIGN.md §2.1).
+// a long call (RunGraph) may be answered far out of order. Integers are
+// little-endian, the byte layout of core/coding.h (DESIGN.md §2.1).
 //
 // Bodies are built from the core/coding.h fields (fixed-width ints,
 // length-prefixed strings) plus the Status field below. A tensor with a
@@ -42,9 +42,10 @@ enum class Method : uint8_t {
   kHasSubgraphs = 4,
   kCancelStep = 5,
   kShutdown = 6,
-  // Rendezvous hub (worker process -> master).
+  // A cross-task tensor, pushed from the sending worker process to the
+  // receiving one; the answer is the ack.
   kSendTensor = 7,
-  kRecvTensor = 8,
+  // 8 is retired; numbers are never reused.
   // Data service (training worker -> shared pipeline task): pull the
   // element at the caller's cursor (distributed/data_service.h).
   kGetElement = 9,
@@ -64,7 +65,8 @@ const char* MethodName(Method m);
 class MethodHistograms {
  public:
   explicit MethodHistograms(const std::string& name);
-  // nullptr for a byte that names no Method (a stray or corrupt frame).
+  // nullptr for a byte past kMaxMethod (a stray or corrupt frame); a
+  // retired number files under "?".
   metrics::Histogram* get(uint8_t method) const;
 
  private:

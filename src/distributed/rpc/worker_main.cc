@@ -1,14 +1,16 @@
 // Entry point for one worker process of the socket transport (DESIGN.md
 // §11). Spawned by ProcessCluster as:
 //
-//   worker_main --job=worker --task=0 --hub_port=41234 \
-//       --port_file=/tmp/...port [--threads=2] [--devices=1]
+//   worker_main --job=worker --task=0 --ready_fd=7 [--threads=2]
+//       [--devices=1]
 //
-// The service binds an ephemeral port, publishes it through the port file
-// (written to a temp name and renamed, so the spawning master never reads
-// a partial write), then serves RPCs until a Shutdown RPC arrives. Being
+// The service binds an ephemeral port, writes it to the inherited pipe
+// --ready_fd names and closes that pipe, then serves RPCs — the master's
+// and its peers' pushed tensors — until a Shutdown RPC arrives. Being
 // SIGKILLed at any point is an expected fate — the master's chaos tests do
 // exactly that — and requires no cooperation from this side.
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -16,10 +18,7 @@
 #include <memory>
 #include <string>
 
-#include <vector>
-
 #include "core/metrics.h"
-#include "distributed/data_service.h"
 #include "distributed/rpc/worker_service.h"
 
 namespace {
@@ -32,110 +31,48 @@ const char* FlagValue(const char* arg, const char* name) {
              : nullptr;
 }
 
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t comma = s.find(',', start);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > start) out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   tfrepro::distributed::rpc::WorkerService::Options options;
-  std::string port_file;
-  // --data_files turns this worker into the cluster's shared pipeline task:
-  // it hosts RecordFile -> [Repeat] -> ParallelMap -> [Shuffle] and answers
-  // GetElement on the same RPC port as the worker service.
-  std::string data_files, data_map_fn = "parse_example";
-  int data_parallelism = 4, data_consumers = 1;
-  long long data_repeat = 1, data_shuffle = 0, data_seed = 0;
+  int ready_fd = -1;
   for (int i = 1; i < argc; ++i) {
     if (const char* v = FlagValue(argv[i], "job")) {
       options.job = v;
     } else if (const char* v = FlagValue(argv[i], "task")) {
       options.task_index = std::atoi(v);
-    } else if (const char* v = FlagValue(argv[i], "hub_port")) {
-      options.hub_port = std::atoi(v);
-    } else if (const char* v = FlagValue(argv[i], "port_file")) {
-      port_file = v;
+    } else if (const char* v = FlagValue(argv[i], "ready_fd")) {
+      ready_fd = std::atoi(v);
     } else if (const char* v = FlagValue(argv[i], "threads")) {
       options.num_threads = std::atoi(v);
     } else if (const char* v = FlagValue(argv[i], "devices")) {
       options.num_devices = std::atoi(v);
-    } else if (const char* v = FlagValue(argv[i], "data_files")) {
-      data_files = v;
-    } else if (const char* v = FlagValue(argv[i], "data_map_fn")) {
-      data_map_fn = v;
-    } else if (const char* v = FlagValue(argv[i], "data_parallelism")) {
-      data_parallelism = std::atoi(v);
-    } else if (const char* v = FlagValue(argv[i], "data_consumers")) {
-      data_consumers = std::atoi(v);
-    } else if (const char* v = FlagValue(argv[i], "data_repeat")) {
-      data_repeat = std::atoll(v);
-    } else if (const char* v = FlagValue(argv[i], "data_shuffle")) {
-      data_shuffle = std::atoll(v);
-    } else if (const char* v = FlagValue(argv[i], "data_seed")) {
-      data_seed = std::atoll(v);
     } else {
       std::fprintf(stderr, "worker_main: unknown flag %s\n", argv[i]);
       return 2;
     }
   }
-  if (options.job.empty() || options.hub_port <= 0 || port_file.empty()) {
-    std::fprintf(stderr,
-                 "worker_main: --job, --hub_port and --port_file are "
-                 "required\n");
+  if (options.job.empty() || ready_fd < 0) {
+    std::fprintf(stderr, "worker_main: --job and --ready_fd are required\n");
     return 2;
   }
 
   tfrepro::distributed::rpc::WorkerService service(options);
-  if (!data_files.empty()) {
-    tfrepro::DataTypeVector output_types =
-        data_map_fn == "identity"
-            ? tfrepro::DataTypeVector{tfrepro::DataType::kString}
-            : tfrepro::DataTypeVector{tfrepro::DataType::kFloat,
-                                      tfrepro::DataType::kInt64};
-    auto factory = tfrepro::distributed::RecordPipelineFactory(
-        SplitCommas(data_files), data_map_fn, data_parallelism,
-        std::move(output_types), data_repeat, data_shuffle,
-        static_cast<uint64_t>(data_seed));
-    if (!factory.ok()) {
-      std::fprintf(stderr, "worker_main: %s\n",
-                   factory.status().message().c_str());
-      return 1;
-    }
-    tfrepro::distributed::DataServiceHandler::Options ds_options;
-    ds_options.num_consumers = data_consumers;
-    service.AttachDataService(
-        std::make_shared<tfrepro::distributed::DataServiceHandler>(
-            factory.value(), ds_options));
-  }
   tfrepro::Status started = service.Start(/*port=*/0);
   if (!started.ok()) {
     std::fprintf(stderr, "worker_main: %s\n", started.message().c_str());
     return 1;
   }
 
-  // Publish readiness: temp file + rename is atomic on one filesystem.
-  const std::string tmp = port_file + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "worker_main: cannot write %s\n", tmp.c_str());
+  // Report readiness: the port, then EOF.
+  const std::string port = std::to_string(service.port()) + "\n";
+  if (::write(ready_fd, port.data(), port.size()) !=
+      static_cast<ssize_t>(port.size())) {
+    std::fprintf(stderr, "worker_main: cannot report the port on fd %d\n",
+                 ready_fd);
     return 1;
   }
-  std::fprintf(f, "%d\n", service.port());
-  std::fclose(f);
-  if (std::rename(tmp.c_str(), port_file.c_str()) != 0) {
-    std::fprintf(stderr, "worker_main: cannot publish %s\n",
-                 port_file.c_str());
-    return 1;
-  }
+  ::close(ready_fd);
 
   // With TFREPRO_METRICS_DUMP_SECS set, periodically dump the metrics
   // registry to a JSON file so a long-running worker can be inspected

@@ -1,51 +1,115 @@
 #include "distributed/rpc/worker_service.h"
 
 #include <algorithm>
+#include <bit>
+#include <chrono>
+#include <cmath>
+#include <limits>
+#include <thread>
 #include <utility>
-#include <vector>
 
 #include "core/metrics.h"
-#include "distributed/data_service.h"
-#include "distributed/fault_injector.h"
 #include "graph/graph_io.h"
 
 namespace tfrepro {
 namespace distributed {
 namespace rpc {
 
-WorkerRendezvous::WorkerRendezvous(RpcChannel* hub, ThreadPool* done_pool,
-                                   int64_t step_id,
-                                   double send_deadline_seconds,
-                                   CancellationManager* cancellation)
-    : hub_(hub),
-      done_pool_(done_pool),
-      step_id_(step_id),
-      send_deadline_seconds_(send_deadline_seconds),
-      cancellation_(cancellation) {}
-
-bool WorkerRendezvous::IsCrossTaskKey(const std::string& key) {
-  return distributed::IsCrossTaskKey(key);
+void StepRouting::AppendToBytes(std::string* out) const {
+  AppendString(out, session);
+  AppendInt64(out, step_floor);
+  AppendInt64(out, static_cast<int64_t>(ports.size()));
+  for (const auto& [task, port] : ports) {
+    AppendString(out, task);
+    AppendInt64(out, port);
+  }
+  AppendInt64(out, std::bit_cast<int64_t>(network.latency_seconds));
+  AppendInt64(out, std::bit_cast<int64_t>(network.bytes_per_second));
 }
+
+bool StepRouting::ParseFromBytes(const std::string& in, size_t* offset) {
+  int64_t num_ports = 0;
+  if (!ReadString(in, offset, &session) ||
+      !ReadInt64(in, offset, &step_floor) ||
+      // A port takes at least its task's length field and the port.
+      !ReadCount(in, offset, 2 * sizeof(int64_t), &num_ports)) {
+    return false;
+  }
+  ports.clear();
+  for (int64_t i = 0; i < num_ports; ++i) {
+    std::string task;
+    int64_t port = 0;
+    if (!ReadString(in, offset, &task) || !ReadInt64(in, offset, &port) ||
+        port < 0 || port > 65535) {
+      return false;
+    }
+    ports[task] = port;
+  }
+  int64_t latency = 0, bandwidth = 0;
+  if (!ReadInt64(in, offset, &latency) || !ReadInt64(in, offset, &bandwidth)) {
+    return false;
+  }
+  network.latency_seconds = std::bit_cast<double>(latency);
+  network.bytes_per_second = std::bit_cast<double>(bandwidth);
+  // Sleeps are sized from these: only finite, non-negative times pass.
+  return std::isfinite(network.latency_seconds) &&
+         std::isfinite(network.bytes_per_second) &&
+         network.latency_seconds >= 0.0 && network.bytes_per_second >= 0.0;
+}
+
+WorkerRendezvous::WorkerRendezvous(WorkerService* service, std::string session,
+                                   int64_t step_id,
+                                   CancellationManager* cancellation)
+    : service_(service),
+      session_(std::move(session)),
+      step_id_(step_id),
+      cancellation_(cancellation) {}
 
 Status WorkerRendezvous::Send(const std::string& key, const Tensor& value,
                               bool is_dead) {
   if (!IsCrossTaskKey(key)) return local_.Send(key, value, is_dead);
+  const std::string task = RecvTaskOfKey(key);
+  RpcChannel* peer = service_->PeerChannel(task);
+  if (peer == nullptr) {
+    return FailedPrecondition("step " + std::to_string(step_id_) +
+                              " names no port for task " + task);
+  }
   {
     std::lock_guard<std::mutex> lock(ack_mu_);
     if (!step_status_.ok()) return step_status_;
     ++acks_pending_;
   }
   std::string body;
+  AppendString(&body, session_);
   AppendInt64(&body, step_id_);
   AppendString(&body, key);
   AppendInt64(&body, is_dead ? 1 : 0);
+  const double delay =
+      network_.on() ? network_.TransferSeconds(value.TotalBytes()) : 0.0;
+  if (delay <= 0.0) {
+    Push(peer, std::move(body), value);
+    return Status::OK();
+  }
+  // Pace the push by the modeled wire time. Its ack is already counted, so
+  // the step's answer waits for it from Send time.
+  service_->NetTimer()->Schedule(
+      [self = shared_from_this(), peer, body = std::move(body), value,
+       delay]() mutable {
+        std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+        self->Push(peer, std::move(body), value);
+      });
+  return Status::OK();
+}
+
+void WorkerRendezvous::Push(RpcChannel* peer, std::string body,
+                            const Tensor& value) {
   const char* payload = nullptr;
   size_t payload_len = 0;
   AppendTensorMeta(value, &body, &payload, &payload_len);
   // The frame (payload included) is written before Call returns, so
-  // `value` need not outlive this Send; the ack arrives later.
-  hub_->Call(Method::kSendTensor, std::move(body), payload, payload_len,
-             send_deadline_seconds_,
+  // `value` need not outlive this call; the ack arrives later.
+  peer->Call(Method::kSendTensor, std::move(body), payload, payload_len,
+             service_->options_.rpc_deadline_seconds,
              [self = shared_from_this()](const Status& transport,
                                          std::string response) {
                Status status = transport;
@@ -55,7 +119,6 @@ Status WorkerRendezvous::Send(const std::string& key, const Tensor& value,
                }
                self->OnAck(status);
              });
-  return Status::OK();
 }
 
 void WorkerRendezvous::OnAck(const Status& status) {
@@ -73,10 +136,10 @@ void WorkerRendezvous::OnAck(const Status& status) {
   }
   // The tensor may never reach its Recv: fail the step now rather than
   // leave its waiters parked until a deadline. Aborted kernels resume the
-  // executor, whose transfers write to the hub, so this runs on the pool,
-  // not the reader thread; the ack is counted only afterwards, which keeps
-  // the step context (and `cancellation_`) alive until then.
-  done_pool_->Schedule([self = shared_from_this(), status]() {
+  // executor, whose transfers write to peers, so this runs on the pool, not
+  // the reader thread; the ack is counted only afterwards, which keeps the
+  // step context (and `cancellation_`) alive until then.
+  service_->recv_done_pool_.Schedule([self = shared_from_this(), status]() {
     self->local_.StartAbort(status);
     self->cancellation_->StartCancel();
     self->CountAck();
@@ -92,10 +155,9 @@ void WorkerRendezvous::CountAck() {
     acked = std::move(acked_);
     step_status = step_status_;
   }
-  // Off the hub channel's reader thread: answering RunGraph is a write.
-  done_pool_->Schedule([acked = std::move(acked), step_status]() {
-    acked(step_status);
-  });
+  // Off the peer channel's reader thread: answering RunGraph is a write.
+  service_->recv_done_pool_.Schedule(
+      [acked = std::move(acked), step_status]() { acked(step_status); });
 }
 
 void WorkerRendezvous::WhenSendsAcked(const Status& executors_status,
@@ -114,58 +176,15 @@ void WorkerRendezvous::WhenSendsAcked(const Status& executors_status,
 }
 
 void WorkerRendezvous::RecvAsync(const std::string& key, DoneCallback done) {
-  if (!IsCrossTaskKey(key)) {
-    local_.RecvAsync(key, std::move(done));
-    return;
-  }
-  std::string body;
-  AppendInt64(&body, step_id_);
-  AppendString(&body, key);
-  // No deadline: a Recv may legitimately park for the whole step. A dead
-  // master resets the connection, which fails this poll with Unavailable; a
-  // step abort at the hub answers it with the abort status.
-  // The completion is parsed on the channel's reader thread but `done` is
-  // dispatched to the pool: done resumes the executor, whose downstream
-  // nodes may write a Send on this same channel — the reader thread must
-  // never block on a write (see the class comment).
-  hub_->Call(
-      Method::kRecvTensor, std::move(body), nullptr, 0,
-      /*deadline_seconds=*/0.0,
-      [done = std::move(done), pool = done_pool_](const Status& transport,
-                                                  std::string response) {
-        Status status = transport;
-        Tensor value;
-        bool is_dead = false;
-        if (status.ok()) {
-          size_t offset = 0;
-          Status app;
-          int64_t dead = 0;
-          if (!ReadStatus(response, &offset, &app)) {
-            status = DataLoss("malformed RecvTensor response");
-          } else if (!app.ok()) {
-            status = app;
-          } else if (!ReadInt64(response, &offset, &dead)) {
-            status = DataLoss("malformed RecvTensor response");
-          } else {
-            Result<Tensor> parsed = Tensor::ParseFromBytes(response, &offset);
-            if (!parsed.ok()) {
-              status = parsed.status();
-            } else {
-              value = std::move(parsed.value());
-              is_dead = dead != 0;
-            }
-          }
-        }
-        pool->Schedule([done = std::move(done), status = std::move(status),
-                        value = std::move(value), is_dead]() {
-          done(status, value, is_dead);
-        });
-      });
+  local_.RecvAsync(key, std::move(done));
+}
+
+Status WorkerRendezvous::Deliver(const std::string& key, const Tensor& value,
+                                 bool is_dead) {
+  return local_.Send(key, value, is_dead);
 }
 
 void WorkerRendezvous::StartAbort(const Status& status) {
-  // Only local waiters need the push; cross-task polls are parked at the
-  // hub, where the master's own abort (or connection teardown) fails them.
   local_.StartAbort(status);
 }
 
@@ -173,32 +192,28 @@ WorkerService::WorkerService(const Options& options)
     : options_(options),
       recv_done_pool_("recv-done", std::max(2, options.num_threads)),
       worker_(options.job, options.task_index, options.num_threads,
-              options.num_devices, /*injector=*/nullptr),
-      hub_("hub", options.hub_port) {}
-
-void WorkerService::AttachDataService(
-    std::shared_ptr<DataServiceHandler> handler) {
-  data_service_ = std::move(handler);
-}
+              options.num_devices, /*injector=*/nullptr) {}
 
 WorkerService::~WorkerService() {
-  // Unblock reader threads parked in a dataset GetNext before joining them.
-  if (data_service_ != nullptr) data_service_->Cancel();
   server_.Shutdown();
-  hub_.Shutdown();
-  // Abort whatever steps are still running and wait for their executors to
-  // let go of the per-step contexts before members start destructing. The
-  // aborts run unlocked: an aborted step may finish inline and erase itself.
-  std::vector<std::shared_ptr<StepCtx>> running;
+  // Fail pending acks at once instead of waiting out their deadlines.
+  {
+    std::lock_guard<std::mutex> lock(peers_mu_);
+    for (auto& [task, peer] : peers_) peer.channel->Shutdown();
+  }
+  // Abort every step and wait for running ones to let go of their contexts
+  // before members start destructing. The aborts run unlocked: an aborted
+  // step may finish inline and erase itself.
+  std::vector<std::shared_ptr<StepCtx>> live;
   {
     std::lock_guard<std::mutex> lock(steps_mu_);
-    for (auto& [step_id, ctx] : steps_) running.push_back(ctx);
+    for (auto it = steps_.begin(); it != steps_.end();) {
+      live.push_back(it->second);
+      it = it->second->adopted ? std::next(it) : steps_.erase(it);
+    }
   }
-  for (auto& ctx : running) {
-    ctx->cancellation.StartCancel();
-    ctx->rendezvous->StartAbort(Cancelled("worker shutting down"));
-  }
-  running.clear();
+  for (auto& ctx : live) Abort(ctx.get(), Cancelled("worker shutting down"));
+  live.clear();
   std::unique_lock<std::mutex> lock(steps_mu_);
   steps_done_cv_.wait(lock, [this]() { return steps_.empty(); });
 }
@@ -215,6 +230,12 @@ Status WorkerService::Start(int port) {
       [this](const std::string& body,
              std::shared_ptr<RpcServer::Responder> responder) {
         HandleRunGraph(body, std::move(responder));
+      });
+  server_.RegisterHandler(
+      Method::kSendTensor,
+      [this](const std::string& body,
+             std::shared_ptr<RpcServer::Responder> responder) {
+        HandleSendTensor(body, std::move(responder));
       });
   server_.RegisterHandler(
       Method::kCancelStep,
@@ -251,21 +272,6 @@ Status WorkerService::Start(int port) {
         responder->Respond(Status::OK(), std::string());
         RequestShutdown();
       });
-  server_.RegisterHandler(
-      Method::kGetElement,
-      [this](const std::string& body,
-             std::shared_ptr<RpcServer::Responder> responder) {
-        if (data_service_ == nullptr) {
-          responder->Respond(
-              FailedPrecondition("this task hosts no data service"),
-              std::string());
-          return;
-        }
-        data_service_->HandleGetElement(
-            body, [responder](const Status& s, const std::string& resp) {
-              responder->Respond(s, resp);
-            });
-      });
   return server_.Start(port);
 }
 
@@ -278,6 +284,74 @@ void WorkerService::RequestShutdown() {
   std::lock_guard<std::mutex> lock(shutdown_mu_);
   shutdown_requested_ = true;
   shutdown_cv_.notify_all();
+}
+
+int WorkerService::num_step_contexts() const {
+  std::lock_guard<std::mutex> lock(steps_mu_);
+  return static_cast<int>(steps_.size());
+}
+
+Status WorkerService::TouchStepLocked(const StepKey& key,
+                                      std::shared_ptr<StepCtx>* ctx) {
+  auto floor = floors_.find(key.first);
+  if (floor != floors_.end() && key.second < floor->second) {
+    return Aborted("step " + std::to_string(key.second) + " is not active");
+  }
+  std::shared_ptr<StepCtx>& slot = steps_[key];
+  if (slot == nullptr) {
+    slot = std::make_shared<StepCtx>();
+    slot->rendezvous = std::make_shared<WorkerRendezvous>(
+        this, key.first, key.second, &slot->cancellation);
+  }
+  *ctx = slot;
+  return Status::OK();
+}
+
+void WorkerService::RaiseFloorLocked(
+    const std::string& session, int64_t floor,
+    std::vector<std::shared_ptr<StepCtx>>* retired) {
+  int64_t& current = floors_[session];
+  if (floor <= current) return;
+  current = floor;
+  for (auto it = steps_.lower_bound(
+           {session, std::numeric_limits<int64_t>::min()});
+       it != steps_.end() && it->first.first == session &&
+       it->first.second < floor;) {
+    retired->push_back(it->second);
+    it = it->second->adopted ? std::next(it) : steps_.erase(it);
+  }
+}
+
+void WorkerService::Abort(StepCtx* ctx, const Status& status) {
+  ctx->cancellation.StartCancel();
+  ctx->rendezvous->StartAbort(status);
+}
+
+void WorkerService::RetargetPeers(const std::map<std::string, int64_t>& ports) {
+  std::lock_guard<std::mutex> lock(peers_mu_);
+  for (const auto& [task, port] : ports) {
+    Peer& peer = peers_[task];
+    if (peer.channel == nullptr) {
+      peer.channel = std::make_unique<RpcChannel>(task, static_cast<int>(port));
+    } else if (peer.port != port) {
+      // A restarted peer: calls to its old process fail, the next dials it.
+      peer.channel->ResetTarget(static_cast<int>(port));
+    }
+    peer.port = port;
+  }
+}
+
+RpcChannel* WorkerService::PeerChannel(const std::string& task) {
+  std::lock_guard<std::mutex> lock(peers_mu_);
+  auto it = peers_.find(task);
+  return it == peers_.end() ? nullptr : it->second.channel.get();
+}
+
+ThreadPool* WorkerService::NetTimer() {
+  std::call_once(net_timer_once_, [this]() {
+    net_timer_ = std::make_unique<ThreadPool>("net_timer", 2);
+  });
+  return net_timer_.get();
 }
 
 void WorkerService::HandleRegisterSubgraph(
@@ -344,18 +418,41 @@ void WorkerService::HandleRunGraph(
     feeds.push_back(std::move(feed.value()));
   }
   int64_t traced = 0;
-  if (!ReadInt64(body, &offset, &traced)) {
+  StepRouting routing;
+  if (!ReadInt64(body, &offset, &traced) ||
+      !routing.ParseFromBytes(body, &offset)) {
     responder->Respond(InvalidArgument("malformed RunGraph request"),
                        std::string());
     return;
   }
+  RetargetPeers(routing.ports);
 
-  auto ctx = std::make_shared<StepCtx>();
+  const StepKey key(routing.session, step_id);
+  std::shared_ptr<StepCtx> ctx;
+  Status touched;
+  std::vector<std::shared_ptr<StepCtx>> retired;
+  {
+    std::lock_guard<std::mutex> lock(steps_mu_);
+    RaiseFloorLocked(routing.session, routing.step_floor, &retired);
+    touched = TouchStepLocked(key, &ctx);
+    if (touched.ok() && ctx->adopted) {
+      touched = FailedPrecondition("step " + std::to_string(step_id) +
+                                   " is already running");
+    } else if (touched.ok()) {
+      ctx->adopted = true;
+    }
+  }
+  for (auto& stale : retired) {
+    Abort(stale.get(), Aborted("step below the floor " +
+                               std::to_string(routing.step_floor)));
+  }
+  if (!touched.ok()) {
+    responder->Respond(touched, std::string());
+    return;
+  }
   ctx->frame = std::make_unique<CallFrame>(std::move(feeds),
                                            num_fetch_slots.value());
-  ctx->rendezvous = std::make_shared<WorkerRendezvous>(
-      &hub_, &recv_done_pool_, step_id, options_.rpc_deadline_seconds,
-      &ctx->cancellation);
+  ctx->rendezvous->set_network(routing.network);
   ctx->args.step_id = step_id;
   ctx->args.rendezvous = ctx->rendezvous.get();
   ctx->args.call_frame = ctx->frame.get();
@@ -366,14 +463,10 @@ void WorkerService::HandleRunGraph(
     ctx->args.trace = ctx->trace.get();
     ctx->recv_micros = recv_micros;
   }
-  {
-    std::lock_guard<std::mutex> lock(steps_mu_);
-    steps_[step_id] = ctx;
-  }
 
   // Answer once the executors have finished and every cross-task Send has
   // been acknowledged (first error wins).
-  auto answer = [this, ctx, step_id, responder](Status status) {
+  auto answer = [this, ctx, key, responder](Status status) {
     std::string reply;
     if (status.ok()) {
       // Ship back only the fetch slots this task's partitions produced;
@@ -394,7 +487,7 @@ void WorkerService::HandleRunGraph(
       // from its own send/receive timestamps (DESIGN.md §12).
       AppendInt64(&reply, ctx->trace != nullptr ? 1 : 0);
       if (ctx->trace != nullptr) {
-        StepStats stats = ctx->trace->Consume(step_id);
+        StepStats stats = ctx->trace->Consume(key.second);
         AppendInt64(&reply, ctx->recv_micros);
         AppendInt64(&reply, metrics::NowMicros());
         stats.AppendToBytes(&reply);
@@ -402,7 +495,8 @@ void WorkerService::HandleRunGraph(
     }
     {
       std::lock_guard<std::mutex> lock(steps_mu_);
-      steps_.erase(step_id);
+      auto it = steps_.find(key);
+      if (it != steps_.end() && it->second == ctx) steps_.erase(it);
       steps_done_cv_.notify_all();
     }
     responder->Respond(status, reply);
@@ -413,12 +507,52 @@ void WorkerService::HandleRunGraph(
       });
 }
 
+void WorkerService::HandleSendTensor(
+    const std::string& body, std::shared_ptr<RpcServer::Responder> responder) {
+  size_t offset = 0;
+  std::string session, key;
+  int64_t step_id = 0, is_dead = 0;
+  if (!ReadString(body, &offset, &session) ||
+      !ReadInt64(body, &offset, &step_id) || !ReadString(body, &offset, &key) ||
+      !ReadInt64(body, &offset, &is_dead)) {
+    responder->Respond(InvalidArgument("malformed SendTensor request"),
+                       std::string());
+    return;
+  }
+  Result<Tensor> value = Tensor::ParseFromBytes(body, &offset);
+  if (!value.ok()) {
+    responder->Respond(value.status(), std::string());
+    return;
+  }
+  std::shared_ptr<StepCtx> ctx;
+  Status touched;
+  {
+    std::lock_guard<std::mutex> lock(steps_mu_);
+    touched = TouchStepLocked({session, step_id}, &ctx);
+  }
+  if (!touched.ok()) {
+    responder->Respond(touched, std::string());
+    return;
+  }
+  // Never on this reader thread: a delivered value resumes kernels, whose
+  // cross-task Sends write to peers. The answer, written after delivery,
+  // is the sender's ack.
+  recv_done_pool_.Schedule([ctx = std::move(ctx), key,
+                            value = std::move(value).value(),
+                            dead = is_dead != 0, responder]() {
+    responder->Respond(ctx->rendezvous->Deliver(key, value, dead),
+                       std::string());
+  });
+}
+
 void WorkerService::HandleCancelStep(
     const std::string& body, std::shared_ptr<RpcServer::Responder> responder) {
   size_t offset = 0;
+  std::string session;
   int64_t step_id = 0;
   Status reason;
-  if (!ReadInt64(body, &offset, &step_id) ||
+  if (!ReadString(body, &offset, &session) ||
+      !ReadInt64(body, &offset, &step_id) ||
       !ReadStatus(body, &offset, &reason)) {
     responder->Respond(InvalidArgument("malformed CancelStep request"),
                        std::string());
@@ -427,14 +561,17 @@ void WorkerService::HandleCancelStep(
   std::shared_ptr<StepCtx> ctx;
   {
     std::lock_guard<std::mutex> lock(steps_mu_);
-    auto it = steps_.find(step_id);
-    if (it != steps_.end()) ctx = it->second;
+    auto it = steps_.find({session, step_id});
+    if (it != steps_.end()) {
+      ctx = it->second;
+      // A running step is dropped when its RunGraph answers.
+      if (!ctx->adopted) steps_.erase(it);
+    }
   }
   if (ctx != nullptr) {
-    ctx->cancellation.StartCancel();
-    ctx->rendezvous->StartAbort(
-        reason.ok() ? Aborted("step " + std::to_string(step_id) + " cancelled")
-                    : reason);
+    Abort(ctx.get(), reason.ok() ? Aborted("step " + std::to_string(step_id) +
+                                           " cancelled")
+                                 : reason);
   }
   // Unknown step = already finished; cancellation is idempotent either way.
   responder->Respond(Status::OK(), std::string());

@@ -4,22 +4,27 @@
 //   * a TaskWorker — the same devices/executors/subgraph registry the
 //     in-process transport uses, so kernels behave identically under both
 //     transports;
-//   * an RpcServer answering the master's control RPCs (RegisterSubgraph,
-//     RunGraph, Ping, HasSubgraphs, CancelStep, Shutdown);
-//   * an RpcChannel to the master's rendezvous hub, through which every
-//     cross-task tensor flows.
+//   * an RpcServer answering the master's RPCs (RegisterSubgraph, RunGraph,
+//     Ping, HasSubgraphs, CancelStep, Shutdown) and the tensors its peers
+//     push (SendTensor);
+//   * one lazily dialed RpcChannel per peer task, through which this task's
+//     cross-task Sends go straight to the receiving process.
 //
-// Each RunGraph builds a per-step context: the call frame rebuilt from the
-// shipped feeds, a cancellation manager, and a WorkerRendezvous that routes
-// same-task transfers through a process-local rendezvous and cross-task
-// transfers to the hub. When the step's executors have finished and every
-// cross-task Send has been acknowledged, the initialized fetch slots are
-// shipped back in the response and the context is dropped.
+// A step context holds the step's call frame, cancellation manager and
+// WorkerRendezvous. Contexts are keyed by (session, step id) — two
+// sessions on one cluster both count steps from 1 — and created on first
+// touch: a peer's push can reach this task before its RunGraph does, and
+// the RunGraph then adopts the context the push created. A context is
+// dropped when its RunGraph answers (after the executors have finished and
+// every cross-task Send has been acknowledged, shipping the initialized
+// fetch slots back) or on CancelStep.
 //
-// CancelStep lets the master abort a step whose failure it noticed first
-// (another worker died): local waiters park in the process-local
-// rendezvous, which the hub's abort cannot reach, so the master must tell
-// each surviving worker explicitly.
+// Each RunGraph carries its session's step floor: the lowest step id whose
+// master-side rendezvous is still alive. A step below it is over at the
+// master, so its context is retired: dropped when no RunGraph adopted it
+// (a step aborted before this task's RunGraph arrived, or a push that
+// landed after CancelStep), aborted when one did. A push below the floor
+// is answered Aborted.
 
 #ifndef TFREPRO_DISTRIBUTED_RPC_WORKER_SERVICE_H_
 #define TFREPRO_DISTRIBUTED_RPC_WORKER_SERVICE_H_
@@ -31,6 +36,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/status.h"
 #include "distributed/cluster.h"
@@ -42,70 +49,81 @@
 
 namespace tfrepro {
 namespace distributed {
-
-class DataServiceHandler;
-
 namespace rpc {
 
-// Per-step rendezvous inside a worker process. Same-task keys (both
-// endpoint devices on this process's task) use a process-local
-// LocalRendezvous; cross-task keys go to the master's hub.
+// The fields a RunGraph carries after `traced`, the same for every task of
+// a step: what a worker needs to push the step's cross-task tensors
+// straight to their receivers.
+struct StepRouting {
+  std::string session;     // with the step id, names the step's contexts
+  int64_t step_floor = 0;  // the session's lowest live step id
+  std::map<std::string, int64_t> ports;  // "/job:ps/task:0" -> its port
+  NetworkModel network;                  // paces each push
+
+  void AppendToBytes(std::string* out) const;
+  bool ParseFromBytes(const std::string& in, size_t* offset);
+};
+
+class WorkerService;
+
+// Per-step rendezvous inside a worker process. Every Recv waits in the
+// process-local LocalRendezvous: a same-task value is Sent into it
+// directly, a cross-task value is pushed into it by the sending process
+// (Deliver).
 //
-// Send is asynchronous and acknowledged: it writes the SendTensor frame
-// (bounded by the send deadline) and returns; the hub's answer is the ack.
-// The first failed ack aborts the step's local waiters and cancels its
-// kernels at once, and later Sends fail with it. WhenSendsAcked holds the
-// step's RunGraph answer until every ack is in, so the master never tears
-// down a step with tensors in flight and a failed send fails the step.
+// A cross-task Send is asynchronous and acknowledged: it writes the
+// SendTensor frame to the receiving task — after the wire model's transfer
+// time when the model is on — and returns; the receiver's answer is the
+// ack. The first failed ack aborts the step's local waiters and cancels
+// its kernels at once, and later Sends fail with it. WhenSendsAcked holds
+// the step's RunGraph answer until every ack is in, so the master never
+// ends a step with tensors in flight and a failed send fails the step.
 //
-// Recv long-polls the hub (no deadline: a legitimate Recv may wait
-// arbitrarily long, and a dead master resets the connection, which fails
-// the poll with a retryable error). Recv completions are dispatched onto
-// `done_pool`, never run inline on the hub channel's reader thread, because
-// that thread must never block on a write: the executor continues
-// downstream nodes inside `done`, and a downstream cross-task Send writes
-// to the hub on the very connection the reader drains — with the socket
-// buffers full, neither side would make progress.
+// Acks arrive on a peer channel's reader thread, which must never block on
+// a write: the abort a failed ack sets off resumes kernels whose
+// downstream cross-task Sends write to peers, so it runs on the service's
+// recv-done pool, as does a RunGraph answer released by the last ack.
 class WorkerRendezvous : public Rendezvous,
                          public std::enable_shared_from_this<WorkerRendezvous> {
  public:
-  // `hub` and `done_pool` must outlive this rendezvous, `cancellation`
-  // must outlive every ack of the step (the step context owns both).
-  // `send_deadline_seconds` bounds each SendTensor ack (the hub answers
-  // at once; only a wedged master can stall it). Create with make_shared:
+  // `service` must outlive this rendezvous and `cancellation` every ack of
+  // the step (the step context owns both). Create with make_shared:
   // in-flight acks hold a reference.
-  WorkerRendezvous(RpcChannel* hub, ThreadPool* done_pool, int64_t step_id,
-                   double send_deadline_seconds,
-                   CancellationManager* cancellation);
+  WorkerRendezvous(WorkerService* service, std::string session,
+                   int64_t step_id, CancellationManager* cancellation);
+
+  // Set by the adopting RunGraph before the step's executors start.
+  void set_network(const NetworkModel& network) { network_ = network; }
 
   Status Send(const std::string& key, const Tensor& value,
               bool is_dead) override;
   void RecvAsync(const std::string& key, DoneCallback done) override;
   void StartAbort(const Status& status) override;
 
+  // A value a peer pushed for this step.
+  Status Deliver(const std::string& key, const Tensor& value, bool is_dead);
+
   // Called once, after the step's executors finished with
   // `executors_status`. `done` receives the step's first error — an
   // executor's or a failed ack's — once every Send has been acknowledged:
-  // inline when none is in flight, otherwise from `done_pool`.
+  // inline when none is in flight, otherwise from the recv-done pool.
   void WhenSendsAcked(const Status& executors_status,
                       std::function<void(Status)> done);
 
-  // A key is cross-task when its send and recv devices name different
-  // tasks ("/job:worker/task:0/..." vs "/job:ps/task:1/...").
-  static bool IsCrossTaskKey(const std::string& key);
-
  private:
-  // Runs on the hub channel's reader thread (or inline in Send when the
+  // Writes one SendTensor frame; its answer comes back through OnAck.
+  void Push(RpcChannel* peer, std::string body, const Tensor& value);
+  // Runs on a peer channel's reader thread (or inline in Push when the
   // write fails at once).
   void OnAck(const Status& status);
   // Counts one arrived ack; the last one releases the RunGraph answer.
   void CountAck();
 
-  RpcChannel* hub_;
-  ThreadPool* done_pool_;
+  WorkerService* service_;
+  const std::string session_;
   const int64_t step_id_;
-  const double send_deadline_seconds_;
   CancellationManager* cancellation_;
+  NetworkModel network_;
   LocalRendezvous local_;
 
   std::mutex ack_mu_;
@@ -121,22 +139,12 @@ class WorkerService {
     int task_index = 0;
     int num_threads = 2;
     int num_devices = 1;
-    // Port of the master's rendezvous hub.
-    int hub_port = 0;
     // Deadline for this worker's own outbound RPCs (each SendTensor ack).
     double rpc_deadline_seconds = 5.0;
   };
 
   explicit WorkerService(const Options& options);
   ~WorkerService();
-
-  // Hosts a shared data service on this worker's RPC port: GetElement
-  // frames are answered by `handler` (distributed/data_service.h). Must be
-  // called before Start; without it GetElement answers FailedPrecondition.
-  // This is how a pipeline task is just another worker process — spawn
-  // worker_main with --data_files=... and point DataServiceClients at its
-  // port.
-  void AttachDataService(std::shared_ptr<DataServiceHandler> handler);
 
   // Binds the service socket (port 0 = ephemeral, see port()) and starts
   // answering RPCs.
@@ -147,11 +155,21 @@ class WorkerService {
   void WaitForShutdown();
   void RequestShutdown();
 
+  // Live step contexts: running steps, and steps a push created that no
+  // RunGraph has adopted yet.
+  int num_step_contexts() const;
+
  private:
+  friend class WorkerRendezvous;
+
+  using StepKey = std::pair<std::string, int64_t>;  // (session, step id)
+
   struct StepCtx {
-    std::unique_ptr<CallFrame> frame;
     CancellationManager cancellation;
     std::shared_ptr<WorkerRendezvous> rendezvous;
+    bool adopted = false;  // a RunGraph runs this step
+    // Set by the adopting RunGraph.
+    std::unique_ptr<CallFrame> frame;
     Executor::Args args;  // outlives the async executor run
     // Set when the master requested a traced step (DESIGN.md §12): the
     // collected StepStats ride back on the RunGraph response together with
@@ -161,30 +179,60 @@ class WorkerService {
     int64_t recv_micros = 0;  // w0: when the RunGraph request arrived
   };
 
+  struct Peer {
+    int64_t port = 0;
+    std::unique_ptr<RpcChannel> channel;
+  };
+
   void HandleRegisterSubgraph(const std::string& body,
                               std::shared_ptr<RpcServer::Responder> responder);
   void HandleRunGraph(const std::string& body,
                       std::shared_ptr<RpcServer::Responder> responder);
+  void HandleSendTensor(const std::string& body,
+                        std::shared_ptr<RpcServer::Responder> responder);
   void HandleCancelStep(const std::string& body,
                         std::shared_ptr<RpcServer::Responder> responder);
 
+  // Sets *ctx to the context of `key`, created on first touch; Aborted
+  // below its session's floor. Must hold steps_mu_.
+  Status TouchStepLocked(const StepKey& key, std::shared_ptr<StepCtx>* ctx);
+  // Raises the session's floor to `floor`: contexts below it no RunGraph
+  // adopted are dropped, and every context below it is appended to
+  // `retired` for the caller to abort outside the lock. Must hold
+  // steps_mu_.
+  void RaiseFloorLocked(const std::string& session, int64_t floor,
+                        std::vector<std::shared_ptr<StepCtx>>* retired);
+  static void Abort(StepCtx* ctx, const Status& status);
+
+  // Points each peer's channel at the port the step names for it.
+  void RetargetPeers(const std::map<std::string, int64_t>& ports);
+  // The channel to `task`; nullptr if no RunGraph named its port.
+  RpcChannel* PeerChannel(const std::string& task);
+  // Sleeps out modeled transfer times; started on first use.
+  ThreadPool* NetTimer();
+
   Options options_;
-  // Answers GetElement when this worker doubles as the pipeline task.
-  std::shared_ptr<DataServiceHandler> data_service_;
-  // Runs hub-recv completions (and through them, downstream executor
-  // nodes) and RunGraph answers released by a step's last ack. Declared
-  // before worker_/hub_ so it is destroyed after them: by then the steps_
-  // drain below guarantees it is idle.
+  // Runs pushed-value deliveries (and through them, downstream executor
+  // nodes), the aborts failed acks set off, and RunGraph answers released
+  // by a step's last ack. Declared before worker_ and the peers so it is
+  // destroyed after them: by then the destructor's drain guarantees it is
+  // idle.
   ThreadPool recv_done_pool_;
+  std::once_flag net_timer_once_;
+  std::unique_ptr<ThreadPool> net_timer_;
   TaskWorker worker_;
-  RpcChannel hub_;
+
+  std::mutex peers_mu_;
+  std::map<std::string, Peer> peers_;
+
   RpcServer server_;
 
-  std::mutex steps_mu_;
+  mutable std::mutex steps_mu_;
   // Signalled whenever a step finishes; the destructor waits on it so no
   // executor callback can outlive the members it touches.
   std::condition_variable steps_done_cv_;
-  std::map<int64_t, std::shared_ptr<StepCtx>> steps_;
+  std::map<StepKey, std::shared_ptr<StepCtx>> steps_;
+  std::map<std::string, int64_t> floors_;  // per session
 
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;

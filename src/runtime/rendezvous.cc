@@ -1,7 +1,7 @@
 #include "runtime/rendezvous.h"
 
 #include <condition_variable>
-#include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "core/metrics.h"
@@ -41,6 +41,22 @@ const RendezvousMetrics& GetRendezvousMetrics() {
   return m;
 }
 
+// The "/job:X/task:N" prefixes of a key's send and recv devices; false for
+// a key with fewer than two fields.
+bool KeyTasks(std::string_view key, std::string_view* send_task,
+              std::string_view* recv_task) {
+  const size_t first = key.find(';');
+  if (first == std::string_view::npos) return false;
+  const size_t second = key.find(';', first + 1);
+  if (second == std::string_view::npos) return false;
+  auto task_of = [](std::string_view device) {
+    return device.substr(0, device.find("/device:"));
+  };
+  *send_task = task_of(key.substr(0, first));
+  *recv_task = task_of(key.substr(first + 1, second - first - 1));
+  return true;
+}
+
 }  // namespace
 
 std::string RendezvousKey(const std::string& send_device,
@@ -48,6 +64,17 @@ std::string RendezvousKey(const std::string& send_device,
                           const std::string& tensor_name, int64_t frame_iter) {
   return send_device + ";" + recv_device + ";" + tensor_name + ";" +
          std::to_string(frame_iter);
+}
+
+bool IsCrossTaskKey(const std::string& key) {
+  std::string_view send_task, recv_task;
+  return KeyTasks(key, &send_task, &recv_task) && send_task != recv_task;
+}
+
+std::string RecvTaskOfKey(const std::string& key) {
+  std::string_view send_task, recv_task;
+  if (!KeyTasks(key, &send_task, &recv_task)) return std::string();
+  return std::string(recv_task);
 }
 
 Status Rendezvous::Recv(const std::string& key, Tensor* value, bool* is_dead) {
@@ -67,31 +94,6 @@ Status Rendezvous::Recv(const std::string& key, Tensor* value, bool* is_dead) {
   cv.wait(lock, [&]() { return done; });
   return status;
 }
-
-namespace {
-// Rounds up to a power of two and clamps to [1, 1024] so the shard mask
-// stays valid whatever the env says.
-int NormalizeShardCount(int n) {
-  if (n < 1) n = 1;
-  if (n > 1024) n = 1024;
-  int pow2 = 1;
-  while (pow2 < n) pow2 <<= 1;
-  return pow2;
-}
-}  // namespace
-
-int LocalRendezvous::DefaultShardCount() {
-  const char* env = std::getenv("TFREPRO_RENDEZVOUS_SHARDS");
-  if (env == nullptr || *env == '\0') return 16;
-  char* end = nullptr;
-  long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v <= 0) return 16;
-  return NormalizeShardCount(static_cast<int>(v));
-}
-
-LocalRendezvous::LocalRendezvous(int num_shards)
-    : shards_(NormalizeShardCount(num_shards)),
-      shard_mask_(static_cast<uint64_t>(shards_.size()) - 1) {}
 
 Status LocalRendezvous::Send(const std::string& key, const Tensor& value,
                              bool is_dead) {

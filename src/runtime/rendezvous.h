@@ -10,6 +10,7 @@
 #ifndef TFREPRO_RUNTIME_RENDEZVOUS_H_
 #define TFREPRO_RUNTIME_RENDEZVOUS_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -31,6 +32,14 @@ std::string RendezvousKey(const std::string& send_device,
                           const std::string& recv_device,
                           const std::string& tensor_name,
                           int64_t frame_iter = 0);
+
+// True when a key's send and recv devices are on different tasks (their
+// "/job:X/task:N" prefixes differ).
+bool IsCrossTaskKey(const std::string& key);
+
+// The task that receives a key's value: the "/job:X/task:N" prefix of its
+// recv device. Empty for a key with fewer than two fields.
+std::string RecvTaskOfKey(const std::string& key);
 
 class Rendezvous {
  public:
@@ -76,19 +85,14 @@ class Rendezvous {
 // In-process rendezvous used within one task: values are buffered until the
 // matching Recv arrives (or vice versa).
 //
-// The table is sharded into hash-indexed buckets, each with its own mutex
-// and maps (DESIGN.md §9), so concurrent Send/Recv across keys no longer
-// serialize on one lock. An abort fans out across every shard. The shard
-// count is runtime-configurable: the default constructor reads
-// TFREPRO_RENDEZVOUS_SHARDS (default 16; rounded up to a power of two,
-// clamped to [1, 1024]) at construction, so deployments can size the table
-// to their concurrency without recompiling.
+// The table is sharded into kNumShards hash-indexed buckets, each with its
+// own mutex and maps (DESIGN.md §9), so concurrent Send/Recv across keys
+// no longer serialize on one lock. An abort fans out across every shard.
 class LocalRendezvous : public Rendezvous {
  public:
-  // Shard count from TFREPRO_RENDEZVOUS_SHARDS (see DefaultShardCount).
-  LocalRendezvous() : LocalRendezvous(DefaultShardCount()) {}
-  // Explicit shard count, normalized like the env value.
-  explicit LocalRendezvous(int num_shards);
+  static constexpr int kNumShards = 16;  // a power of two
+
+  LocalRendezvous() = default;
 
   // Releases any entries still buffered, keeping the process-wide
   // rendezvous.live_items / rendezvous.live_waiters gauges balanced — after
@@ -96,11 +100,7 @@ class LocalRendezvous : public Rendezvous {
   // value is a leaked entry (chaos_test asserts this).
   ~LocalRendezvous() override;
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
-  // TFREPRO_RENDEZVOUS_SHARDS parsed and normalized; 16 when unset or
-  // unparseable. Read per call so tests can vary the env between steps.
-  static int DefaultShardCount();
+  int num_shards() const { return kNumShards; }
 
   Status Send(const std::string& key, const Tensor& value,
               bool is_dead) override;
@@ -131,11 +131,11 @@ class LocalRendezvous : public Rendezvous {
     std::unordered_map<std::string, std::deque<Waiter>> waiting;
   };
 
-  Shard& shard(uint64_t key_hash) { return shards_[key_hash & shard_mask_]; }
+  Shard& shard(uint64_t key_hash) {
+    return shards_[key_hash & (kNumShards - 1)];
+  }
 
-  // Sized at construction (power of two), immutable afterwards.
-  std::vector<Shard> shards_;
-  uint64_t shard_mask_ = 0;
+  std::array<Shard, kNumShards> shards_;
   // Serializes StartAbort calls only (first-abort-wins); never taken by
   // Send/Recv.
   std::mutex abort_mu_;

@@ -137,7 +137,6 @@ TEST(FaultInjectorTest, SameSeedSameFailureSchedule) {
 }
 
 TEST(FaultInjectorTest, CrossTaskKeyDetection) {
-  using distributed::IsCrossTaskKey;
   EXPECT_TRUE(IsCrossTaskKey(
       "/job:ps/task:0/device:CPU:0;/job:worker/task:0/device:CPU:0;w:0;0"));
   EXPECT_TRUE(IsCrossTaskKey(

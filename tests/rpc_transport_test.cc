@@ -2,8 +2,9 @@
 // helpers, frame I/O, minimal-copy tensor serialization, the errno→Status
 // mapping the retry machinery depends on, and the RpcChannel robustness
 // contract (deadlines, reconnect with backoff, fail-fast inside the
-// backoff window, pending-call teardown), per-method RPC metrics, and the
-// worker's acknowledged cross-task Send.
+// backoff window, pending-call teardown), per-method RPC metrics, the
+// worker's acknowledged cross-task Send, and tensors pushed from one
+// worker service straight to another.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -22,8 +27,8 @@
 #include "core/metrics.h"
 #include "core/status.h"
 #include "core/tensor.h"
+#include "distributed/rpc/process_cluster.h"
 #include "distributed/rpc/remote_worker.h"
-#include "distributed/rpc/rendezvous_hub.h"
 #include "distributed/rpc/rpc_channel.h"
 #include "distributed/rpc/rpc_server.h"
 #include "distributed/rpc/wire.h"
@@ -519,6 +524,86 @@ TEST(RpcMetricsTest, EveryMethodHasItsOwnSeries) {
 constexpr char kWorkerDevice[] = "/job:worker/task:0/device:CPU:0";
 constexpr char kPsDevice[] = "/job:ps/task:0/device:CPU:0";
 
+constexpr char kWorkerTask[] = "/job:worker/task:0";
+constexpr char kPsTask[] = "/job:ps/task:0";
+
+// A step's routing naming `ports` for the tasks it pushes to.
+StepRouting Routing(const std::string& session, int64_t step_floor,
+                    std::map<std::string, int64_t> ports) {
+  StepRouting routing;
+  routing.session = session;
+  routing.step_floor = step_floor;
+  routing.ports = std::move(ports);
+  return routing;
+}
+
+// One worker service in this process, driven through the same RemoteWorker
+// stub the master uses.
+struct WorkerRig {
+  WorkerRig(const std::string& job, int task)
+      : service(Options(job, task)),
+        stub(std::make_unique<RemoteWorker>(job, task, Started(&service),
+                                            /*rpc_deadline_seconds=*/10.0,
+                                            /*injector=*/nullptr,
+                                            /*delay_pool=*/nullptr)) {}
+  static WorkerService::Options Options(const std::string& job, int task) {
+    WorkerService::Options options;
+    options.job = job;
+    options.task_index = task;
+    // Longer than any wait below: a failure must come from the ack itself,
+    // not from the send deadline.
+    options.rpc_deadline_seconds = 30.0;
+    return options;
+  }
+  static int Started(WorkerService* service) {
+    TF_CHECK_OK(service->Start(0));
+    return service->port();
+  }
+
+  WorkerService service;
+  std::unique_ptr<RemoteWorker> stub;
+};
+
+// One RunGraph dispatched through a rig's stub, as the master sends it.
+// Shared with the stub's callback, which may outlive the test's wait.
+struct RunGraphCall {
+  explicit RunGraphCall(int num_fetches) : frame({}, num_fetches) {}
+
+  bool Wait(double seconds) {
+    std::unique_lock<std::mutex> l(mu);
+    return cv.wait_for(l, std::chrono::duration<double>(seconds),
+                       [this] { return finished; });
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool finished = false;
+  Status status;
+  CallFrame frame;
+  std::unique_ptr<SocketStepRendezvous> step;
+  Executor::Args args;
+};
+
+std::shared_ptr<RunGraphCall> Dispatch(WorkerRig* rig,
+                                       const std::string& handle,
+                                       int64_t step_id,
+                                       const StepRouting& routing,
+                                       int num_fetches = 0) {
+  auto call = std::make_shared<RunGraphCall>(num_fetches);
+  call->step =
+      std::make_unique<SocketStepRendezvous>(nullptr, step_id, routing);
+  call->args.step_id = step_id;
+  call->args.call_frame = &call->frame;
+  call->args.rendezvous = call->step.get();
+  rig->stub->RunSubgraphsAsync(handle, call->args, [call](Status s) {
+    std::lock_guard<std::mutex> l(call->mu);
+    call->status = s;
+    call->finished = true;
+    call->cv.notify_all();
+  });
+  return call;
+}
+
 // A worker partition that sends one tensor to another task; with
 // `local_waiter`, it also parks a same-task Recv that no Send will ever
 // satisfy, so the step can only end when something aborts it.
@@ -551,76 +636,85 @@ std::unique_ptr<Graph> CrossTaskSendPartition(bool local_waiter) {
   return graph;
 }
 
-// One worker service in this process, its hub channel pointed at
-// `hub_port`, driven through the same RemoteWorker stub the master uses.
-struct WorkerRig {
-  explicit WorkerRig(int hub_port) : service(Options(hub_port)) {
-    TF_CHECK_OK(service.Start(0));
-    stub = std::make_unique<RemoteWorker>("worker", 0, service.port(),
-                                          /*rpc_deadline_seconds=*/10.0,
-                                          /*injector=*/nullptr,
-                                          /*delay_pool=*/nullptr);
-  }
-  static WorkerService::Options Options(int hub_port) {
-    WorkerService::Options options;
-    options.job = "worker";
-    options.hub_port = hub_port;
-    // Longer than any wait below: a failure must come from the ack itself,
-    // not from the send deadline.
-    options.rpc_deadline_seconds = 30.0;
-    return options;
-  }
+void SendTo(GraphBuilder* b, Output value, const std::string& name,
+            const std::string& from, const std::string& to) {
+  b->Op("_Send")
+      .Input(value)
+      .Attr("T", DataType::kFloat)
+      .Attr("tensor_name", name)
+      .Attr("send_device", from)
+      .Attr("recv_device", to)
+      .Finalize();
+}
 
-  // Dispatches one step; `done` fires with the RunGraph status.
-  void Run(int64_t step_id) {
-    args.step_id = step_id;
-    args.call_frame = &frame;
-    stub->RunSubgraphsAsync("h", args, [this](Status s) {
-      std::lock_guard<std::mutex> l(mu);
-      status = s;
-      finished = true;
-      cv.notify_all();
-    });
-  }
-  bool WaitFinished(double seconds) {
-    std::unique_lock<std::mutex> l(mu);
-    return cv.wait_for(l, std::chrono::duration<double>(seconds),
-                       [this] { return finished; });
-  }
+Output RecvFrom(GraphBuilder* b, const std::string& name,
+                const std::string& from, const std::string& to) {
+  return b->Op("_Recv")
+      .Attr("tensor_type", DataType::kFloat)
+      .Attr("tensor_name", name)
+      .Attr("send_device", from)
+      .Attr("recv_device", to)
+      .Finalize();
+}
 
-  // Declared before the service and stub: tearing those down fails any
-  // outstanding dispatch, whose callback still writes here.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool finished = false;
-  Status status;
-  CallFrame frame{{}, 0};
-  Executor::Args args;
-  WorkerService service;
-  std::unique_ptr<RemoteWorker> stub;
+void FetchAt(GraphBuilder* b, Output value, int64_t index) {
+  b->Op("_Fetch")
+      .Input(value)
+      .Attr("T", DataType::kFloat)
+      .Attr("index", index)
+      .Finalize();
+}
+
+// Builds one partition on `device` with `body` and registers it on `rig`
+// under `handle`.
+void Register(WorkerRig* rig, const std::string& handle,
+              const std::string& device,
+              const std::function<void(GraphBuilder*)>& body) {
+  auto graph = std::make_unique<Graph>();
+  {
+    GraphBuilder b(graph.get());
+    GraphBuilder::DeviceScope scope(&b, device);
+    body(&b);
+    TF_CHECK_OK(b.status());
+  }
+  for (Node* n : graph->nodes()) n->set_assigned_device(device);
+  TF_CHECK_OK(rig->stub->RegisterSubgraph(handle, "seg", std::move(graph),
+                                          device));
+}
+
+// A receiving peer that answers every pushed tensor through `handler`.
+struct FakePeer {
+  explicit FakePeer(RpcServer::Handler handler) {
+    server.RegisterHandler(Method::kSendTensor, std::move(handler));
+    TF_CHECK_OK(server.Start(0));
+  }
+  RpcServer server;
 };
 
-TEST(WorkerSendAckTest, HubAbortedAckFailsStepAndAbortsLocalWaiters) {
-  // A real hub with no step registered answers every SendTensor with
-  // Aborted. The executors' Send returns before that ack; the ack must
-  // still fail the step, and it must abort the same-task Recv that would
-  // otherwise wait forever.
-  RendezvousHub hub;
-  TF_CHECK_OK(hub.Start());
-  WorkerRig rig(hub.port());
+TEST(WorkerSendAckTest, PeerAbortedAckFailsStepAndAbortsLocalWaiters) {
+  // The receiving task answers the push with Aborted, as a worker does for
+  // a step below its floor. The executors' Send returns before that ack;
+  // the ack must still fail the step, and it must abort the same-task Recv
+  // that would otherwise wait forever.
+  FakePeer peer([](const std::string&,
+                   std::shared_ptr<RpcServer::Responder> r) {
+    r->Respond(Aborted("step 41 is not active"), std::string());
+  });
+  WorkerRig rig("worker", 0);
   TF_CHECK_OK(rig.stub->RegisterSubgraph(
       "h", "seg", CrossTaskSendPartition(/*local_waiter=*/true),
       kWorkerDevice));
   const auto start = std::chrono::steady_clock::now();
-  rig.Run(/*step_id=*/41);
-  ASSERT_TRUE(rig.WaitFinished(10.0)) << "RunGraph hung on a failed ack";
+  auto call = Dispatch(&rig, "h", /*step_id=*/41,
+                       Routing("s", 0, {{kPsTask, peer.server.port()}}));
+  ASSERT_TRUE(call->Wait(10.0)) << "RunGraph hung on a failed ack";
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-  EXPECT_EQ(rig.status.code(), Code::kAborted) << rig.status;
-  EXPECT_NE(rig.status.message().find("step 41 is not active"),
+  EXPECT_EQ(call->status.code(), Code::kAborted) << call->status;
+  EXPECT_NE(call->status.message().find("step 41 is not active"),
             std::string::npos)
-      << rig.status;
+      << call->status;
   EXPECT_LT(elapsed, 5.0);
 }
 
@@ -628,14 +722,13 @@ TEST(WorkerServiceTest, FeedCountBeyondRunGraphBodyIsRejected) {
   // A RunGraph body claiming 2^60 feeds with none behind them gets an
   // error answer, not a feed vector sized by the count, and the worker
   // keeps serving.
-  RendezvousHub hub;
-  TF_CHECK_OK(hub.Start());
-  WorkerRig rig(hub.port());
+  WorkerRig rig("worker", 0);
   std::string body;
   AppendString(&body, "h");
   AppendInt64(&body, /*step_id=*/43);
   AppendInt64(&body, /*num_fetches=*/0);
   AppendInt64(&body, /*num_feeds=*/int64_t{1} << 60);
+  Routing("s", 0, {}).AppendToBytes(&body);
   RpcChannel channel("worker", rig.service.port());
   Result<std::string> response =
       channel.CallSync(Method::kRunGraph, body, 10.0);
@@ -656,9 +749,7 @@ TEST(WorkerServiceTest, FetchCountIsBoundedByTheRegisteredSubgraphs) {
   // A short RunGraph body claiming 2^31 - 1 fetch slots: the step's frame
   // is sized by the registered subgraphs' _Fetch indices, never by the
   // wire, so nothing allocates 2^31 tensors and the worker keeps serving.
-  RendezvousHub hub;
-  TF_CHECK_OK(hub.Start());
-  WorkerRig rig(hub.port());
+  WorkerRig rig("worker", 0);
   RpcChannel channel("worker", rig.service.port());
   auto run_graph = [&](const std::string& handle, int64_t num_fetches) {
     std::string body;
@@ -667,6 +758,7 @@ TEST(WorkerServiceTest, FetchCountIsBoundedByTheRegisteredSubgraphs) {
     AppendInt64(&body, num_fetches);
     AppendInt64(&body, /*num_feeds=*/0);
     AppendInt64(&body, /*traced=*/0);
+    Routing("s", 0, {}).AppendToBytes(&body);
     Result<std::string> response =
         channel.CallSync(Method::kRunGraph, body, 10.0);
     if (!response.ok()) return response.status();
@@ -706,37 +798,264 @@ TEST(WorkerServiceTest, FetchCountIsBoundedByTheRegisteredSubgraphs) {
   EXPECT_TRUE(app.ok()) << app;
 }
 
-TEST(WorkerSendAckTest, CutHubConnectionFailsStepInsteadOfOk) {
-  // A hub that reads SendTensor frames but never acks them: the executors
-  // finish at once, yet RunGraph must wait for the ack — and when the
-  // connection is cut, fail with the transport error instead of OK.
+TEST(WorkerServiceTest, RoutingOutsideItsRangeIsRejected) {
+  // A port that is no TCP port, or a wire model that would size a sleep
+  // from NaN or a negative time, makes the RunGraph malformed.
+  WorkerRig rig("worker", 0);
+  Register(&rig, "f", kWorkerDevice,
+           [](GraphBuilder* b) { FetchAt(b, ops::Const(b, 1.0f), 0); });
+  RpcChannel channel("worker", rig.service.port());
+  auto run_graph = [&](const StepRouting& routing) {
+    std::string body;
+    AppendString(&body, "f");
+    AppendInt64(&body, /*step_id=*/45);
+    AppendInt64(&body, /*num_fetches=*/1);
+    AppendInt64(&body, /*num_feeds=*/0);
+    AppendInt64(&body, /*traced=*/0);
+    routing.AppendToBytes(&body);
+    Result<std::string> response =
+        channel.CallSync(Method::kRunGraph, body, 10.0);
+    if (!response.ok()) return response.status();
+    Status app;
+    size_t offset = 0;
+    EXPECT_TRUE(ReadStatus(response.value(), &offset, &app));
+    return app;
+  };
+  EXPECT_TRUE(run_graph(Routing("s", 0, {{kPsTask, 80}})).ok());
+  EXPECT_EQ(run_graph(Routing("s", 0, {{kPsTask, int64_t{1} << 40}})).code(),
+            Code::kInvalidArgument);
+  StepRouting nan_latency = Routing("s", 0, {});
+  nan_latency.network.latency_seconds = std::nan("");
+  EXPECT_EQ(run_graph(nan_latency).code(), Code::kInvalidArgument);
+  StepRouting negative_bandwidth = Routing("s", 0, {});
+  negative_bandwidth.network.bytes_per_second = -1.0;
+  EXPECT_EQ(run_graph(negative_bandwidth).code(), Code::kInvalidArgument);
+}
+
+TEST(WorkerSendAckTest, CutPeerConnectionFailsStepInsteadOfOk) {
+  // A receiving peer that reads SendTensor frames but never acks them: the
+  // executors finish at once, yet RunGraph must wait for the ack — and
+  // when the connection is cut, fail with the transport error instead of
+  // OK.
   std::mutex mu;
   std::condition_variable cv;
   std::vector<std::shared_ptr<RpcServer::Responder>> parked;
-  RpcServer hub;  // destroyed (joined) before what its handler touches
-  hub.RegisterHandler(
-      Method::kSendTensor,
-      [&](const std::string&, std::shared_ptr<RpcServer::Responder> r) {
-        std::lock_guard<std::mutex> l(mu);
-        parked.push_back(std::move(r));
-        cv.notify_all();
-      });
-  TF_CHECK_OK(hub.Start(0));
-  WorkerRig rig(hub.port());
+  // Destroyed (joined) before what its handler touches.
+  FakePeer peer([&](const std::string&,
+                    std::shared_ptr<RpcServer::Responder> r) {
+    std::lock_guard<std::mutex> l(mu);
+    parked.push_back(std::move(r));
+    cv.notify_all();
+  });
+  WorkerRig rig("worker", 0);
   TF_CHECK_OK(rig.stub->RegisterSubgraph(
       "h", "seg", CrossTaskSendPartition(/*local_waiter=*/false),
       kWorkerDevice));
-  rig.Run(/*step_id=*/42);
+  auto call = Dispatch(&rig, "h", /*step_id=*/42,
+                       Routing("s", 0, {{kPsTask, peer.server.port()}}));
   {
     std::unique_lock<std::mutex> l(mu);
     ASSERT_TRUE(cv.wait_for(l, std::chrono::seconds(10),
                             [&] { return !parked.empty(); }));
   }
-  EXPECT_FALSE(rig.WaitFinished(0.2)) << "answered with an ack in flight: "
-                                      << rig.status;
-  hub.Shutdown();
-  ASSERT_TRUE(rig.WaitFinished(10.0)) << "RunGraph hung after the cut";
-  EXPECT_EQ(rig.status.code(), Code::kUnavailable) << rig.status;
+  EXPECT_FALSE(call->Wait(0.2)) << "answered with an ack in flight: "
+                                << call->status;
+  peer.server.Shutdown();
+  ASSERT_TRUE(call->Wait(10.0)) << "RunGraph hung after the cut";
+  EXPECT_EQ(call->status.code(), Code::kUnavailable) << call->status;
+}
+
+// --- tensors pushed from one worker service straight to another ---
+
+// A sender on /job:worker/task:0 and a receiver on /job:ps/task:0. The
+// sender's handles "send1" and "send2" push 1.0 and 2.0 as "x"; the
+// receiver's "recv" fetches "x" into slot 0.
+struct PushRig {
+  PushRig() {
+    for (float v : {1.0f, 2.0f}) {
+      Register(&sender, "send" + std::to_string(static_cast<int>(v)),
+               kWorkerDevice, [v](GraphBuilder* b) {
+                 SendTo(b, ops::Const(b, v), "x", kWorkerDevice, kPsDevice);
+               });
+    }
+    Register(&receiver, "recv", kPsDevice, [](GraphBuilder* b) {
+      FetchAt(b, RecvFrom(b, "x", kWorkerDevice, kPsDevice), 0);
+    });
+  }
+  StepRouting Route(const std::string& session, int64_t step_floor) {
+    return Routing(session, step_floor,
+                   {{kWorkerTask, sender.service.port()},
+                    {kPsTask, receiver.service.port()}});
+  }
+  // Runs `send` for (session, step) and waits for its ack-gated answer.
+  void Push(const std::string& send, const std::string& session,
+            int64_t step_id, int64_t step_floor = 0) {
+    auto call = Dispatch(&sender, send, step_id, Route(session, step_floor));
+    ASSERT_TRUE(call->Wait(10.0));
+    ASSERT_TRUE(call->status.ok()) << call->status;
+  }
+  // Dispatches "recv" for (session, step); it fetches into slot 0.
+  std::shared_ptr<RunGraphCall> Receive(const std::string& session,
+                                        int64_t step_id, int64_t step_floor) {
+    return Dispatch(&receiver, "recv", step_id, Route(session, step_floor),
+                    /*num_fetches=*/1);
+  }
+
+  WorkerRig sender{"worker", 0};
+  WorkerRig receiver{"ps", 0};
+};
+
+TEST(DirectTransferTest, PushBeforeRunGraphIsAdopted) {
+  // The push lands first and creates the receiver's step context; the
+  // receiver's RunGraph then adopts it and fetches the value bit for bit.
+  WorkerRig sender("worker", 0);
+  WorkerRig receiver("ps", 0);
+  std::vector<float> values(4099);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = std::ldexp(static_cast<float>(i) - 2049.5f, -7) /
+                static_cast<float>(i + 3);
+  }
+  const Tensor sent =
+      Tensor::FromVector<float>(values, TensorShape({4099}));
+  Register(&sender, "send", kWorkerDevice, [&](GraphBuilder* b) {
+    SendTo(b, ops::Const(b, sent), "x", kWorkerDevice, kPsDevice);
+  });
+  Register(&receiver, "recv", kPsDevice, [](GraphBuilder* b) {
+    FetchAt(b, RecvFrom(b, "x", kWorkerDevice, kPsDevice), 0);
+  });
+  const StepRouting routing =
+      Routing("s", 1, {{kWorkerTask, sender.service.port()},
+                       {kPsTask, receiver.service.port()}});
+
+  auto send = Dispatch(&sender, "send", 5, routing);
+  ASSERT_TRUE(send->Wait(10.0));
+  ASSERT_TRUE(send->status.ok()) << send->status;
+  EXPECT_EQ(receiver.service.num_step_contexts(), 1);
+
+  auto recv = Dispatch(&receiver, "recv", 5, routing, /*num_fetches=*/1);
+  ASSERT_TRUE(recv->Wait(10.0));
+  ASSERT_TRUE(recv->status.ok()) << recv->status;
+  const Tensor& got = recv->frame.fetches()[0];
+  ASSERT_EQ(got.TotalBytes(), sent.TotalBytes());
+  EXPECT_EQ(std::memcmp(got.raw_data(), sent.raw_data(), sent.TotalBytes()),
+            0);
+  EXPECT_EQ(receiver.service.num_step_contexts(), 0);
+  EXPECT_EQ(sender.service.num_step_contexts(), 0);
+}
+
+TEST(DirectTransferTest, EightMegabyteExchangeBothWaysDoesNotWedge) {
+  // Each task pushes 8 MB to the other, which adds 1 and pushes the result
+  // back six times, all in one step. A receiver that delivered on its
+  // server's reader thread would run the Add and the six Sends there, and
+  // both readers would block writing 48 MB — more than a localhost
+  // connection buffers — to a peer whose reader is blocked the same way.
+  constexpr int64_t kElems = int64_t{1} << 21;  // 8 MB of floats
+  constexpr int kBacks = 6;
+  WorkerRig a("worker", 0);
+  WorkerRig b("ps", 0);
+  auto swap = [](const std::string& self, const std::string& other,
+                 const std::string& mine, const std::string& theirs) {
+    return [=](GraphBuilder* g) {
+      Output ones =
+          ops::Fill(g, ops::Const(g, Tensor::Vec<int32_t>({int32_t{kElems}})),
+                    ops::Const(g, 1.0f));
+      SendTo(g, ones, "out_" + mine, self, other);
+      Output in = RecvFrom(g, "out_" + theirs, other, self);
+      Output plus_one = ops::Add(g, in, ops::Const(g, 1.0f));
+      for (int i = 0; i < kBacks; ++i) {
+        const std::string back = "back_" + theirs + std::to_string(i);
+        SendTo(g, plus_one, back, self, other);
+      }
+      for (int i = 0; i < kBacks; ++i) {
+        Output back =
+            RecvFrom(g, "back_" + mine + std::to_string(i), other, self);
+        if (i == 0) FetchAt(g, ops::SumAll(g, back), 0);
+      }
+    };
+  };
+  Register(&a, "swap", kWorkerDevice, swap(kWorkerDevice, kPsDevice, "a", "b"));
+  Register(&b, "swap", kPsDevice, swap(kPsDevice, kWorkerDevice, "b", "a"));
+  const auto start = std::chrono::steady_clock::now();
+  for (int64_t step = 1; step <= 20; ++step) {
+    const StepRouting routing =
+        Routing("s", step, {{kWorkerTask, a.service.port()},
+                            {kPsTask, b.service.port()}});
+    auto on_a = Dispatch(&a, "swap", step, routing, /*num_fetches=*/1);
+    auto on_b = Dispatch(&b, "swap", step, routing, /*num_fetches=*/1);
+    ASSERT_TRUE(on_a->Wait(30.0)) << "step " << step << " wedged";
+    ASSERT_TRUE(on_b->Wait(30.0)) << "step " << step << " wedged";
+    ASSERT_TRUE(on_a->status.ok()) << on_a->status;
+    ASSERT_TRUE(on_b->status.ok()) << on_b->status;
+    EXPECT_EQ(*on_a->frame.fetches()[0].data<float>(), 2.0f * kElems);
+    EXPECT_EQ(*on_b->frame.fetches()[0].data<float>(), 2.0f * kElems);
+  }
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            60.0);
+}
+
+TEST(DirectTransferTest, UnadoptedPushStaysInItsSessionUntilTheFloor) {
+  // Two sessions both count steps from 1. Session A's push for step 5 is
+  // never adopted; session B's step 5 must see only B's own push, and the
+  // floor A's next step carries drops the leftover.
+  PushRig rig;
+  rig.Push("send1", "A", 5);
+  EXPECT_EQ(rig.receiver.service.num_step_contexts(), 1);
+
+  auto recv_b = rig.Receive("B", 5, /*step_floor=*/5);
+  EXPECT_FALSE(recv_b->Wait(0.2)) << "B's step 5 took A's push: "
+                                  << recv_b->status;
+  rig.Push("send2", "B", 5, /*step_floor=*/5);
+  ASSERT_TRUE(recv_b->Wait(10.0));
+  ASSERT_TRUE(recv_b->status.ok()) << recv_b->status;
+  EXPECT_EQ(*recv_b->frame.fetches()[0].data<float>(), 2.0f);
+  EXPECT_EQ(rig.receiver.service.num_step_contexts(), 1);  // A's leftover
+
+  auto recv_a = rig.Receive("A", 6, /*step_floor=*/6);
+  rig.Push("send1", "A", 6, /*step_floor=*/6);
+  ASSERT_TRUE(recv_a->Wait(10.0));
+  ASSERT_TRUE(recv_a->status.ok()) << recv_a->status;
+  EXPECT_EQ(*recv_a->frame.fetches()[0].data<float>(), 1.0f);
+  EXPECT_EQ(rig.receiver.service.num_step_contexts(), 0);
+  EXPECT_EQ(rig.sender.service.num_step_contexts(), 0);
+}
+
+TEST(DirectTransferTest, PushAfterCancelStepLeavesNoContextPastTheFloor) {
+  // Step 7 was aborted elsewhere and cancelled here before the sender's
+  // push landed: the push makes a context no RunGraph will adopt, and the
+  // floor step 8 carries drops it. A push below the floor is refused.
+  PushRig rig;
+  std::string cancel;
+  AppendString(&cancel, "C");
+  AppendInt64(&cancel, 7);
+  AppendStatus(&cancel, Aborted("step 7 failed elsewhere"));
+  RpcChannel channel("ps", rig.receiver.service.port());
+  ASSERT_TRUE(channel.CallSync(Method::kCancelStep, cancel, 10.0).ok());
+  rig.Push("send1", "C", 7);
+  EXPECT_EQ(rig.receiver.service.num_step_contexts(), 1);
+
+  auto recv = rig.Receive("C", 8, /*step_floor=*/8);
+  rig.Push("send2", "C", 8, /*step_floor=*/8);
+  ASSERT_TRUE(recv->Wait(10.0));
+  ASSERT_TRUE(recv->status.ok()) << recv->status;
+  EXPECT_EQ(*recv->frame.fetches()[0].data<float>(), 2.0f);
+  EXPECT_EQ(rig.receiver.service.num_step_contexts(), 0);
+
+  std::string late;
+  AppendString(&late, "C");
+  AppendInt64(&late, 7);
+  AppendString(&late, "x");
+  AppendInt64(&late, /*is_dead=*/0);
+  Tensor::Scalar(1.0f).AppendToBytes(&late);
+  Result<std::string> answer =
+      channel.CallSync(Method::kSendTensor, late, 10.0);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  Status ack;
+  size_t offset = 0;
+  ASSERT_TRUE(ReadStatus(answer.value(), &offset, &ack));
+  EXPECT_EQ(ack.code(), Code::kAborted) << ack;
+  EXPECT_EQ(rig.receiver.service.num_step_contexts(), 0);
 }
 
 }  // namespace

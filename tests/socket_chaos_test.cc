@@ -15,16 +15,19 @@
 //     (power-of-two SGD);
 //   * an idle-time kill is caught by the health prober, which restarts the
 //     process proactively (master.prober_restarts advances);
-//   * the master-side hub leaks no rendezvous state once torn down.
+//   * the master process leaks no rendezvous state once torn down;
+//   * a worker binary that dies during startup fails the spawn at once.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -211,8 +214,8 @@ TEST(SocketChaosTest, SigkillMidTrainingRecoversExactlyOnce) {
         metrics::Registry::Global()->GetCounter("rpc.reconnects")->value(),
         0);
   }
-  // Hub, session and cluster are gone; the master-side rendezvous state
-  // they pinned (including long-polls parked by dead workers) must drain.
+  // Session and cluster are gone; no rendezvous state may stay behind in
+  // the master process.
   metrics::Registry* reg = metrics::Registry::Global();
   EXPECT_TRUE(WaitFor(
       [&] { return reg->GetGauge("rendezvous.live_items")->value() == 0; },
@@ -324,6 +327,28 @@ TEST(SocketChaosTest, KillDuringInFlightRunGraphIsRetryable) {
   Status again = session.value()->Run({c.name()}, &out);
   ASSERT_TRUE(again.ok()) << again;
   EXPECT_EQ(*out[0].data<float>(), 3.0f);
+}
+
+// A worker binary that exits at once: the spawn must report the child's
+// death during startup, well inside the spawn timeout.
+TEST(SocketChaosTest, WorkerDyingAtStartupFailsTheSpawnAtOnce) {
+  const char* env = std::getenv("TFREPRO_WORKER_BINARY");
+  const std::optional<std::string> saved =
+      env != nullptr ? std::optional<std::string>(env) : std::nullopt;
+  ::setenv("TFREPRO_WORKER_BINARY", "/bin/false", /*overwrite=*/1);
+  const auto start = std::chrono::steady_clock::now();
+  auto cluster = MakeCluster();
+  const double elapsed = SecondsSince(start);
+  if (saved.has_value()) {
+    ::setenv("TFREPRO_WORKER_BINARY", saved->c_str(), /*overwrite=*/1);
+  } else {
+    ::unsetenv("TFREPRO_WORKER_BINARY");
+  }
+  ASSERT_FALSE(cluster.ok());
+  EXPECT_NE(cluster.status().message().find("exited during startup"),
+            std::string::npos)
+      << cluster.status();
+  EXPECT_LT(elapsed, 2.0);
 }
 
 }  // namespace
