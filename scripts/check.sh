@@ -43,18 +43,23 @@ run_tier1() {
 }
 
 # Socket-transport subset (DESIGN.md §11): the distributed suite re-run
-# with every task as a real worker_main process, the SIGKILL chaos smoke,
-# the acknowledged-Send cases (a failed SendTensor ack fails the step) and
-# the worker-to-worker push cases. All are also tier-1 ctest entries
+# with every task as a real worker_main process, the orphan case (a worker
+# whose master goes away exits on its own), the SIGKILL chaos smoke, the
+# acknowledged-Send cases (a failed SendTensor ack fails the step) and the
+# worker-to-worker push cases. All are also tier-1 ctest entries
 # (distributed_socket_test, socket_chaos_test, rpc_transport_test); this
 # target runs them standalone with hard timeouts so a wedged worker
-# process can never hang the check. The chaos smoke repeats ten times (one
-# pass takes well under a second), so an abort that depends on where a
-# kill lands still shows up.
+# process can never hang the check. The orphan case runs first, on its
+# own: every later run relies on workers not outliving their masters. The
+# chaos smoke repeats ten times (one pass takes well under a second), so
+# an abort that depends on where a kill lands still shows up.
 run_socket() {
-  echo "== socket transport: distributed_test over real processes + SIGKILL chaos + send acks + direct pushes =="
+  echo "== socket transport: orphan exit + distributed_test over real processes + SIGKILL chaos + send acks + direct pushes =="
   cmake --build build -j "$JOBS" --target distributed_test socket_chaos_test \
       rpc_transport_test worker_main
+  TFREPRO_WORKER_BINARY="$PWD/build/bin/worker_main" \
+      timeout 30 ./build/tests/socket_chaos_test \
+      --gtest_filter='SocketChaosTest.WorkerExitsWhenItsMasterGoesAway'
   TFREPRO_TRANSPORT=socket TFREPRO_WORKER_BINARY="$PWD/build/bin/worker_main" \
       timeout 300 ./build/tests/distributed_test
   TFREPRO_WORKER_BINARY="$PWD/build/bin/worker_main" \
@@ -64,9 +69,9 @@ run_socket() {
 }
 
 # Transfer cases of distributed_test re-run over TSan-built worker
-# processes: cross-task pushes, acks and the wire model race inside those
-# processes, not in the test binary.
-TSAN_SOCKET_FILTER="MasterSessionTest.CrossTaskComputation:MasterSessionTest.ParameterServerTraining:MasterSessionTest.ControlGatedReadSeesEveryPsUpdate:MasterSessionTest.NetworkModelDelaysCrossTaskTransfers:MasterSessionTest.RunReturnsOnlyAfterEveryTransferIsAcknowledged:SessionDifferentialTest.Seed0:SessionDifferentialTest.Seed1"
+# processes: cross-task pushes and acks race inside those processes, not
+# in the test binary.
+TSAN_SOCKET_FILTER="MasterSessionTest.CrossTaskComputation:MasterSessionTest.ParameterServerTraining:MasterSessionTest.ControlGatedReadSeesEveryPsUpdate:MasterSessionTest.RunReturnsOnlyAfterEveryTransferIsAcknowledged:SessionDifferentialTest.Seed0:SessionDifferentialTest.Seed1"
 
 run_tsan() {
   echo "== TSan (TFREPRO_SANITIZE=thread): ${TSAN_TESTS[*]} + socket_chaos_test and distributed_test transfers over TSan worker processes =="

@@ -1,10 +1,8 @@
 #include "distributed/cluster.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <limits>
-#include <thread>
 
 #include "distributed/fault_injector.h"
 #include "distributed/rpc/process_cluster.h"
@@ -12,49 +10,10 @@
 namespace tfrepro {
 namespace distributed {
 
-Status ThrottledRendezvous::Send(const std::string& key, const Tensor& value,
-                                 bool is_dead) {
-  return Send(key, KeyHash(key), value, is_dead);
-}
-
-Status ThrottledRendezvous::Send(const std::string& key, uint64_t key_hash,
-                                 const Tensor& value, bool is_dead) {
-  double delay = IsCrossTaskKey(key)
-                     ? model_.TransferSeconds(value.TotalBytes())
-                     : 0.0;
-  if (delay <= 0.0) {
-    return inner_->Send(key, key_hash, value, is_dead);
-  }
-  // Deliver after the modeled wire time, off a timer thread. The lambda
-  // shares ownership of the inner rendezvous: an aborted step can destroy
-  // this wrapper while a delayed delivery is still sleeping.
-  timer_pool_->Schedule([inner = inner_, key, key_hash, value, is_dead,
-                         delay]() {
-    std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-    (void)inner->Send(key, key_hash, value, is_dead);
-  });
-  return Status::OK();
-}
-
-void ThrottledRendezvous::RecvAsync(const std::string& key,
-                                    DoneCallback done) {
-  RecvAsync(key, KeyHash(key), std::move(done));
-}
-
-void ThrottledRendezvous::RecvAsync(const std::string& key, uint64_t key_hash,
-                                    DoneCallback done) {
-  inner_->RecvAsync(key, key_hash, std::move(done));
-}
-
-void ThrottledRendezvous::StartAbort(const Status& status) {
-  inner_->StartAbort(status);
-}
-
 TaskWorker::TaskWorker(const std::string& job, int task_index, int num_threads,
-                       int num_devices, FaultInjector* injector)
+                       int num_devices)
     : job_(job),
       task_index_(task_index),
-      injector_(injector),
       pool_("worker", num_threads) {
   for (int i = 0; i < num_devices; ++i) {
     device_mgr_.AddDevice(NewCpuDevice(job, task_index, i, &pool_));
@@ -93,71 +52,6 @@ Status TaskWorker::RegisterSubgraph(const std::string& handle,
 void TaskWorker::RunSubgraphsAsync(const std::string& handle,
                                    const Executor::Args& args,
                                    std::function<void(Status)> done) {
-  double delay_seconds = 0.0;
-  if (injector_ != nullptr) {
-    FaultInjector::Decision decision = injector_->OnDispatch(task_name());
-    switch (decision.action) {
-      case FaultInjector::Action::kKill:
-        // A dead process: the dispatch is refused immediately, like a
-        // connection error. The master treats Unavailable as retryable.
-        done(Unavailable("task " + task_name() + " is down"));
-        return;
-      case FaultInjector::Action::kHang:
-        // A hung process: no response, ever. The callback is parked (so
-        // whatever step state it owns stays alive) and only the master's
-        // step deadline can unblock the step.
-        injector_->ParkHung(task_name(), std::move(done));
-        return;
-      case FaultInjector::Action::kProceed:
-        delay_seconds = decision.delay_seconds;
-        break;
-    }
-  }
-  if (delay_seconds > 0.0) {
-    // Straggler: run the whole dispatch late, off a pool thread.
-    pool_.Schedule([this, handle, args, done = std::move(done),
-                    delay_seconds]() mutable {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(delay_seconds));
-      RunSubgraphsNow(handle, args, std::move(done));
-    });
-    return;
-  }
-  RunSubgraphsNow(handle, args, std::move(done));
-}
-
-void TaskWorker::PingAsync(std::function<void(Status)> done) {
-  if (injector_ != nullptr) {
-    FaultInjector::Decision decision = injector_->OnProbe(task_name());
-    switch (decision.action) {
-      case FaultInjector::Action::kKill:
-        done(Unavailable("task " + task_name() + " refused probe"));
-        return;
-      case FaultInjector::Action::kHang:
-        // Park the probe callback like a hung dispatch: it never fires and
-        // is only released when the task restarts or the injector dies. The
-        // prober's own timeout path must cope.
-        injector_->ParkHung(task_name(), std::move(done));
-        return;
-      case FaultInjector::Action::kProceed:
-        if (decision.delay_seconds > 0.0) {
-          pool_.Schedule([done = std::move(done),
-                          delay = decision.delay_seconds]() {
-            std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-            done(Status::OK());
-          });
-          return;
-        }
-        break;
-    }
-  }
-  // Answer off a pool thread, like a real RPC response.
-  pool_.Schedule([done = std::move(done)]() { done(Status::OK()); });
-}
-
-void TaskWorker::RunSubgraphsNow(const std::string& handle,
-                                 const Executor::Args& args,
-                                 std::function<void(Status)> done) {
   std::vector<Executor*> executors;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -198,6 +92,10 @@ void TaskWorker::RunSubgraphsNow(const std::string& handle,
       if (finished) state->done(final_status);
     });
   }
+}
+
+void TaskWorker::PingAsync(std::function<void(Status)> done) {
+  pool_.Schedule([done = std::move(done)]() { done(Status::OK()); });
 }
 
 bool TaskWorker::HasSubgraphs(const std::string& handle) const {
@@ -265,18 +163,49 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const ClusterSpec& spec,
                          "' (expected 'inprocess' or 'socket')");
 }
 
+Cluster::Cluster(const ClusterSpec& spec, FaultInjector* injector,
+                 bool injector_sees_transfers)
+    : spec_(spec),
+      fault_injector_(injector),
+      injector_sees_transfers_(injector_sees_transfers) {
+  if (injector == nullptr) return;
+  int num_tasks = 0;
+  for (const auto& [job, count] : spec.jobs) num_tasks += count;
+  // Room for two delayed calls per task at once (say, a dispatch and a
+  // probe) before one waits behind another.
+  delay_pool_ = std::make_unique<ThreadPool>("fault-delay", 2 * num_tasks);
+}
+
+void Cluster::AddWorker(std::unique_ptr<WorkerInterface> worker) {
+  WorkerInterface* handed_out = worker.get();
+  owned_.push_back(std::move(worker));
+  if (fault_injector_ != nullptr) {
+    owned_.push_back(std::make_unique<FaultInjectingWorker>(
+        handed_out, fault_injector_, delay_pool_.get(),
+        injector_sees_transfers_));
+    handed_out = owned_.back().get();
+  }
+  workers_.push_back(handed_out);
+}
+
+Result<WorkerInterface*> Cluster::worker(const std::string& job,
+                                         int task_index) const {
+  for (WorkerInterface* w : workers_) {
+    if (w->job() == job && w->task_index() == task_index) return w;
+  }
+  return NotFound("no task /job:" + job + "/task:" +
+                  std::to_string(task_index) + " in cluster");
+}
+
 InProcessCluster::InProcessCluster(const ClusterSpec& spec,
                                    const Options& options)
-    : Cluster(spec, options.fault_injector),
-      network_(options.network),
-      net_timer_(options.network.on()
-                     ? std::make_unique<ThreadPool>("net_timer", 2)
-                     : nullptr) {
+    : Cluster(spec, options.fault_injector, /*injector_sees_transfers=*/true) {
   for (const auto& [job, count] : spec.jobs) {
     for (int i = 0; i < count; ++i) {
-      workers_.push_back(std::make_unique<TaskWorker>(
-          job, i, options.threads_per_task, options.devices_per_task,
-          options.fault_injector));
+      auto task = std::make_unique<TaskWorker>(
+          job, i, options.threads_per_task, options.devices_per_task);
+      tasks_.push_back(task.get());
+      AddWorker(std::move(task));
     }
   }
 }
@@ -290,20 +219,11 @@ Result<std::unique_ptr<InProcessCluster>> InProcessCluster::Create(
 
 Result<TaskWorker*> InProcessCluster::task_worker(const std::string& job,
                                                   int task_index) const {
-  for (const auto& w : workers_) {
-    if (w->job() == job && w->task_index() == task_index) {
-      return w.get();
-    }
+  for (TaskWorker* w : tasks_) {
+    if (w->job() == job && w->task_index() == task_index) return w;
   }
   return NotFound("no task /job:" + job + "/task:" +
                   std::to_string(task_index) + " in cluster");
-}
-
-Result<WorkerInterface*> InProcessCluster::worker(const std::string& job,
-                                                  int task_index) const {
-  Result<TaskWorker*> w = task_worker(job, task_index);
-  TF_RETURN_IF_ERROR(w.status());
-  return static_cast<WorkerInterface*>(w.value());
 }
 
 Status InProcessCluster::RestartTask(const std::string& job, int task_index) {
@@ -325,29 +245,14 @@ std::shared_ptr<Rendezvous> InProcessCluster::NewStepRendezvous(
     const std::string& session, int64_t step_id) {
   (void)session;
   (void)step_id;
-  std::shared_ptr<Rendezvous> rendezvous;
-  if (net_timer_ != nullptr) {
-    rendezvous = std::make_shared<ThrottledRendezvous>(network_,
-                                                       net_timer_.get());
-  } else {
-    rendezvous = std::make_shared<LocalRendezvous>();
-  }
-  if (fault_injector_ != nullptr) {
-    rendezvous = std::make_shared<FaultInjectingRendezvous>(
-        fault_injector_, std::move(rendezvous));
-  }
-  return rendezvous;
-}
-
-std::vector<WorkerInterface*> InProcessCluster::workers() const {
-  std::vector<WorkerInterface*> out;
-  for (const auto& w : workers_) out.push_back(w.get());
-  return out;
+  if (fault_injector_ == nullptr) return std::make_shared<LocalRendezvous>();
+  return std::make_shared<FaultInjectingRendezvous>(
+      fault_injector_, std::make_shared<LocalRendezvous>());
 }
 
 std::vector<Device*> InProcessCluster::all_devices() const {
   std::vector<Device*> devices;
-  for (const auto& w : workers_) {
+  for (TaskWorker* w : tasks_) {
     for (Device* d : w->device_mgr()->ListDevices()) {
       devices.push_back(d);
     }

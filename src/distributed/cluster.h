@@ -1,6 +1,7 @@
 // Cluster substrate (paper §3.3). Each task ("/job:ps/task:0",
 // "/job:worker/task:3", ...) is a worker owning devices, a threadpool and
-// registered subgraphs. Two transports implement the same interfaces:
+// registered subgraphs. Two transports implement the same interfaces and
+// differ only in how they move bytes and run tasks:
 //
 //   * "inprocess" (default): every task is a TaskWorker object in this
 //     process, dispatch is a function call, transfers go through a shared
@@ -13,13 +14,12 @@
 //     master's recovery paths (§4.3) restart the process and restore from
 //     a checkpoint.
 //
-// Either transport applies an optional NetworkModel (per-transfer latency
-// and bandwidth) to cross-task transfers, so tests and benchmarks
-// reproduce network behaviour.
-//
 // The master only sees the abstract Cluster / WorkerInterface types, so
 // every fault-tolerance path (probing, restart, re-registration, recovery)
-// is transport-independent.
+// is transport-independent. Injected dispatch and probe faults are decided
+// above both transports too: with a FaultInjector set, worker() and
+// workers() hand out each task behind a FaultInjectingWorker
+// (fault_injector.h).
 
 #ifndef TFREPRO_DISTRIBUTED_CLUSTER_H_
 #define TFREPRO_DISTRIBUTED_CLUSTER_H_
@@ -49,55 +49,10 @@ struct ClusterSpec {
   std::string transport;
 };
 
-// Models the wire between tasks: a transfer of `bytes` takes
-// latency + bytes / bandwidth seconds. Off while both fields are zero.
-struct NetworkModel {
-  double latency_seconds = 0.0;
-  double bytes_per_second = 0.0;  // 0 = infinite bandwidth
-
-  bool on() const {
-    return latency_seconds != 0.0 || bytes_per_second != 0.0;
-  }
-
-  double TransferSeconds(size_t bytes) const {
-    double t = latency_seconds;
-    if (bytes_per_second > 0) {
-      t += static_cast<double>(bytes) / bytes_per_second;
-    }
-    return t;
-  }
-};
-
-// A rendezvous that delays cross-task deliveries per a NetworkModel (the
-// in-process transport's wire). Local (same-task) transfers pass through
-// untouched.
-class ThrottledRendezvous : public Rendezvous {
- public:
-  ThrottledRendezvous(NetworkModel model, ThreadPool* timer_pool)
-      : model_(model), timer_pool_(timer_pool) {}
-
-  Status Send(const std::string& key, const Tensor& value,
-              bool is_dead) override;
-  void RecvAsync(const std::string& key, DoneCallback done) override;
-  // Hashed variants keep the caller's precomputed key hash flowing through
-  // to the sharded inner rendezvous.
-  Status Send(const std::string& key, uint64_t key_hash, const Tensor& value,
-              bool is_dead) override;
-  void RecvAsync(const std::string& key, uint64_t key_hash,
-                 DoneCallback done) override;
-  void StartAbort(const Status& status) override;
-
- private:
-  NetworkModel model_;
-  ThreadPool* timer_pool_;
-  // Shared with in-flight delayed deliveries, which may outlive the wrapper
-  // when a step is aborted mid-transfer.
-  std::shared_ptr<LocalRendezvous> inner_ = std::make_shared<LocalRendezvous>();
-};
-
 // One task of the cluster, as the master sees it: subgraph registration,
 // step dispatch, liveness probing. Implemented by TaskWorker (in-process)
-// and rpc::RemoteWorker (a stub speaking to a worker_main process).
+// and rpc::RemoteWorker (a stub speaking to a worker_main process), and by
+// the FaultInjectingWorker that fronts either when an injector is set.
 class WorkerInterface {
  public:
   virtual ~WorkerInterface() = default;
@@ -123,9 +78,9 @@ class WorkerInterface {
   // Runs all subgraphs registered under `handle` for one step; `done` fires
   // once with the first error (or OK). This is the "one small message to
   // each participating task" of §3.3. `done` may fire from another thread
-  // — or, for a hung in-process task, never (the master's deadline is the
-  // only exit then; the socket transport always fails a dispatch whose
-  // deadline expires).
+  // — or, for a hung in-process task or an injected hang, never (the
+  // master's deadline is the only exit then; the socket transport always
+  // fails a dispatch whose deadline expires).
   virtual void RunSubgraphsAsync(const std::string& handle,
                                  const Executor::Args& args,
                                  std::function<void(Status)> done) = 0;
@@ -146,7 +101,7 @@ class WorkerInterface {
 class TaskWorker : public WorkerInterface {
  public:
   TaskWorker(const std::string& job, int task_index, int num_threads,
-             int num_devices, FaultInjector* injector = nullptr);
+             int num_devices);
 
   const std::string& job() const override { return job_; }
   int task_index() const override { return task_index_; }
@@ -160,10 +115,7 @@ class TaskWorker : public WorkerInterface {
   void RunSubgraphsAsync(const std::string& handle, const Executor::Args& args,
                          std::function<void(Status)> done) override;
 
-  // Answered through the in-process transport so the fault injector
-  // applies: a dead task refuses the probe, a scripted probe hang parks
-  // `done` forever (the prober must time out on its own), and a per-task
-  // delay slows the answer.
+  // Answered off a pool thread, like a real RPC response.
   void PingAsync(std::function<void(Status)> done) override;
 
   bool HasSubgraphs(const std::string& handle) const override;
@@ -182,13 +134,8 @@ class TaskWorker : public WorkerInterface {
   int64_t incarnation() const override;
 
  private:
-  // The dispatch body, after fault-injection decisions are resolved.
-  void RunSubgraphsNow(const std::string& handle, const Executor::Args& args,
-                       std::function<void(Status)> done);
-
   std::string job_;
   int task_index_;
-  FaultInjector* injector_;
   ThreadPool pool_;
   DeviceMgr device_mgr_;
   mutable std::mutex mu_;
@@ -211,15 +158,13 @@ class Cluster {
   struct Options {
     int threads_per_task = 2;
     int devices_per_task = 1;
-    // Optional fault injector consulted on every step dispatch and, in
-    // process, every cross-task transfer (not owned; must outlive the
-    // cluster). Over the socket transport, dispatch faults are applied
-    // client-side by the RemoteWorker stub; transfers never pass through
-    // this process there, so a step with a transfer drop pending fails
-    // with Unimplemented.
+    // Optional fault injector (not owned; must outlive the cluster). Every
+    // step dispatch and health probe consults it through the
+    // FaultInjectingWorker each task is handed out behind; in process it
+    // also sees every cross-task transfer. Over sockets transfers go worker
+    // to worker, out of its sight, so a step with a transfer drop pending
+    // fails with Unimplemented.
     FaultInjector* fault_injector = nullptr;
-    // Wire model applied to every cross-task transfer; off by default.
-    NetworkModel network;
 
     // --- socket transport only ---
     // Per-RPC deadline for control calls (Register/Ping/Shutdown), for each
@@ -239,9 +184,11 @@ class Cluster {
     return Create(spec, Options{});
   }
 
-  virtual Result<WorkerInterface*> worker(const std::string& job,
-                                          int task_index) const = 0;
-  virtual std::vector<WorkerInterface*> workers() const = 0;
+  // The workers the master drives: each task's own, or with an injector set
+  // the FaultInjectingWorker in front of it.
+  Result<WorkerInterface*> worker(const std::string& job,
+                                  int task_index) const;
+  std::vector<WorkerInterface*> workers() const { return workers_; }
 
   // Every device in the cluster, for placement. Over the socket transport
   // these are master-side shadow devices mirroring each process's devices
@@ -273,11 +220,27 @@ class Cluster {
   FaultInjector* fault_injector() const { return fault_injector_; }
 
  protected:
-  Cluster(const ClusterSpec& spec, FaultInjector* injector)
-      : spec_(spec), fault_injector_(injector) {}
+  // `injector_sees_transfers`: this transport's step rendezvous passes
+  // cross-task transfers through the injector, so a scripted drop can fire.
+  Cluster(const ClusterSpec& spec, FaultInjector* injector,
+          bool injector_sees_transfers);
+
+  // Takes one task's worker and hands it out through worker() and
+  // workers(), behind a FaultInjectingWorker when an injector is set.
+  void AddWorker(std::unique_ptr<WorkerInterface> worker);
 
   ClusterSpec spec_;
   FaultInjector* fault_injector_ = nullptr;
+
+ private:
+  const bool injector_sees_transfers_;
+  // Each task's own worker and, with an injector, its FaultInjectingWorker.
+  std::vector<std::unique_ptr<WorkerInterface>> owned_;
+  std::vector<WorkerInterface*> workers_;  // handed out, in task order
+  // Sleeps out injected delays, never on a task's own threads; only with an
+  // injector. Declared last so that it drains before the workers it
+  // dispatches to are destroyed.
+  std::unique_ptr<ThreadPool> delay_pool_;
 };
 
 // Every task's worker lives in this process.
@@ -292,16 +255,12 @@ class InProcessCluster : public Cluster {
     return Create(spec, Options{});
   }
 
-  Result<WorkerInterface*> worker(const std::string& job,
-                                  int task_index) const override;
-  std::vector<WorkerInterface*> workers() const override;
   std::vector<Device*> all_devices() const override;
 
   Status RestartTask(const std::string& job, int task_index) override;
   bool TaskIsDown(WorkerInterface* worker) const override;
 
-  // A sharded LocalRendezvous, throttled when the wire model is on and
-  // fault-injecting when an injector is set.
+  // A sharded LocalRendezvous, fault-injecting when an injector is set.
   std::shared_ptr<Rendezvous> NewStepRendezvous(const std::string& session,
                                                 int64_t step_id) override;
 
@@ -309,10 +268,7 @@ class InProcessCluster : public Cluster {
   InProcessCluster(const ClusterSpec& spec, const Options& options);
   Result<TaskWorker*> task_worker(const std::string& job,
                                   int task_index) const;
-  std::vector<std::unique_ptr<TaskWorker>> workers_;
-  const NetworkModel network_;
-  // Sleeps out modeled transfer times; only while the wire model is on.
-  std::unique_ptr<ThreadPool> net_timer_;
+  std::vector<TaskWorker*> tasks_;  // owned by the base
 };
 
 // InvalidArgument unless `spec` names at least one job, each with a task.

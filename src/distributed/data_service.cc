@@ -130,7 +130,7 @@ void DataServiceHandler::HandleGetElement(
       const int64_t idx = cursor * n + consumer;
       while (iter_status_.ok() && !exhausted_ && next_index_ <= idx) {
         if (cancelled_.load()) return Cancelled("data service shut down");
-        if (static_cast<int64_t>(buffer_.size()) >= options_.max_ahead) {
+        if (static_cast<int64_t>(buffer_.size()) >= kMaxAhead) {
           return Unavailable(
               "pipeline buffer full (consumer " + std::to_string(consumer) +
               " is " + std::to_string(buffer_.size()) +

@@ -52,10 +52,11 @@ class DataServiceHandler {
 
   struct Options {
     int num_consumers = 1;
-    // Bound on elements buffered for lagging consumers before a
-    // far-ahead consumer is pushed back with retryable Unavailable.
-    int64_t max_ahead = 1 << 14;
   };
+
+  // Bound on elements buffered for lagging consumers before a far-ahead
+  // consumer is pushed back with retryable Unavailable.
+  static constexpr int64_t kMaxAhead = 1 << 14;
 
   DataServiceHandler(IteratorFactory factory, Options options);
   ~DataServiceHandler();

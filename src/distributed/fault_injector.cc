@@ -1,6 +1,8 @@
 #include "distributed/fault_injector.h"
 
+#include <chrono>
 #include <sstream>
+#include <thread>
 
 #include "core/metrics.h"
 #include "runtime/tracing.h"
@@ -212,6 +214,59 @@ std::vector<FaultInjector::InjectedEvent> FaultInjector::injected_events()
     const {
   std::lock_guard<std::mutex> lock(mu_);
   return events_;
+}
+
+void FaultInjectingWorker::RunSubgraphsAsync(
+    const std::string& handle, const Executor::Args& args,
+    std::function<void(Status)> done) {
+  if (!injector_sees_transfers_ && injector_->TransferDropPending()) {
+    done(Unimplemented(
+        "transfer drops are injected in process only; over sockets "
+        "tensors go from worker to worker"));
+    return;
+  }
+  Apply(injector_->OnDispatch(task_name()), "is down", std::move(done),
+        [base = base_, handle, args](std::function<void(Status)> done) {
+          base->RunSubgraphsAsync(handle, args, std::move(done));
+        });
+}
+
+void FaultInjectingWorker::PingAsync(std::function<void(Status)> done) {
+  Apply(injector_->OnProbe(task_name()), "refused probe", std::move(done),
+        [base = base_](std::function<void(Status)> done) {
+          base->PingAsync(std::move(done));
+        });
+}
+
+void FaultInjectingWorker::Apply(
+    const FaultInjector::Decision& decision, const char* refusal,
+    std::function<void(Status)> done,
+    std::function<void(std::function<void(Status)>)> call) {
+  switch (decision.action) {
+    case FaultInjector::Action::kKill:
+      // A dead process: the call is refused at once, like a connection
+      // error. The master treats Unavailable as retryable.
+      done(Unavailable("task " + task_name() + " " + refusal));
+      return;
+    case FaultInjector::Action::kHang:
+      // A hung process: no answer, ever. The callback is parked (so
+      // whatever step state it owns stays alive) until the task restarts;
+      // only the master's deadline or the prober's timeout gets past it.
+      injector_->ParkHung(task_name(), std::move(done));
+      return;
+    case FaultInjector::Action::kProceed:
+      break;
+  }
+  if (decision.delay_seconds <= 0.0) {
+    call(std::move(done));
+    return;
+  }
+  // A straggler: the whole call goes out late.
+  delay_pool_->Schedule([call = std::move(call), done = std::move(done),
+                         delay = decision.delay_seconds]() mutable {
+    std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+    call(std::move(done));
+  });
 }
 
 Status FaultInjectingRendezvous::Send(const std::string& key,

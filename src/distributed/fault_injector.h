@@ -1,17 +1,17 @@
-// Fault injection for the in-process distributed runtime (paper §4.3: "many
+// Fault injection for the distributed runtime (paper §4.3: "many
 // failures or pre-emptions ... a training run using 10,000 hours of
 // non-dedicated compute can expect to experience a failure"). The injector
 // is the single source of truth for scripted and random failures:
 //
 //   * kill a named task at its Nth step dispatch — the task responds
-//     Unavailable until InProcessCluster::RestartTask brings it back;
+//     Unavailable until Cluster::RestartTask brings it back;
 //   * hang a named task at its Nth dispatch — the task never responds, so
 //     only the master's step deadline can unblock the step;
 //   * delay every dispatch to a task (a straggler, §4.4);
 //   * drop the Nth cross-task tensor transfer — the receiving Recv blocks
 //     forever, again exercising the deadline path (in process only: over
-//     sockets transfers never pass through the master, so a step with a
-//     drop pending fails with Unimplemented);
+//     sockets transfers go worker to worker, so a step with a drop pending
+//     fails with Unimplemented);
 //   * kill tasks at random with a seeded per-dispatch probability.
 //
 // All decisions are deterministic: scripted faults fire on exact per-task
@@ -19,10 +19,11 @@
 // stream seeded at construction, so the same seed and the same sequence of
 // runtime events replays the same failure schedule (see DecisionLog).
 //
-// The runtime hooks are TaskWorker::RunSubgraphsAsync and
-// rpc::RemoteWorker::RunSubgraphsAsync (OnDispatch) and, in process,
-// FaultInjectingRendezvous::Send (OnTransfer); the master consults IsDown
-// for health checks and MarkRestarted fires on task restart.
+// The runtime hooks sit above both transports: FaultInjectingWorker, which
+// a Cluster hands out in front of each task, consults OnDispatch and
+// OnProbe; in process, FaultInjectingRendezvous::Send consults OnTransfer.
+// The master consults IsDown for health checks and MarkRestarted fires on
+// task restart.
 
 #ifndef TFREPRO_DISTRIBUTED_FAULT_INJECTOR_H_
 #define TFREPRO_DISTRIBUTED_FAULT_INJECTOR_H_
@@ -38,6 +39,8 @@
 
 #include "core/random.h"
 #include "core/status.h"
+#include "core/threadpool.h"
+#include "distributed/cluster.h"
 #include "runtime/rendezvous.h"
 
 namespace tfrepro {
@@ -86,10 +89,10 @@ class FaultInjector {
 
   // --- Runtime hooks ---
 
-  // Consulted by TaskWorker before running a step's subgraphs.
+  // Consulted by FaultInjectingWorker before each step dispatch.
   Decision OnDispatch(const std::string& task);
 
-  // Consulted by TaskWorker::PingAsync for each health probe. Dead tasks
+  // Consulted by FaultInjectingWorker for each health probe. Dead tasks
   // refuse the probe, scripted probe hangs park it, and per-task dispatch
   // delays apply to probes too (a straggling task answers probes late).
   // Probes are counted on their own stream (see probes()).
@@ -112,7 +115,7 @@ class FaultInjector {
   std::vector<std::string> DownTasks() const;
 
   // Marks a task healthy again and drops its parked hung callbacks; called
-  // by InProcessCluster::RestartTask.
+  // by Cluster::RestartTask.
   void MarkRestarted(const std::string& task);
 
   // --- Introspection (tests) ---
@@ -166,6 +169,56 @@ class FaultInjector {
   std::vector<std::string> log_;
   std::vector<InjectedEvent> events_;
   std::map<std::string, std::vector<std::function<void(Status)>>> parked_;
+};
+
+// One task's worker behind the injector's dispatch and probe decisions, the
+// same for both transports: a kill refuses the call with Unavailable, a
+// hang parks `done` (FaultInjector::ParkHung), and a delay defers the call
+// on the cluster's delay pool, never on the task's own threads. Real
+// failures need none of this: a dead process resets its connection.
+class FaultInjectingWorker : public WorkerInterface {
+ public:
+  // `base`, `injector` and `delay_pool` must outlive this worker. Without
+  // `injector_sees_transfers` a scripted transfer drop cannot fire, so a
+  // step dispatched while one is pending is refused with Unimplemented
+  // rather than run whole.
+  FaultInjectingWorker(WorkerInterface* base, FaultInjector* injector,
+                       ThreadPool* delay_pool, bool injector_sees_transfers)
+      : base_(base),
+        injector_(injector),
+        delay_pool_(delay_pool),
+        injector_sees_transfers_(injector_sees_transfers) {}
+
+  const std::string& job() const override { return base_->job(); }
+  int task_index() const override { return base_->task_index(); }
+
+  Status RegisterSubgraph(const std::string& handle, const std::string& segment,
+                          std::shared_ptr<const Graph> partition,
+                          const std::string& device_name) override {
+    return base_->RegisterSubgraph(handle, segment, std::move(partition),
+                                   device_name);
+  }
+
+  void RunSubgraphsAsync(const std::string& handle, const Executor::Args& args,
+                         std::function<void(Status)> done) override;
+  void PingAsync(std::function<void(Status)> done) override;
+
+  bool HasSubgraphs(const std::string& handle) const override {
+    return base_->HasSubgraphs(handle);
+  }
+  int64_t incarnation() const override { return base_->incarnation(); }
+
+ private:
+  // Carries out `decision` for one call: refuses `done` ("task ... " +
+  // `refusal`) or parks it, or hands it to `call` now or after the delay.
+  void Apply(const FaultInjector::Decision& decision, const char* refusal,
+             std::function<void(Status)> done,
+             std::function<void(std::function<void(Status)>)> call);
+
+  WorkerInterface* base_;
+  FaultInjector* injector_;
+  ThreadPool* delay_pool_;
+  const bool injector_sees_transfers_;
 };
 
 // Wraps a step's rendezvous, dropping cross-task transfers the injector

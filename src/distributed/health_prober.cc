@@ -1,6 +1,5 @@
 #include "distributed/health_prober.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <vector>
@@ -11,22 +10,22 @@
 namespace tfrepro {
 namespace distributed {
 
+namespace {
+
+// Each round's wait is perturbed uniformly within ±kJitterFraction·interval.
+constexpr double kJitterFraction = 0.1;
+
+}  // namespace
+
 HealthProber::HealthProber(Cluster* cluster, const Options& options,
                            std::string session,
                            std::function<void(WorkerInterface*)> on_dead)
     : cluster_(cluster),
       options_(options),
       session_(std::move(session)),
-      on_dead_(std::move(on_dead)) {
-  if (options_.timeout_seconds <= 0.0) {
-    options_.timeout_seconds = options_.interval_seconds;
-  }
+      on_dead_(std::move(on_dead)),
+      jitter_state_(reinterpret_cast<uintptr_t>(this) | 1) {
   if (options_.miss_threshold < 1) options_.miss_threshold = 1;
-  options_.interval_jitter_fraction =
-      std::min(1.0, std::max(0.0, options_.interval_jitter_fraction));
-  jitter_state_ = options_.jitter_seed != 0
-                      ? options_.jitter_seed
-                      : reinterpret_cast<uintptr_t>(this) | 1;
   thread_ = std::thread([this]() { Loop(); });
 }
 
@@ -51,20 +50,16 @@ int HealthProber::misses(const std::string& task) const {
 }
 
 double HealthProber::JitteredIntervalSeconds() {
-  if (options_.interval_jitter_fraction <= 0.0) {
-    return options_.interval_seconds;
-  }
-  // xorshift64* — cheap, seedable, no global RNG state touched. Only the
-  // prober thread reads jitter_state_.
+  // xorshift64* — cheap, no global RNG state touched. Only the prober
+  // thread reads jitter_state_.
   jitter_state_ ^= jitter_state_ >> 12;
   jitter_state_ ^= jitter_state_ << 25;
   jitter_state_ ^= jitter_state_ >> 27;
   const uint64_t r = jitter_state_ * 0x2545F4914F6CDD1DULL;
-  // Uniform in [-1, 1), scaled to the configured fraction of the interval.
+  // Uniform in [-1, 1), scaled to the jitter fraction of the interval.
   const double unit = static_cast<double>(r >> 11) / 4503599627370496.0 * 2.0 -
                       1.0;
-  return options_.interval_seconds *
-         (1.0 + unit * options_.interval_jitter_fraction);
+  return options_.interval_seconds * (1.0 + unit * kJitterFraction);
 }
 
 void HealthProber::Loop() {
@@ -113,7 +108,7 @@ void HealthProber::ProbeRound() {
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->cv.wait_for(lock,
-                       std::chrono::duration<double>(options_.timeout_seconds),
+                       std::chrono::duration<double>(options_.interval_seconds),
                        [&state]() { return state->outstanding == 0; });
     answered = state->answered;
   }

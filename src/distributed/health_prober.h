@@ -2,15 +2,16 @@
 // we detect them using a combination of health checks"). PR-1's runtime
 // only noticed a dead task when a step touched it; the prober closes that
 // gap: a background thread pings every task on a fixed interval through the
-// in-process transport (TaskWorker::PingAsync, so injected kill/hang/delay
+// cluster's workers (WorkerInterface::PingAsync, so injected kill/hang/delay
 // faults apply to probes too), counts consecutive misses per task, and
 // declares a task dead after `miss_threshold` misses — firing the owner's
 // `on_dead` callback *between* steps instead of waiting for a step to block
 // on the dead task's rendezvous.
 //
-// A probe has its own timeout: a hung task parks the probe callback forever
-// (FaultInjector::ParkHung), so the prober never waits on the callback
-// without a deadline — a wedged probe costs one timeout, not the thread.
+// A probe round has its own timeout, one interval: a hung task parks the
+// probe callback forever (FaultInjector::ParkHung), so the prober never
+// waits on the callback without a deadline — a wedged probe costs one
+// round, not the thread.
 //
 // Metrics (global registry, tagged {"session", "task"}): health.probe_sent,
 // health.probe_ok, health.probe_miss, health.probe_dead_marked. Declaring a
@@ -36,20 +37,14 @@ class HealthProber {
  public:
   struct Options {
     // Seconds between probe rounds (all tasks are probed concurrently per
-    // round, so one hung task cannot starve the others' probes).
+    // round, so one hung task cannot starve the others' probes). A round
+    // also waits this long for the answers; a probe still outstanding then
+    // counts as a miss. The wait between rounds is perturbed uniformly
+    // within ±10% so a fleet of masters restarted together does not probe
+    // its tasks in lockstep; each prober draws from its own stream.
     double interval_seconds = 0.025;
-    // Per-round wait for probe answers; a probe still outstanding when it
-    // expires counts as a miss. 0 = use interval_seconds.
-    double timeout_seconds = 0.0;
     // Consecutive misses (K) before a task is declared dead.
     int miss_threshold = 3;
-    // Each round's wait is perturbed uniformly within ±fraction·interval
-    // (clamped to [0, 1]) so a fleet of masters restarted together does not
-    // probe its tasks in lockstep. 0 disables jitter.
-    double interval_jitter_fraction = 0.1;
-    // Seed for the jitter stream; 0 derives one from this prober's address
-    // (distinct probers jitter differently, a seeded prober is repeatable).
-    uint64_t jitter_seed = 0;
   };
 
   // Starts probing immediately. `on_dead(task)` fires from the prober
@@ -77,7 +72,7 @@ class HealthProber {
   Options options_;
   std::string session_;
   std::function<void(WorkerInterface*)> on_dead_;
-  uint64_t jitter_state_ = 0;
+  uint64_t jitter_state_;  // xorshift64* state; never 0
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

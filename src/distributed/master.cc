@@ -14,6 +14,9 @@ namespace distributed {
 namespace {
 std::atomic<int64_t> next_master_id{1};
 
+// The cap on the doubling backoff between step retries.
+constexpr double kRetryBackoffMaxSeconds = 0.25;
+
 // "/job:x/task:0/device:CPU:0" -> ("x", 0).
 Result<std::pair<std::string, int>> TaskOfDevice(const std::string& device) {
   Result<DeviceName> parsed = DeviceName::Parse(device);
@@ -92,7 +95,6 @@ Result<std::unique_ptr<MasterSession>> MasterSession::Create(
   if (options.health_probe_interval_seconds > 0.0) {
     HealthProber::Options popts;
     popts.interval_seconds = options.health_probe_interval_seconds;
-    popts.timeout_seconds = options.health_probe_timeout_seconds;
     popts.miss_threshold = options.health_probe_miss_threshold;
     MasterSession* raw = session.get();
     session->prober_ = std::make_unique<HealthProber>(
@@ -643,7 +645,7 @@ Status MasterSession::Run(
                          {"error", s.message()}});
     if (backoff > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff = std::min(backoff * 2.0, options_.retry_backoff_max_seconds);
+      backoff = std::min(backoff * 2.0, kRetryBackoffMaxSeconds);
     }
     TF_RETURN_IF_ERROR(PrepareRetry(step.value()));
   }

@@ -92,9 +92,8 @@ class MasterSession {
     // (Aborted / Unavailable / DeadlineExceeded). 0 = fail fast.
     int max_step_retries = 0;
 
-    // Capped exponential backoff between retries.
+    // Exponential backoff between retries, doubling up to 0.25 s.
     double retry_backoff_initial_seconds = 0.001;
-    double retry_backoff_max_seconds = 0.25;
 
     // When true, a retry first restarts every participating task the fault
     // injector reports as down (wiping its state), re-registers its
@@ -103,14 +102,13 @@ class MasterSession {
     bool restart_failed_tasks = false;
 
     // Liveness monitoring (§4.3). interval > 0 starts a HealthProber that
-    // pings every task through the in-process transport and, after
+    // pings every task through the cluster's workers and, after
     // `health_probe_miss_threshold` consecutive misses, restarts the task,
     // re-registers its subgraphs, and runs the recovery handler — all
-    // between steps, so the next Run never trips over the failure.
+    // between steps, so the next Run never trips over the failure. A round
+    // waits one interval for the answers: a hung task parks the probe
+    // callback forever, so that wait is the only exit.
     double health_probe_interval_seconds = 0.0;
-    // Per-probe answer timeout; 0 = same as the interval. A hung task parks
-    // the probe callback forever, so this timeout is the only exit.
-    double health_probe_timeout_seconds = 0.0;
     int health_probe_miss_threshold = 3;
 
     // How unconstrained colocation groups are spread across the cluster's

@@ -88,9 +88,9 @@ void SocketStepRendezvous::StartAbort(const Status& status) {
 }
 
 ProcessCluster::ProcessCluster(const ClusterSpec& spec, const Options& options)
-    : Cluster(spec, options.fault_injector),
+    : Cluster(spec, options.fault_injector, /*injector_sees_transfers=*/false),
       options_(options),
-      timer_pool_("process-cluster", 2) {}
+      shadow_pool_("process-cluster", 2) {}
 
 Result<std::unique_ptr<ProcessCluster>> ProcessCluster::Create(
     const ClusterSpec& spec, const Options& options) {
@@ -110,12 +110,13 @@ Status ProcessCluster::Initialize() {
       task->job = job;
       task->task_index = i;
       for (int d = 0; d < options_.devices_per_task; ++d) {
-        task->shadow_devices.push_back(NewCpuDevice(job, i, d, &timer_pool_));
+        task->shadow_devices.push_back(NewCpuDevice(job, i, d, &shadow_pool_));
       }
       TF_RETURN_IF_ERROR(SpawnProcess(task.get()));
-      task->stub = std::make_unique<RemoteWorker>(
-          job, i, task->port, options_.rpc_deadline_seconds, fault_injector_,
-          &timer_pool_);
+      auto stub = std::make_unique<RemoteWorker>(
+          job, i, task->port, options_.rpc_deadline_seconds);
+      task->stub = stub.get();
+      AddWorker(std::move(stub));
       tasks_.push_back(std::move(task));
     }
   }
@@ -188,13 +189,14 @@ Status ProcessCluster::SpawnProcess(Task* task) {
   }
   ::close(ready[1]);
 
-  // Readiness handshake: the child writes its port and closes the pipe.
+  // Readiness handshake: the child writes its port and a newline, and
+  // keeps the pipe open as its lifeline.
   const std::string task_name =
       "/job:" + task->job + "/task:" + std::to_string(task->task_index);
   const int64_t deadline =
       metrics::NowMicros() + static_cast<int64_t>(kSpawnTimeoutSeconds * 1e6);
   std::string text;
-  for (;;) {
+  while (text.find('\n') == std::string::npos) {
     const int64_t left_ms = (deadline - metrics::NowMicros()) / 1000;
     pollfd pfd{ready[0], POLLIN, 0};
     const int polled =
@@ -212,14 +214,16 @@ Status ProcessCluster::SpawnProcess(Task* task) {
     char buf[32];
     const ssize_t n = ::read(ready[0], buf, sizeof(buf));
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // EOF: the child closed the pipe (or died)
+    if (n <= 0) break;  // EOF: the child died (or closed the pipe)
     text.append(buf, static_cast<size_t>(n));
   }
-  ::close(ready[0]);
-  const int port = std::atoi(text.c_str());
+  const int port = text.find('\n') == std::string::npos
+                       ? 0
+                       : std::atoi(text.c_str());
   if (port <= 0) {
     // EOF before a port: the child died during startup. The kill only
     // matters for a child that closed the pipe yet lives on.
+    ::close(ready[0]);
     ::kill(pid, SIGKILL);
     int wstatus = 0;
     ::waitpid(pid, &wstatus, 0);
@@ -230,6 +234,7 @@ Status ProcessCluster::SpawnProcess(Task* task) {
   std::lock_guard<std::mutex> lock(procs_mu_);
   task->pid = pid;
   task->port = port;
+  task->lifeline = ready[0];
   task->reaped = false;
   return Status::OK();
 }
@@ -241,20 +246,6 @@ Result<ProcessCluster::Task*> ProcessCluster::FindTask(const std::string& job,
   }
   return NotFound("no task /job:" + job + "/task:" +
                   std::to_string(task_index) + " in cluster");
-}
-
-Result<WorkerInterface*> ProcessCluster::worker(const std::string& job,
-                                                int task_index) const {
-  Result<Task*> task = FindTask(job, task_index);
-  TF_RETURN_IF_ERROR(task.status());
-  return static_cast<WorkerInterface*>(task.value()->stub.get());
-}
-
-std::vector<WorkerInterface*> ProcessCluster::workers() const {
-  std::vector<WorkerInterface*> out;
-  out.reserve(tasks_.size());
-  for (const auto& task : tasks_) out.push_back(task->stub.get());
-  return out;
 }
 
 std::vector<Device*> ProcessCluster::all_devices() const {
@@ -270,7 +261,7 @@ bool ProcessCluster::ProcessGoneLocked(Task* task) const {
   int wstatus = 0;
   pid_t r = ::waitpid(task->pid, &wstatus, WNOHANG);
   if (r == task->pid || (r < 0 && errno == ECHILD)) {
-    task->reaped = true;
+    task->MarkReaped();
     return true;
   }
   return false;
@@ -281,7 +272,7 @@ void ProcessCluster::ReapLocked(Task* task, bool force_kill) {
   if (force_kill) ::kill(task->pid, SIGKILL);
   int wstatus = 0;
   ::waitpid(task->pid, &wstatus, 0);
-  task->reaped = true;
+  task->MarkReaped();
 }
 
 bool ProcessCluster::TaskIsDown(WorkerInterface* worker) const {
@@ -347,7 +338,6 @@ std::shared_ptr<Rendezvous> ProcessCluster::NewStepRendezvous(
       routing.ports[task->stub->task_name()] = task->port;
     }
   }
-  routing.network = options_.network;
   return std::make_shared<SocketStepRendezvous>(this, step_id, routing);
 }
 

@@ -16,14 +16,17 @@
 // other directly.
 //
 // Process lifecycle: the parent hands the child the write end of a pipe
-// (--ready_fd); the child binds an ephemeral service port, writes it there
-// and closes the pipe. The parent polls the read end for up to 10 s; EOF
-// before a port means the child died during startup. Liveness is
-// waitpid(WNOHANG): TaskIsDown reaps and reports a SIGKILLed child, and
-// RestartTask respawns it, retargets the stub, bumps the incarnation and
-// lets the master's existing re-register + checkpoint-recovery path do the
-// rest. Destruction drains gracefully: Shutdown RPC, bounded wait, SIGKILL
-// stragglers.
+// (--ready_fd); the child binds an ephemeral service port and writes it
+// there with a newline. The parent polls the read end for up to 10 s; EOF
+// before a port means the child died during startup. The child keeps its
+// end open and the parent holds the read end until it reaps the child, so
+// the pipe is a lifeline: when this process dies, the kernel closes the
+// read end and the worker exits instead of living on as an orphan.
+// Liveness is waitpid(WNOHANG): TaskIsDown reaps and reports a SIGKILLed
+// child, and RestartTask respawns it, retargets the stub, bumps the
+// incarnation and lets the master's existing re-register +
+// checkpoint-recovery path do the rest. Destruction drains gracefully:
+// Shutdown RPC, bounded wait, SIGKILL stragglers.
 //
 // KillTaskProcess is the chaos hook: SIGKILL a live worker, no respawn, no
 // bookkeeping — exactly what a machine failure looks like to the master.
@@ -32,6 +35,7 @@
 #define TFREPRO_DISTRIBUTED_RPC_PROCESS_CLUSTER_H_
 
 #include <sys/types.h>
+#include <unistd.h>
 
 #include <memory>
 #include <mutex>
@@ -91,16 +95,13 @@ class ProcessCluster : public Cluster {
 
   ~ProcessCluster() override;
 
-  Result<WorkerInterface*> worker(const std::string& job,
-                                  int task_index) const override;
-  std::vector<WorkerInterface*> workers() const override;
   std::vector<Device*> all_devices() const override;
 
   Status RestartTask(const std::string& job, int task_index) override;
   bool TaskIsDown(WorkerInterface* worker) const override;
 
-  // A SocketStepRendezvous whose routing names the session's current floor,
-  // every task's port and the wire model.
+  // A SocketStepRendezvous whose routing names the session's current floor
+  // and every task's port.
   std::shared_ptr<Rendezvous> NewStepRendezvous(const std::string& session,
                                                 int64_t step_id) override;
 
@@ -121,17 +122,25 @@ class ProcessCluster : public Cluster {
   struct Task {
     std::string job;
     int task_index = 0;
-    std::unique_ptr<RemoteWorker> stub;
+    RemoteWorker* stub = nullptr;  // owned by the base
     pid_t pid = -1;
     int port = 0;
+    int lifeline = -1;    // the pipe's read end, held until the reap
     bool reaped = false;  // waitpid already collected the child
     std::vector<std::unique_ptr<Device>> shadow_devices;
+
+    void MarkReaped() {
+      reaped = true;
+      if (lifeline >= 0) ::close(lifeline);
+      lifeline = -1;
+    }
   };
 
   ProcessCluster(const ClusterSpec& spec, const Options& options);
 
   Status Initialize();
-  // fork/exec of worker_main; on success fills task->pid and task->port.
+  // fork/exec of worker_main; on success fills task->pid, task->port and
+  // task->lifeline.
   Status SpawnProcess(Task* task);
   // SIGKILLs (if needed) and reaps the task's process. Must hold procs_mu_.
   void ReapLocked(Task* task, bool force_kill);
@@ -142,11 +151,11 @@ class ProcessCluster : public Cluster {
 
   Options options_;
   std::string worker_binary_;
-  // Carries injected dispatch delays and owns the shadow devices' (unused)
-  // kernel pool.
-  ThreadPool timer_pool_;
+  // The shadow devices' pool: constant folding at compile time runs its
+  // kernels on the first of them.
+  ThreadPool shadow_pool_;
   std::vector<std::unique_ptr<Task>> tasks_;
-  // Guards pid/reaped/port state: TaskIsDown (any thread) races RestartTask
+  // Guards pid/reaped/port/lifeline state: TaskIsDown (any thread) races RestartTask
   // and the destructor on waitpid, which collects each child exactly once.
   mutable std::mutex procs_mu_;
   // (session, step id) of every step whose rendezvous is alive.

@@ -1,13 +1,10 @@
 #include "distributed/rpc/remote_worker.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/metrics.h"
-#include "distributed/fault_injector.h"
 #include "distributed/rpc/process_cluster.h"
 #include "graph/graph_io.h"
 #include "runtime/kernel.h"
@@ -31,13 +28,10 @@ Status ParseAppStatus(const std::string& body, size_t* offset) {
 }  // namespace
 
 RemoteWorker::RemoteWorker(const std::string& job, int task_index, int port,
-                           double rpc_deadline_seconds,
-                           FaultInjector* injector, ThreadPool* delay_pool)
+                           double rpc_deadline_seconds)
     : job_(job),
       task_index_(task_index),
       rpc_deadline_seconds_(rpc_deadline_seconds),
-      injector_(injector),
-      delay_pool_(delay_pool),
       channel_(/*peer=*/"/job:" + job + "/task:" + std::to_string(task_index),
                port) {}
 
@@ -60,46 +54,6 @@ Status RemoteWorker::RegisterSubgraph(const std::string& handle,
 void RemoteWorker::RunSubgraphsAsync(const std::string& handle,
                                      const Executor::Args& args,
                                      std::function<void(Status)> done) {
-  // Scripted faults are decided here, master-side, so one injector script
-  // drives both transports identically. (Real crashes need none of this:
-  // the dead process resets the connection and the channel fails the call.)
-  // Transfers go worker to worker, out of the injector's sight, so a
-  // scripted drop cannot fire: refuse the step rather than run it whole.
-  double delay_seconds = 0.0;
-  if (injector_ != nullptr) {
-    if (injector_->TransferDropPending()) {
-      done(Unimplemented(
-          "transfer drops are injected in process only; over sockets "
-          "tensors go from worker to worker"));
-      return;
-    }
-    FaultInjector::Decision decision = injector_->OnDispatch(task_name());
-    switch (decision.action) {
-      case FaultInjector::Action::kKill:
-        done(Unavailable("task " + task_name() + " is down"));
-        return;
-      case FaultInjector::Action::kHang:
-        injector_->ParkHung(task_name(), std::move(done));
-        return;
-      case FaultInjector::Action::kProceed:
-        delay_seconds = decision.delay_seconds;
-        break;
-    }
-  }
-  if (delay_seconds > 0.0) {
-    delay_pool_->Schedule([this, handle, args, done = std::move(done),
-                           delay_seconds]() mutable {
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay_seconds));
-      DispatchNow(handle, args, std::move(done));
-    });
-    return;
-  }
-  DispatchNow(handle, args, std::move(done));
-}
-
-void RemoteWorker::DispatchNow(const std::string& handle,
-                               const Executor::Args& args,
-                               std::function<void(Status)> done) {
   const auto* step = dynamic_cast<const SocketStepRendezvous*>(args.rendezvous);
   if (step == nullptr) {
     done(InvalidArgument("a RunGraph to " + task_name() +
@@ -205,32 +159,6 @@ void RemoteWorker::DispatchNow(const std::string& handle,
 }
 
 void RemoteWorker::PingAsync(std::function<void(Status)> done) {
-  if (injector_ != nullptr) {
-    FaultInjector::Decision decision = injector_->OnProbe(task_name());
-    switch (decision.action) {
-      case FaultInjector::Action::kKill:
-        done(Unavailable("task " + task_name() + " refused probe"));
-        return;
-      case FaultInjector::Action::kHang:
-        injector_->ParkHung(task_name(), std::move(done));
-        return;
-      case FaultInjector::Action::kProceed:
-        if (decision.delay_seconds > 0.0) {
-          delay_pool_->Schedule(
-              [this, done = std::move(done), delay = decision.delay_seconds]() {
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double>(delay));
-                PingNow(std::move(done));
-              });
-          return;
-        }
-        break;
-    }
-  }
-  PingNow(std::move(done));
-}
-
-void RemoteWorker::PingNow(std::function<void(Status)> done) {
   // The channel fails fast while the peer's reconnect backoff is pending,
   // so a dead process never wedges the prober's probe round.
   channel_.Call(Method::kPing, std::string(), nullptr, 0,

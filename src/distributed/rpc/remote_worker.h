@@ -2,12 +2,11 @@
 // WorkerInterface over an RpcChannel, so the master's compile/dispatch/
 // probe/recovery machinery is byte-for-byte the same code as in-process.
 //
-// Fault-injection decisions are applied client-side, before the RPC is
-// written: a scripted kill refuses the dispatch with Unavailable, a
-// scripted hang parks the callback, a delay defers the send, and a pending
-// transfer drop refuses the step with Unimplemented (transfers never pass
-// through the master). Real process death needs no injector at all — the
-// connection resets and the channel fails the call with a retryable error.
+// The stub only moves bytes. Injected faults are decided above it, by the
+// FaultInjectingWorker a ProcessCluster hands out in front of it when an
+// injector is set (fault_injector.h); real process death needs no injector
+// at all — the connection resets and the channel fails the call with a
+// retryable error.
 //
 // A dispatch's Executor::Args::rendezvous must be the step's
 // SocketStepRendezvous (process_cluster.h): RunGraph appends its routing.
@@ -21,7 +20,6 @@
 #include <string>
 
 #include "core/status.h"
-#include "core/threadpool.h"
 #include "distributed/cluster.h"
 #include "distributed/rpc/rpc_channel.h"
 
@@ -31,12 +29,8 @@ namespace rpc {
 
 class RemoteWorker : public WorkerInterface {
  public:
-  // `injector` (optional) applies scripted faults client-side; `delay_pool`
-  // (required when injector delays are used) carries deferred dispatches.
-  // Both must outlive this stub.
   RemoteWorker(const std::string& job, int task_index, int port,
-               double rpc_deadline_seconds, FaultInjector* injector,
-               ThreadPool* delay_pool);
+               double rpc_deadline_seconds);
 
   const std::string& job() const override { return job_; }
   int task_index() const override { return task_index_; }
@@ -62,16 +56,9 @@ class RemoteWorker : public WorkerInterface {
   RpcChannel* channel() { return &channel_; }
 
  private:
-  // The RPCs themselves, after fault-injection decisions are resolved.
-  void DispatchNow(const std::string& handle, const Executor::Args& args,
-                   std::function<void(Status)> done);
-  void PingNow(std::function<void(Status)> done);
-
   const std::string job_;
   const int task_index_;
   const double rpc_deadline_seconds_;
-  FaultInjector* injector_;
-  ThreadPool* delay_pool_;
   mutable RpcChannel channel_;
   std::atomic<int64_t> incarnation_{1};
 };

@@ -16,6 +16,9 @@ namespace rpc {
 
 namespace {
 
+// Write-failure retries per call, each on a fresh connection.
+constexpr int kMaxSendRetries = 1;
+
 metrics::Counter* ReconnectsCounter() {
   static metrics::Counter* c =
       metrics::Registry::Global()->GetCounter("rpc.reconnects");
@@ -173,7 +176,7 @@ void RpcChannel::Call(Method method, std::string body, const char* payload,
     // retrying on a fresh connection cannot double-execute the request.
     pending_.erase(id);
     CloseConnLocked();
-    if (ws.IsRetryable() && attempt < options_.max_send_retries) {
+    if (ws.IsRetryable() && attempt < kMaxSendRetries) {
       SendRetriesCounter()->Increment();
       next_attempt_micros_ = 0;  // stale-connection retry dials immediately
       continue;

@@ -52,8 +52,6 @@ class RpcChannel {
     // Each backoff wait is scaled by a uniform factor in
     // [1 - fraction, 1 + fraction].
     double backoff_jitter_fraction = 0.25;
-    // Write-failure retries per call (on a fresh connection).
-    int max_send_retries = 1;
   };
 
   // `peer` names the remote end in error messages ("/job:ps/task:0"). The

@@ -91,8 +91,10 @@ MethodHistograms::MethodHistograms(const std::string& name) {
                                        2560,    10240,   40960,  163840,
                                        655360,  2621440, 10485760};
   for (uint8_t m = 1; m <= kMaxMethod; ++m) {
+    const std::string method = MethodName(static_cast<Method>(m));
+    if (method == "?") continue;  // a retired number
     hists_[m] = metrics::Registry::Global()->GetHistogram(
-        name, buckets, {{"method", MethodName(static_cast<Method>(m))}});
+        name, buckets, {{"method", method}});
   }
 }
 

@@ -65,8 +65,8 @@ const char* MethodName(Method m);
 class MethodHistograms {
  public:
   explicit MethodHistograms(const std::string& name);
-  // nullptr for a byte past kMaxMethod (a stray or corrupt frame); a
-  // retired number files under "?".
+  // nullptr for a number no method has: a retired one, or a byte past
+  // kMaxMethod (a stray or corrupt frame).
   metrics::Histogram* get(uint8_t method) const;
 
  private:

@@ -1,11 +1,7 @@
 #include "distributed/rpc/worker_service.h"
 
 #include <algorithm>
-#include <bit>
-#include <chrono>
-#include <cmath>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "core/metrics.h"
@@ -23,8 +19,6 @@ void StepRouting::AppendToBytes(std::string* out) const {
     AppendString(out, task);
     AppendInt64(out, port);
   }
-  AppendInt64(out, std::bit_cast<int64_t>(network.latency_seconds));
-  AppendInt64(out, std::bit_cast<int64_t>(network.bytes_per_second));
 }
 
 bool StepRouting::ParseFromBytes(const std::string& in, size_t* offset) {
@@ -45,16 +39,7 @@ bool StepRouting::ParseFromBytes(const std::string& in, size_t* offset) {
     }
     ports[task] = port;
   }
-  int64_t latency = 0, bandwidth = 0;
-  if (!ReadInt64(in, offset, &latency) || !ReadInt64(in, offset, &bandwidth)) {
-    return false;
-  }
-  network.latency_seconds = std::bit_cast<double>(latency);
-  network.bytes_per_second = std::bit_cast<double>(bandwidth);
-  // Sleeps are sized from these: only finite, non-negative times pass.
-  return std::isfinite(network.latency_seconds) &&
-         std::isfinite(network.bytes_per_second) &&
-         network.latency_seconds >= 0.0 && network.bytes_per_second >= 0.0;
+  return true;
 }
 
 WorkerRendezvous::WorkerRendezvous(WorkerService* service, std::string session,
@@ -84,25 +69,6 @@ Status WorkerRendezvous::Send(const std::string& key, const Tensor& value,
   AppendInt64(&body, step_id_);
   AppendString(&body, key);
   AppendInt64(&body, is_dead ? 1 : 0);
-  const double delay =
-      network_.on() ? network_.TransferSeconds(value.TotalBytes()) : 0.0;
-  if (delay <= 0.0) {
-    Push(peer, std::move(body), value);
-    return Status::OK();
-  }
-  // Pace the push by the modeled wire time. Its ack is already counted, so
-  // the step's answer waits for it from Send time.
-  service_->NetTimer()->Schedule(
-      [self = shared_from_this(), peer, body = std::move(body), value,
-       delay]() mutable {
-        std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-        self->Push(peer, std::move(body), value);
-      });
-  return Status::OK();
-}
-
-void WorkerRendezvous::Push(RpcChannel* peer, std::string body,
-                            const Tensor& value) {
   const char* payload = nullptr;
   size_t payload_len = 0;
   AppendTensorMeta(value, &body, &payload, &payload_len);
@@ -119,6 +85,7 @@ void WorkerRendezvous::Push(RpcChannel* peer, std::string body,
                }
                self->OnAck(status);
              });
+  return Status::OK();
 }
 
 void WorkerRendezvous::OnAck(const Status& status) {
@@ -192,7 +159,7 @@ WorkerService::WorkerService(const Options& options)
     : options_(options),
       recv_done_pool_("recv-done", std::max(2, options.num_threads)),
       worker_(options.job, options.task_index, options.num_threads,
-              options.num_devices, /*injector=*/nullptr) {}
+              options.num_devices) {}
 
 WorkerService::~WorkerService() {
   server_.Shutdown();
@@ -347,13 +314,6 @@ RpcChannel* WorkerService::PeerChannel(const std::string& task) {
   return it == peers_.end() ? nullptr : it->second.channel.get();
 }
 
-ThreadPool* WorkerService::NetTimer() {
-  std::call_once(net_timer_once_, [this]() {
-    net_timer_ = std::make_unique<ThreadPool>("net_timer", 2);
-  });
-  return net_timer_.get();
-}
-
 void WorkerService::HandleRegisterSubgraph(
     const std::string& body, std::shared_ptr<RpcServer::Responder> responder) {
   size_t offset = 0;
@@ -452,7 +412,6 @@ void WorkerService::HandleRunGraph(
   }
   ctx->frame = std::make_unique<CallFrame>(std::move(feeds),
                                            num_fetch_slots.value());
-  ctx->rendezvous->set_network(routing.network);
   ctx->args.step_id = step_id;
   ctx->args.rendezvous = ctx->rendezvous.get();
   ctx->args.call_frame = ctx->frame.get();

@@ -58,7 +58,6 @@ struct StepRouting {
   std::string session;     // with the step id, names the step's contexts
   int64_t step_floor = 0;  // the session's lowest live step id
   std::map<std::string, int64_t> ports;  // "/job:ps/task:0" -> its port
-  NetworkModel network;                  // paces each push
 
   void AppendToBytes(std::string* out) const;
   bool ParseFromBytes(const std::string& in, size_t* offset);
@@ -72,12 +71,12 @@ class WorkerService;
 // (Deliver).
 //
 // A cross-task Send is asynchronous and acknowledged: it writes the
-// SendTensor frame to the receiving task — after the wire model's transfer
-// time when the model is on — and returns; the receiver's answer is the
-// ack. The first failed ack aborts the step's local waiters and cancels
-// its kernels at once, and later Sends fail with it. WhenSendsAcked holds
-// the step's RunGraph answer until every ack is in, so the master never
-// ends a step with tensors in flight and a failed send fails the step.
+// SendTensor frame to the receiving task and returns; the receiver's
+// answer is the ack. The first failed ack aborts the step's local waiters
+// and cancels its kernels at once, and later Sends fail with it.
+// WhenSendsAcked holds the step's RunGraph answer until every ack is in, so
+// the master never ends a step with tensors in flight and a failed send
+// fails the step.
 //
 // Acks arrive on a peer channel's reader thread, which must never block on
 // a write: the abort a failed ack sets off resumes kernels whose
@@ -91,9 +90,6 @@ class WorkerRendezvous : public Rendezvous,
   // in-flight acks hold a reference.
   WorkerRendezvous(WorkerService* service, std::string session,
                    int64_t step_id, CancellationManager* cancellation);
-
-  // Set by the adopting RunGraph before the step's executors start.
-  void set_network(const NetworkModel& network) { network_ = network; }
 
   Status Send(const std::string& key, const Tensor& value,
               bool is_dead) override;
@@ -111,9 +107,7 @@ class WorkerRendezvous : public Rendezvous,
                       std::function<void(Status)> done);
 
  private:
-  // Writes one SendTensor frame; its answer comes back through OnAck.
-  void Push(RpcChannel* peer, std::string body, const Tensor& value);
-  // Runs on a peer channel's reader thread (or inline in Push when the
+  // Runs on a peer channel's reader thread (or inline in Send when the
   // write fails at once).
   void OnAck(const Status& status);
   // Counts one arrived ack; the last one releases the RunGraph answer.
@@ -123,7 +117,6 @@ class WorkerRendezvous : public Rendezvous,
   const std::string session_;
   const int64_t step_id_;
   CancellationManager* cancellation_;
-  NetworkModel network_;
   LocalRendezvous local_;
 
   std::mutex ack_mu_;
@@ -208,8 +201,6 @@ class WorkerService {
   void RetargetPeers(const std::map<std::string, int64_t>& ports);
   // The channel to `task`; nullptr if no RunGraph named its port.
   RpcChannel* PeerChannel(const std::string& task);
-  // Sleeps out modeled transfer times; started on first use.
-  ThreadPool* NetTimer();
 
   Options options_;
   // Runs pushed-value deliveries (and through them, downstream executor
@@ -218,8 +209,6 @@ class WorkerService {
   // destroyed after them: by then the destructor's drain guarantees it is
   // idle.
   ThreadPool recv_done_pool_;
-  std::once_flag net_timer_once_;
-  std::unique_ptr<ThreadPool> net_timer_;
   TaskWorker worker_;
 
   std::mutex peers_mu_;

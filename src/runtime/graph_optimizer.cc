@@ -501,9 +501,7 @@ bool OptimizerDisabledByEnv() {
 Status OptimizeGraph(Graph* graph, Device* device,
                      const OptimizerOptions& options) {
   if (!options.enable || OptimizerDisabledByEnv()) return Status::OK();
-  if (options.do_identity_elision) {
-    ElideIdentityNodes(graph, options.preserve);
-  }
+  ElideIdentityNodes(graph, options.preserve);
   // CSE -> fusion -> folding to a fixed point: folding a fused chain's
   // const inputs (or CSE-merging folded consts) exposes new fusion and
   // merge candidates for the next round.
@@ -513,13 +511,11 @@ Status OptimizeGraph(Graph* graph, Device* device,
     if (options.do_cse) {
       changed += EliminateCommonSubexpressions(graph, options.preserve);
     }
-    if (options.do_fusion) {
-      Result<int> fused = FuseElementwiseChains(
-          graph, options.preserve,
-          /*skip_const_computable=*/options.do_constant_folding);
-      TF_RETURN_IF_ERROR(fused.status());
-      changed += fused.value();
-    }
+    Result<int> fused = FuseElementwiseChains(
+        graph, options.preserve,
+        /*skip_const_computable=*/options.do_constant_folding);
+    TF_RETURN_IF_ERROR(fused.status());
+    changed += fused.value();
     if (options.do_constant_folding) {
       Result<int> folded = FoldConstants(graph, device, options.preserve);
       TF_RETURN_IF_ERROR(folded.status());
@@ -527,9 +523,7 @@ Status OptimizeGraph(Graph* graph, Device* device,
     }
     if (changed == 0) break;
   }
-  if (options.do_dead_elimination) {
-    RemoveDeadNodes(graph, options.preserve);
-  }
+  RemoveDeadNodes(graph, options.preserve);
   return Status::OK();
 }
 

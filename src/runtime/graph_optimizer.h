@@ -27,21 +27,18 @@ struct OptimizerOptions {
   // Master switch for the whole tier; the environment variable
   // TFREPRO_OPTIMIZER=off (or 0/false) disables it regardless, as the
   // escape hatch when debugging a suspected mis-optimization.
+  //
+  // With the tier on, Identity/StopGradient pass-through nodes are always
+  // elided first, chains of unary/binary element-wise ops are always fused
+  // into single _FusedElementwise dispatches (kernels/fused_ops.cc), and
+  // stateless nodes whose output reaches no fetch, target, stateful op or
+  // preserved node are always removed last.
   bool enable = true;
   bool do_cse = true;
   bool do_constant_folding = true;
-  // Collapse chains of unary/binary element-wise ops into single
-  // _FusedElementwise dispatches (see kernels/fused_ops.cc).
-  bool do_fusion = true;
   // Bound on CSE -> fusion -> folding rounds (each round may expose new
   // candidates for the next; see the two-round regression test).
   int max_folding_passes = 3;
-  // Removes Identity/StopGradient pass-through nodes. On by default: the
-  // fetched values are identical and the executor skips a dispatch per hop.
-  bool do_identity_elision = true;
-  // Removes stateless nodes whose output reaches no fetch, target,
-  // stateful op or preserved node (orphans left behind by CSE/folding).
-  bool do_dead_elimination = true;
   // Node names that must survive optimization under their own name. Session
   // compilation protects fetch roots structurally (_Fetch nodes are never
   // optimizable) and adds Run targets here; FreezeGraph optimizes a graph

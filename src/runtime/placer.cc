@@ -76,15 +76,16 @@ Status PlaceGraph(Graph* graph, const std::vector<Device*>& devices,
   }
 
   // 2b. Group weights, used only when balancing. kArity weighs a node at
-  // 1; kObservedCost asks the profile callback and falls back to
-  // default_cost_micros for unobserved nodes.
+  // 1; kObservedCost asks the profile callback and falls back to 1 µs for
+  // unobserved nodes.
   std::map<int, double> group_cost;
   if (options.balance != PlacerOptions::Balance::kNone) {
     for (Node* node : graph->nodes()) {
       double cost = 1.0;
-      if (options.balance == PlacerOptions::Balance::kObservedCost) {
-        cost = options.node_cost ? options.node_cost(*node) : -1.0;
-        if (cost <= 0.0) cost = options.default_cost_micros;
+      if (options.balance == PlacerOptions::Balance::kObservedCost &&
+          options.node_cost) {
+        const double observed = options.node_cost(*node);
+        if (observed > 0.0) cost = observed;
       }
       group_cost[groups.Find(node->id())] += cost;
     }

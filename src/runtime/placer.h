@@ -40,13 +40,9 @@ struct PlacerOptions {
   Balance balance = Balance::kNone;
 
   // Per-node cost in microseconds; consulted only for kObservedCost.
-  // Typically ProfileStore::CostFunction(). Nodes for which the callback
-  // returns a value <= 0 fall back to default_cost_micros.
+  // Typically ProfileStore::CostFunction(). Nodes the profile has never
+  // observed (a missing callback, or a result <= 0) weigh 1 µs.
   std::function<double(const Node&)> node_cost;
-
-  // Weight for nodes the profile has never observed (kObservedCost with a
-  // missing/negative callback result).
-  double default_cost_micros = 1.0;
 };
 
 // Assigns every node of `graph` a device from `devices` (full names written

@@ -1,17 +1,15 @@
 // Tests for the distributed runtime (transport-agnostic: run under
 // TFREPRO_TRANSPORT=socket they exercise real worker processes): placement onto PS/worker
-// tasks, cross-task Send/Recv, parameter-server-style training, async and
-// network-model behaviour.
+// tasks, cross-task Send/Recv, parameter-server-style training, async
+// training and injected stragglers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 #include "core/metrics.h"
@@ -215,38 +213,56 @@ TEST(MasterSessionTest, AsynchronousDataParallelWorkers) {
   EXPECT_FLOAT_EQ(*out[0].data<float>(), 2 * kSteps);
 }
 
-TEST(MasterSessionTest, NetworkModelDelaysCrossTaskTransfers) {
+TEST(MasterSessionTest, InjectedDelayWaitsOffTheTasksComputeThreads) {
+  // An injected delay sleeps on the cluster's delay pool, never on the
+  // task's own threads: two concurrent Runs on a one-thread task each wait
+  // one delay, on either transport.
+  constexpr double kDelay = 0.4;
+  FaultInjector injector;
   Cluster::Options cluster_options;
-  cluster_options.network.latency_seconds = 0.05;
-  auto cluster = Cluster::Create(PsWorkerSpec(1, 1), cluster_options);
-  ASSERT_TRUE(cluster.ok());
+  cluster_options.threads_per_task = 1;
+  cluster_options.fault_injector = &injector;
+  ClusterSpec spec;
+  spec.jobs["worker"] = 1;
+  auto cluster = Cluster::Create(spec, cluster_options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
 
   Graph g;
   GraphBuilder b(&g);
-  Output x;
-  {
-    GraphBuilder::DeviceScope scope(&b, "/job:ps/task:0");
-    // A fed placeholder cannot be constant-folded away, so the cross-task
-    // transfer happens at run time.
-    x = ops::Placeholder(&b, DataType::kFloat, TensorShape(), "x");
-  }
   Output y;
   {
     GraphBuilder::DeviceScope scope(&b, "/job:worker/task:0");
-    y = ops::Square(&b, x);
+    y = ops::Square(
+        &b, ops::Placeholder(&b, DataType::kFloat, TensorShape(), "x"));
   }
-  ASSERT_TRUE(b.ok());
-
+  ASSERT_TRUE(b.ok()) << b.status();
   auto session = MasterSession::Create(g, cluster.value().get());
-  std::vector<Tensor> out;
-  auto start = std::chrono::steady_clock::now();
-  TF_CHECK_OK(session.value()->Run({{"x", Tensor::Scalar(2.0f)}}, {y.name()},
-                                   {}, &out));
-  auto elapsed = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  EXPECT_FLOAT_EQ(*out[0].data<float>(), 4.0f);
-  EXPECT_GE(elapsed, 0.05);  // the cross-task hop paid the wire latency
+  ASSERT_TRUE(session.ok()) << session.status();
+  MasterSession* sess = session.value().get();
+  auto run = [&]() {
+    std::vector<Tensor> out;
+    TF_CHECK_OK(sess->Run({{"x", Tensor::Scalar(3.0f)}}, {y.name()}, {}, &out));
+    EXPECT_FLOAT_EQ(*out[0].data<float>(), 9.0f);
+  };
+  run();  // compiles and registers before anything is timed
+
+  injector.DelayTask("/job:worker/task:0", kDelay);
+  double elapsed[2] = {0.0, 0.0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i]() {
+      const auto start = std::chrono::steady_clock::now();
+      run();
+      elapsed[i] = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (double seconds : elapsed) {
+    EXPECT_GE(seconds, kDelay);
+    EXPECT_LT(seconds, 1.5 * kDelay);
+  }
 }
 
 TEST(MasterSessionTest, MissingDeviceConstraintFails) {
@@ -618,102 +634,6 @@ TEST(MasterSessionTest, ShardedEmbeddingAcrossPsTasksTrains) {
   std::vector<Tensor> out;
   TF_CHECK_OK(session.value()->Run({loss.name()}, &out));
   EXPECT_LT(*out[0].data<float>(), 1e-3f);
-}
-
-TEST(ThrottledRendezvousTest, BandwidthModelDelaysBySize) {
-  ThreadPool pool("timer", 2);
-  distributed::NetworkModel model;
-  model.latency_seconds = 0.0;
-  model.bytes_per_second = 1e6;  // 1 MB/s
-  distributed::ThrottledRendezvous rendezvous(model, &pool);
-
-  // Cross-task key: 100 KB should take ~0.1 s.
-  Tensor big(DataType::kFloat, TensorShape({25000}));  // 100 KB
-  std::string key = RendezvousKey("/job:a/task:0/device:CPU:0",
-                                  "/job:b/task:0/device:CPU:0", "t", 0);
-  auto start = std::chrono::steady_clock::now();
-  TF_CHECK_OK(rendezvous.Send(key, big, false));
-  Tensor received;
-  bool is_dead;
-  TF_CHECK_OK(rendezvous.Recv(key, &received, &is_dead));
-  double elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  EXPECT_GE(elapsed, 0.09);
-
-  // Same-task transfers are not throttled.
-  std::string local_key = RendezvousKey("/job:a/task:0/device:CPU:0",
-                                        "/job:a/task:0/device:CPU:1", "t", 0);
-  start = std::chrono::steady_clock::now();
-  TF_CHECK_OK(rendezvous.Send(local_key, big, false));
-  TF_CHECK_OK(rendezvous.Recv(local_key, &received, &is_dead));
-  elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
-  EXPECT_LT(elapsed, 0.05);
-}
-
-TEST(ThrottledRendezvousTest, AbortUnblocksDelayedTransfer) {
-  // The delayed delivery is in flight when the abort lands: the waiting
-  // Recv must fail with the abort status well before the modeled latency.
-  ThreadPool pool("timer", 2);
-  distributed::NetworkModel model;
-  model.latency_seconds = 1.0;  // far beyond the abort's arrival
-  distributed::ThrottledRendezvous rendezvous(model, &pool);
-
-  std::string key = RendezvousKey("/job:a/task:0/device:CPU:0",
-                                  "/job:b/task:0/device:CPU:0", "t", 0);
-  TF_CHECK_OK(rendezvous.Send(key, Tensor::Scalar(1.0f), false));
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Status recv_status;
-  rendezvous.RecvAsync(key, [&](const Status& s, const Tensor&, bool) {
-    std::lock_guard<std::mutex> lock(mu);
-    recv_status = s;
-    done = true;
-    cv.notify_all();
-  });
-
-  auto start = std::chrono::steady_clock::now();
-  rendezvous.StartAbort(Aborted("step failed elsewhere"));
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(3),
-                            [&] { return done; }));
-  }
-  double elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  EXPECT_LT(elapsed, 0.9);  // did not wait out the modeled latency
-  EXPECT_TRUE(recv_status.IsAborted()) << recv_status;
-}
-
-TEST(ThrottledRendezvousTest, AbortBeforeRecvFailsFast) {
-  ThreadPool pool("timer", 1);
-  distributed::ThrottledRendezvous rendezvous(distributed::NetworkModel{},
-                                              &pool);
-  rendezvous.StartAbort(Unavailable("task down"));
-  Tensor value;
-  bool is_dead = false;
-  Status s = rendezvous.Recv("some;key;t;0", &value, &is_dead);
-  EXPECT_TRUE(s.IsUnavailable()) << s;
-  // Sends after the abort are rejected too.
-  EXPECT_FALSE(rendezvous.Send("some;key;u;0", Tensor::Scalar(1.0f), false)
-                   .ok());
-}
-
-TEST(ThrottledRendezvousTest, DoubleAbortKeepsFirstStatus) {
-  ThreadPool pool("timer", 1);
-  distributed::ThrottledRendezvous rendezvous(distributed::NetworkModel{},
-                                              &pool);
-  rendezvous.StartAbort(Aborted("first"));
-  rendezvous.StartAbort(Unavailable("second"));
-  Tensor value;
-  bool is_dead = false;
-  Status s = rendezvous.Recv("k;k;t;0", &value, &is_dead);
-  EXPECT_TRUE(s.IsAborted()) << s;
 }
 
 TEST(LocalRendezvousAbortTest, DoubleAbortKeepsFirstStatus) {

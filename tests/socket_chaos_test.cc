@@ -16,9 +16,15 @@
 //   * an idle-time kill is caught by the health prober, which restarts the
 //     process proactively (master.prober_restarts advances);
 //   * the master process leaks no rendezvous state once torn down;
-//   * a worker binary that dies during startup fails the spawn at once.
+//   * a worker binary that dies during startup fails the spawn at once;
+//   * a worker whose master goes away exits on its own.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
@@ -349,6 +355,63 @@ TEST(SocketChaosTest, WorkerDyingAtStartupFailsTheSpawnAtOnce) {
             std::string::npos)
       << cluster.status();
   EXPECT_LT(elapsed, 2.0);
+}
+
+TEST(SocketChaosTest, WorkerExitsWhenItsMasterGoesAway) {
+  // The pipe a worker reports its port on is its lifeline: the master holds
+  // the read end until it reaps the worker, so the read end closes when the
+  // master dies. Here the test plays the master and closes it.
+  const char* binary = std::getenv("TFREPRO_WORKER_BINARY");
+  ASSERT_NE(binary, nullptr) << "TFREPRO_WORKER_BINARY names worker_main";
+  int ready[2];
+  ASSERT_EQ(::pipe2(ready, O_CLOEXEC), 0);
+  // Built before the fork: the child only execs.
+  std::string job = "--job=worker", task = "--task=0",
+              ready_fd = "--ready_fd=" + std::to_string(ready[1]);
+  std::vector<char*> argv = {const_cast<char*>(binary), job.data(),
+                             task.data(), ready_fd.data(), nullptr};
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::fcntl(ready[1], F_SETFD, 0);
+    ::execv(binary, argv.data());
+    ::_exit(127);
+  }
+  ::close(ready[1]);
+  // Whatever fails below, teardown leaves nothing running.
+  struct Child {
+    pid_t pid;
+    int lifeline;
+    bool reaped = false;
+    ~Child() {
+      if (lifeline >= 0) ::close(lifeline);
+      if (!reaped) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+    }
+  } child{pid, ready[0]};
+
+  std::string text;
+  while (text.find('\n') == std::string::npos) {
+    pollfd pfd{child.lifeline, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, /*timeout_ms=*/10000), 1) << "no port in 10 s";
+    char buf[32];
+    const ssize_t n = ::read(child.lifeline, buf, sizeof(buf));
+    ASSERT_GT(n, 0) << "the worker exited before reporting its port";
+    text.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_GT(std::atoi(text.c_str()), 0) << text;
+
+  ::close(child.lifeline);
+  child.lifeline = -1;
+  EXPECT_TRUE(WaitFor(
+      [&child]() {
+        child.reaped = ::waitpid(child.pid, nullptr, WNOHANG) == child.pid;
+        return child.reaped;
+      },
+      2.0))
+      << "the worker still runs 2 s after its master went away";
 }
 
 }  // namespace
