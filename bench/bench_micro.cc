@@ -66,6 +66,59 @@ BENCHMARK(BM_MatMulForm)
     ->Args({64, 256, 256, 0, 1})
     ->UseRealTime();
 
+// One element-wise kernel at the [64,256] layer shape of perfbench's
+// train_mlp_local, on seeded random-sign inputs, in its own session: each
+// row is the kernel plus one step's dispatch (DESIGN.md §15).
+void BM_Elementwise(benchmark::State& state) {
+  static const char* const kOps[] = {"Relu", "ReluGrad",
+                                     "ApplyGradientDescent", "BiasAddGrad"};
+  const std::string op = kOps[state.range(0)];
+  const TensorShape shape({64, 256});
+  auto random_sign = [&](uint64_t seed) {
+    Tensor t(DataType::kFloat, shape);
+    PhiloxRandom rng(seed);
+    const int64_t n = t.num_elements();
+    for (int64_t i = 0; i < n; ++i) t.flat<float>(i) = rng.Uniform() * 2 - 1;
+    return t;
+  };
+  Graph g;
+  GraphBuilder b(&g);
+  Output x = ops::Const(&b, random_sign(1));
+  Output y = ops::Const(&b, random_sign(2));
+  std::vector<std::string> inits, fetches, targets;
+  if (op == "ApplyGradientDescent") {
+    Output w = ops::Variable(&b, DataType::kFloat, shape, "w");
+    inits.push_back(ops::Assign(&b, w, x).node->name());
+    targets.push_back(b.Op(op)
+                          .Input(w)
+                          .Input(ops::Const(&b, 1e-6f))
+                          .Input(y)
+                          .Attr("T", DataType::kFloat)
+                          .Finalize()
+                          .node->name());
+  } else {
+    NodeBuilder nb = b.Op(op);
+    nb.Input(x);
+    if (op == "ReluGrad") nb.Input(y);
+    fetches.push_back(nb.Attr("T", DataType::kFloat).Finalize().name());
+  }
+  TF_CHECK_OK(b.status());
+  SessionOptions options;
+  options.optimizer.do_constant_folding = false;  // keep the kernel live
+  auto session = DirectSession::Create(g, options);
+  TF_CHECK_OK(session.status());
+  if (!inits.empty()) {
+    TF_CHECK_OK(session.value()->Run({}, {}, inits, nullptr));
+  }
+  std::vector<Tensor> out;
+  for (auto _ : state) {
+    TF_CHECK_OK(session.value()->Run({}, fetches, targets, &out));
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetLabel(op);
+}
+BENCHMARK(BM_Elementwise)->DenseRange(0, 3)->UseRealTime();
+
 void BM_RendezvousSendRecv(benchmark::State& state) {
   LocalRendezvous rendezvous;
   Tensor value = Tensor::Scalar(1.0f);

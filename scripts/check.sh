@@ -199,15 +199,19 @@ PYEOF
 
 # Optimizer smoke (DESIGN.md §13): the differential harness in brief.
 # Five fuzz seeds compare optimized vs unoptimized executions bit-for-bit,
+# and the lane differential (kernels_test LaneTest.*, DESIGN.md §15)
+# compares every element-wise kernel on vector lanes with its scalar loop;
 # then the MLP training example runs twice — optimizer tier off vs on —
 # and the two loss trajectories (hex floats, one per step) must be
 # byte-identical. Any numeric divergence introduced by a rewrite pass
 # fails the diff.
 run_optimizer_smoke() {
-  echo "== optimizer smoke: fuzz seeds 0-4 + mlp_training loss diff (tier off vs on) =="
-  cmake --build build -j "$JOBS" --target optimizer_fuzz_test mlp_training
+  echo "== optimizer smoke: fuzz seeds 0-4 + lane differential + mlp_training loss diff (tier off vs on) =="
+  cmake --build build -j "$JOBS" --target optimizer_fuzz_test kernels_test \
+      mlp_training
   ./build/tests/optimizer_fuzz_test \
       --gtest_filter='OptimizerFuzzTest.Seed0:OptimizerFuzzTest.Seed1:OptimizerFuzzTest.Seed2:OptimizerFuzzTest.Seed3:OptimizerFuzzTest.Seed4'
+  ./build/tests/kernels_test --gtest_filter='LaneTest.*'
   local off=/tmp/mlp_loss_off.txt on=/tmp/mlp_loss_on.txt
   TFREPRO_OPTIMIZER=off ./build/examples/mlp_training --steps 50 --loss-out "$off"
   ./build/examples/mlp_training --steps 50 --loss-out "$on"

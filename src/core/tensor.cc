@@ -182,7 +182,7 @@ Result<Tensor> Tensor::ParseFromBytes(const std::string& bytes,
   }
   if (dtype == DataType::kString) {
     Tensor t(dtype, shape);
-    for (int64_t i = 0; i < t.num_elements(); ++i) {
+    for (int64_t i = 0, n = t.num_elements(); i < n; ++i) {
       if (!ReadString(bytes, offset, &t.str(i))) {
         return DataLoss("truncated string element");
       }

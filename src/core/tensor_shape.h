@@ -22,8 +22,8 @@ class TensorShape {
   int64_t dim(int i) const;
   const std::vector<int64_t>& dims() const { return dims_; }
 
-  // Total number of elements (product of dims; 1 for scalars). Inline:
-  // kernels call it in their loop conditions.
+  // Total number of elements (product of dims; 1 for scalars). It walks
+  // the dims on every call, so a loop reads it once, before the loop.
   int64_t num_elements() const {
     int64_t n = 1;
     for (int64_t d : dims_) n *= d;

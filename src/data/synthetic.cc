@@ -40,9 +40,7 @@ Tensor SyntheticImageBatch(int batch, int height, int width, int channels,
                            PhiloxRandom* rng) {
   Tensor t(DataType::kFloat, TensorShape({batch, height, width, channels}));
   float* p = t.data<float>();
-  for (int64_t i = 0; i < t.num_elements(); ++i) {
-    p[i] = rng->Uniform();
-  }
+  for (int64_t i = 0, n = t.num_elements(); i < n; ++i) p[i] = rng->Uniform();
   return t;
 }
 

@@ -1,6 +1,7 @@
 // Array-manipulation kernels: shape queries, reshapes, concat/split/slice,
 // transpose, tile, pack/unpack, pad, one-hot.
 
+#include <algorithm>
 #include <cstring>
 
 #include "kernels/dispatch.h"
@@ -54,7 +55,7 @@ class ReshapeOp : public OpKernel {
     std::vector<int64_t> dims;
     int64_t known = 1;
     int infer = -1;
-    for (int64_t i = 0; i < shape_t.num_elements(); ++i) {
+    for (int64_t i = 0, rank = shape_t.num_elements(); i < rank; ++i) {
       int64_t d = shape_t.flat<int32_t>(i);
       if (d == -1) {
         OP_REQUIRES(ctx, infer == -1,
@@ -521,11 +522,11 @@ class OneHotOp : public OpKernel {
       T on_v = *on.data<T>();
       T off_v = *off.data<T>();
       T* o = out.data<T>();
-      for (int64_t i = 0; i < out.num_elements(); ++i) o[i] = off_v;
+      std::fill_n(o, out.num_elements(), off_v);
       Status s = IndexDispatch(indices.dtype(), [&](auto itag) {
         using I = decltype(itag);
         const I* idx = indices.data<I>();
-        for (int64_t i = 0; i < indices.num_elements(); ++i) {
+        for (int64_t i = 0, count = indices.num_elements(); i < count; ++i) {
           if (idx[i] >= 0 && idx[i] < depth) {
             o[i * depth + idx[i]] = on_v;
           }

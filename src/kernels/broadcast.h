@@ -7,6 +7,7 @@
 
 #include "core/status.h"
 #include "core/tensor_shape.h"
+#include "kernels/lanes.h"
 
 namespace tfrepro {
 
@@ -19,24 +20,23 @@ Result<TensorShape> BroadcastShape(const TensorShape& a, const TensorShape& b);
 std::vector<int64_t> BroadcastStrides(const TensorShape& in,
                                       const TensorShape& out);
 
-// Applies fn(a[i], b[j]) over the broadcasted iteration space.
+// Applies fn(a[i], b[j]) over the broadcasted iteration space. Equal shapes
+// and a one-element operand go through Elementwise (kernels/lanes.h).
 template <typename Ta, typename Tout, typename Fn>
 void BroadcastBinary(const Ta* a, const TensorShape& a_shape, const Ta* b,
                      const TensorShape& b_shape, Tout* out,
                      const TensorShape& out_shape, Fn fn) {
-  int64_t n = out_shape.num_elements();
+  const int64_t n = out_shape.num_elements();
   if (a_shape == b_shape) {
-    for (int64_t i = 0; i < n; ++i) out[i] = fn(a[i], b[i]);
+    Elementwise(n, out, fn, a, b);
     return;
   }
   if (a_shape.num_elements() == 1) {
-    Ta av = a[0];
-    for (int64_t i = 0; i < n; ++i) out[i] = fn(av, b[i]);
+    Elementwise(n, out, fn, a[0], b);
     return;
   }
   if (b_shape.num_elements() == 1) {
-    Ta bv = b[0];
-    for (int64_t i = 0; i < n; ++i) out[i] = fn(a[i], bv);
+    Elementwise(n, out, fn, a, b[0]);
     return;
   }
   std::vector<int64_t> sa = BroadcastStrides(a_shape, out_shape);

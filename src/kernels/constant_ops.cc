@@ -1,6 +1,7 @@
 // Kernels for constants, identity, placeholders, and the _Feed/_Fetch nodes
 // inserted by session graph rewriting (paper §3.2).
 
+#include <algorithm>
 #include <mutex>
 
 #include "kernels/dispatch.h"
@@ -134,8 +135,7 @@ class OnesLikeOp : public OpKernel {
     Tensor out(BaseType(in.dtype()), in.shape());
     OP_REQUIRES_OK(ctx, NumericDispatch(in.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      T* p = out.data<T>();
-      for (int64_t i = 0; i < out.num_elements(); ++i) p[i] = T{1};
+      std::fill_n(out.data<T>(), out.num_elements(), T{1});
     }));
     ctx->set_output(0, std::move(out));
   }
@@ -153,16 +153,14 @@ class FillOp : public OpKernel {
     OP_REQUIRES(ctx, value.IsScalar(),
                 InvalidArgument("Fill value must be a scalar"));
     std::vector<int64_t> shape_dims;
-    for (int64_t i = 0; i < dims.num_elements(); ++i) {
+    for (int64_t i = 0, rank = dims.num_elements(); i < rank; ++i) {
       shape_dims.push_back(dims.flat<int32_t>(i));
     }
     OP_REQUIRES_OK(ctx, ValidateShape(shape_dims));
     Tensor out(value.dtype(), TensorShape(shape_dims));
     OP_REQUIRES_OK(ctx, NumericDispatch(value.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      T v = *value.data<T>();
-      T* p = out.data<T>();
-      for (int64_t i = 0; i < out.num_elements(); ++i) p[i] = v;
+      std::fill_n(out.data<T>(), out.num_elements(), *value.data<T>());
     }));
     ctx->set_output(0, std::move(out));
   }

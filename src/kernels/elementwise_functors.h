@@ -2,7 +2,9 @@
 // (kernels/math_ops.cc) and the _FusedElementwise interpreter
 // (kernels/fused_ops.cc). Fusion must be bit-exact with unfused execution,
 // so both paths apply the exact same Run<T> per element — the fused kernel
-// never re-derives the arithmetic.
+// never re-derives the arithmetic. LaneFunctors also run on the vector
+// lanes of kernels/lanes.h in the standalone kernels; the rest go through
+// double or libm and run one element at a time.
 
 #ifndef TFREPRO_KERNELS_ELEMENTWISE_FUNCTORS_H_
 #define TFREPRO_KERNELS_ELEMENTWISE_FUNCTORS_H_
@@ -12,31 +14,33 @@
 #include <string>
 #include <type_traits>
 
+#include "kernels/lanes.h"
+
 namespace tfrepro {
 
 // ---------------------------------------------------------------------------
 // Binary functors (T x T -> T, with broadcasting handled by the caller).
 // ---------------------------------------------------------------------------
 
-struct AddFunc {
+struct AddFunc : LaneFunctor {
   template <typename T>
   static T Run(T x, T y) {
     return x + y;
   }
 };
-struct SubFunc {
+struct SubFunc : LaneFunctor {
   template <typename T>
   static T Run(T x, T y) {
     return x - y;
   }
 };
-struct MulFunc {
+struct MulFunc : LaneFunctor {
   template <typename T>
   static T Run(T x, T y) {
     return x * y;
   }
 };
-struct DivFunc {
+struct DivFunc : LaneFunctor {
   template <typename T>
   static T Run(T x, T y) {
     return x / y;
@@ -75,19 +79,19 @@ struct PowFunc {
                                    static_cast<double>(y)));
   }
 };
-struct MaximumFunc {
+struct MaximumFunc : LaneFunctor {
   template <typename T>
   static T Run(T x, T y) {
     return x > y ? x : y;
   }
 };
-struct MinimumFunc {
+struct MinimumFunc : LaneFunctor {
   template <typename T>
   static T Run(T x, T y) {
     return x < y ? x : y;
   }
 };
-struct SquaredDifferenceFunc {
+struct SquaredDifferenceFunc : LaneFunctor {
   template <typename T>
   static T Run(T x, T y) {
     T d = x - y;
@@ -99,7 +103,7 @@ struct SquaredDifferenceFunc {
 // Unary functors (T -> T).
 // ---------------------------------------------------------------------------
 
-struct NegFunc {
+struct NegFunc : LaneFunctor {
   template <typename T>
   static T Run(T x) {
     return -x;
@@ -129,22 +133,23 @@ struct RsqrtFunc {
     return static_cast<T>(1.0 / std::sqrt(static_cast<double>(x)));
   }
 };
-struct SquareFunc {
+struct SquareFunc : LaneFunctor {
   template <typename T>
   static T Run(T x) {
     return x * x;
   }
 };
-struct AbsFunc {
+struct AbsFunc : LaneFunctor {
   template <typename T>
   static T Run(T x) {
     return x < T{0} ? static_cast<T>(-x) : x;
   }
 };
-struct SignFunc {
+struct SignFunc : LaneFunctor {
   template <typename T>
   static T Run(T x) {
-    return x > T{0} ? T{1} : (x < T{0} ? static_cast<T>(-1) : T{0});
+    return x > T{0} ? Broadcast<T>(1)
+                    : (x < T{0} ? Broadcast<T>(-1) : T{0});
   }
 };
 struct TanhFunc {
@@ -159,7 +164,7 @@ struct SigmoidFunc {
     return static_cast<T>(1.0 / (1.0 + std::exp(-static_cast<double>(x))));
   }
 };
-struct ReluFunc {
+struct ReluFunc : LaneFunctor {
   template <typename T>
   static T Run(T x) {
     return x > T{0} ? x : T{0};

@@ -145,7 +145,7 @@ class FusedElementwiseOp : public OpKernel {
             Tensor next(BaseType(dtype_), acc.shape());
             const T* a = acc.data<T>();
             T* o = next.data<T>();
-            for (int64_t i = 0; i < acc.num_elements(); ++i) {
+            for (int64_t i = 0, count = acc.num_elements(); i < count; ++i) {
               o[i] = ApplyUnaryEwise<T>(s.unary, a[i]);
             }
             acc = std::move(next);

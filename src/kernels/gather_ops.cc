@@ -36,7 +36,7 @@ class GatherOp : public OpKernel {
       dispatch_status = IndexDispatch(indices.dtype(), [&](auto itag) {
         using I = decltype(itag);
         const I* idx = indices.data<I>();
-        for (int64_t i = 0; i < indices.num_elements(); ++i) {
+        for (int64_t i = 0, count = indices.num_elements(); i < count; ++i) {
           if (idx[i] < 0 || idx[i] >= rows) {
             index_status = OutOfRange(
                 "Gather index " + std::to_string(idx[i]) +
@@ -107,7 +107,7 @@ class DynamicStitchOp : public OpKernel {
     int64_t max_index = -1;
     for (int i = 0; i < n; ++i) {
       Tensor idx = ctx->input(i);
-      for (int64_t j = 0; j < idx.num_elements(); ++j) {
+      for (int64_t j = 0, count = idx.num_elements(); j < count; ++j) {
         max_index = std::max<int64_t>(max_index, idx.flat<int32_t>(j));
       }
     }
@@ -128,7 +128,7 @@ class DynamicStitchOp : public OpKernel {
         Tensor idx = ctx->input(i);
         Tensor data = ctx->input(n + i);
         const T* dp = data.data<T>();
-        for (int64_t j = 0; j < idx.num_elements(); ++j) {
+        for (int64_t j = 0, count = idx.num_elements(); j < count; ++j) {
           int64_t dst = idx.flat<int32_t>(j);
           std::memcpy(o + dst * row_elems, dp + j * row_elems,
                       row_elems * sizeof(T));

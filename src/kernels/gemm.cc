@@ -1,8 +1,7 @@
 // Packed GEMM (DESIGN.md §15). op(a) is packed into kMR-row panels and
 // op(b) into NR-column panels, whatever their transpose form, so all four
 // forms run the same kMR x NR micro-kernel over contiguous memory. The
-// micro-kernel uses GCC vector extensions on 16-byte vectors, which the
-// baseline x86-64 target (SSE2) has, so it needs no -march or intrinsics.
+// micro-kernel works on the 16-byte vectors of kernels/lanes.h.
 
 #include "kernels/gemm.h"
 
@@ -13,22 +12,16 @@
 #include <cstring>
 #include <new>
 
+#include "kernels/lanes.h"
+
 namespace tfrepro {
 namespace {
 
 // Register block: the micro-kernel holds a kMR x NR<T> tile of c in
 // registers, NR<T> being two 16-byte vectors of T (8 floats, 4 doubles).
 constexpr int kMR = 4;
-constexpr int kVecBytes = 16;
-template <typename T>
-constexpr int kLanes = kVecBytes / static_cast<int>(sizeof(T));
 template <typename T>
 constexpr int kNR = 2 * kLanes<T>;
-
-template <typename T>
-struct Simd {
-  typedef T Vec __attribute__((vector_size(kVecBytes)));
-};
 
 // Cache blocks: a kMC x kKC block of op(a) is packed per thread, a kKC x kNC
 // block of op(b) once per product step; 64 KiB of floats each. A 256-wide

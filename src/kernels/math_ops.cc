@@ -1,35 +1,42 @@
 // Element-wise mathematical kernels: binary ops with broadcasting, unary
 // ops, comparisons, logical ops, Select, Cast, AddN, and the fused
-// activation gradients the paper calls out in §5.
+// activation gradients the paper calls out in §5. The plain per-element
+// loops run through Elementwise (kernels/lanes.h).
 
 #include <cmath>
+#include <type_traits>
 
 #include "kernels/broadcast.h"
 #include "kernels/elementwise_functors.h"
 #include "kernels/dispatch.h"
+#include "kernels/lanes.h"
 #include "runtime/kernel.h"
 
 namespace tfrepro {
 namespace {
 
-// Binary op whose output type equals the input type.
+// Binary ops with broadcasting. Comparisons return bool; the other ops
+// return their input type.
 template <typename Functor>
 class BinaryOp : public OpKernel {
  public:
   using OpKernel::OpKernel;
   void Compute(OpKernelContext* ctx) override {
+    constexpr bool kBoolOut =
+        std::is_same_v<decltype(Functor::Run(0, 0)), bool>;
     Tensor a = ctx->input(0);
     Tensor b = ctx->input(1);
     OP_REQUIRES(ctx, BaseType(a.dtype()) == BaseType(b.dtype()),
                 InvalidArgument("binary op input dtypes differ"));
     Result<TensorShape> out_shape = BroadcastShape(a.shape(), b.shape());
     OP_REQUIRES_OK(ctx, out_shape.status());
-    Tensor out(BaseType(a.dtype()), out_shape.value());
+    Tensor out(kBoolOut ? DataType::kBool : BaseType(a.dtype()),
+               out_shape.value());
     OP_REQUIRES_OK(ctx, NumericDispatch(a.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      BroadcastBinary<T, T>(a.data<T>(), a.shape(), b.data<T>(), b.shape(),
-                            out.data<T>(), out.shape(),
-                            [](T x, T y) { return Functor::template Run<T>(x, y); });
+      using Out = std::conditional_t<kBoolOut, bool, T>;
+      BroadcastBinary<T, Out>(a.data<T>(), a.shape(), b.data<T>(), b.shape(),
+                              out.data<Out>(), out.shape(), RunOf<Functor>{});
     }));
     ctx->set_output(0, std::move(out));
   }
@@ -46,27 +53,7 @@ REGISTER_KERNEL("Maximum", kDeviceCpu, BinaryOp<MaximumFunc>);
 REGISTER_KERNEL("Minimum", kDeviceCpu, BinaryOp<MinimumFunc>);
 REGISTER_KERNEL("SquaredDifference", kDeviceCpu, BinaryOp<SquaredDifferenceFunc>);
 
-// Comparison ops: T x T -> bool (with broadcasting).
-template <typename Functor>
-class CompareOp : public OpKernel {
- public:
-  using OpKernel::OpKernel;
-  void Compute(OpKernelContext* ctx) override {
-    Tensor a = ctx->input(0);
-    Tensor b = ctx->input(1);
-    Result<TensorShape> out_shape = BroadcastShape(a.shape(), b.shape());
-    OP_REQUIRES_OK(ctx, out_shape.status());
-    Tensor out(DataType::kBool, out_shape.value());
-    OP_REQUIRES_OK(ctx, NumericDispatch(a.dtype(), [&](auto tag) {
-      using T = decltype(tag);
-      BroadcastBinary<T, bool>(a.data<T>(), a.shape(), b.data<T>(), b.shape(),
-                               out.data<bool>(), out.shape(),
-                               [](T x, T y) { return Functor::template Run<T>(x, y); });
-    }));
-    ctx->set_output(0, std::move(out));
-  }
-};
-
+// Comparisons: T x T -> bool.
 struct LessFunc {
   template <typename T>
   static bool Run(T x, T y) {
@@ -104,12 +91,12 @@ struct NotEqualFunc {
   }
 };
 
-REGISTER_KERNEL("Less", kDeviceCpu, CompareOp<LessFunc>);
-REGISTER_KERNEL("LessEqual", kDeviceCpu, CompareOp<LessEqualFunc>);
-REGISTER_KERNEL("Greater", kDeviceCpu, CompareOp<GreaterFunc>);
-REGISTER_KERNEL("GreaterEqual", kDeviceCpu, CompareOp<GreaterEqualFunc>);
-REGISTER_KERNEL("Equal", kDeviceCpu, CompareOp<EqualFunc>);
-REGISTER_KERNEL("NotEqual", kDeviceCpu, CompareOp<NotEqualFunc>);
+REGISTER_KERNEL("Less", kDeviceCpu, BinaryOp<LessFunc>);
+REGISTER_KERNEL("LessEqual", kDeviceCpu, BinaryOp<LessEqualFunc>);
+REGISTER_KERNEL("Greater", kDeviceCpu, BinaryOp<GreaterFunc>);
+REGISTER_KERNEL("GreaterEqual", kDeviceCpu, BinaryOp<GreaterEqualFunc>);
+REGISTER_KERNEL("Equal", kDeviceCpu, BinaryOp<EqualFunc>);
+REGISTER_KERNEL("NotEqual", kDeviceCpu, BinaryOp<NotEqualFunc>);
 
 // Unary ops.
 template <typename Functor>
@@ -121,11 +108,8 @@ class UnaryOp : public OpKernel {
     Tensor out(BaseType(x.dtype()), x.shape());
     OP_REQUIRES_OK(ctx, NumericDispatch(x.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      const T* in = x.data<T>();
-      T* o = out.data<T>();
-      for (int64_t i = 0; i < x.num_elements(); ++i) {
-        o[i] = Functor::template Run<T>(in[i]);
-      }
+      Elementwise(x.num_elements(), out.data<T>(), RunOf<Functor>{},
+                  x.data<T>());
     }));
     ctx->set_output(0, std::move(out));
   }
@@ -147,74 +131,62 @@ REGISTER_KERNEL("Ceil", kDeviceCpu, UnaryOp<CeilFunc>);
 REGISTER_KERNEL("Reciprocal", kDeviceCpu, UnaryOp<ReciprocalFunc>);
 
 // Fused activation gradients (paper §5).
-class ReluGradOp : public OpKernel {
- public:
-  using OpKernel::OpKernel;
-  void Compute(OpKernelContext* ctx) override {
-    Tensor g = ctx->input(0);
-    Tensor x = ctx->input(1);
-    OP_REQUIRES(ctx, g.shape() == x.shape(),
-                InvalidArgument("ReluGrad shapes differ"));
-    Tensor out(BaseType(g.dtype()), g.shape());
-    OP_REQUIRES_OK(ctx, FloatDispatch(g.dtype(), [&](auto tag) {
-      using T = decltype(tag);
-      const T* gp = g.data<T>();
-      const T* xp = x.data<T>();
-      T* o = out.data<T>();
-      for (int64_t i = 0; i < g.num_elements(); ++i) {
-        o[i] = xp[i] > T{0} ? gp[i] : T{0};
-      }
-    }));
-    ctx->set_output(0, std::move(out));
+struct ReluGradFunc : LaneFunctor {
+  template <typename T>
+  static T Run(T g, T x) {
+    return x > T{0} ? g : T{0};
   }
 };
-REGISTER_KERNEL("ReluGrad", kDeviceCpu, ReluGradOp);
 
 // dz = dy * y * (1 - y), with y = sigmoid(x).
-class SigmoidGradOp : public OpKernel {
- public:
-  using OpKernel::OpKernel;
-  void Compute(OpKernelContext* ctx) override {
-    Tensor y = ctx->input(0);
-    Tensor dy = ctx->input(1);
-    Tensor out(BaseType(y.dtype()), y.shape());
-    OP_REQUIRES_OK(ctx, FloatDispatch(y.dtype(), [&](auto tag) {
-      using T = decltype(tag);
-      const T* yp = y.data<T>();
-      const T* dp = dy.data<T>();
-      T* o = out.data<T>();
-      for (int64_t i = 0; i < y.num_elements(); ++i) {
-        o[i] = dp[i] * yp[i] * (T{1} - yp[i]);
-      }
-    }));
-    ctx->set_output(0, std::move(out));
+struct SigmoidGradFunc : LaneFunctor {
+  template <typename T>
+  static T Run(T y, T dy) {
+    return dy * y * (Broadcast<T>(1) - y);
   }
 };
-REGISTER_KERNEL("SigmoidGrad", kDeviceCpu, SigmoidGradOp);
 
 // dz = dy * (1 - y^2), with y = tanh(x).
-class TanhGradOp : public OpKernel {
+struct TanhGradFunc : LaneFunctor {
+  template <typename T>
+  static T Run(T y, T dy) {
+    return dy * (Broadcast<T>(1) - y * y);
+  }
+};
+
+template <typename Functor>
+class ActivationGradOp : public OpKernel {
  public:
   using OpKernel::OpKernel;
   void Compute(OpKernelContext* ctx) override {
-    Tensor y = ctx->input(0);
-    Tensor dy = ctx->input(1);
-    Tensor out(BaseType(y.dtype()), y.shape());
-    OP_REQUIRES_OK(ctx, FloatDispatch(y.dtype(), [&](auto tag) {
+    Tensor a = ctx->input(0);
+    Tensor b = ctx->input(1);
+    OP_REQUIRES(ctx, a.shape() == b.shape(),
+                InvalidArgument(op() + " shapes differ: " +
+                                a.shape().DebugString() + " vs " +
+                                b.shape().DebugString()));
+    Tensor out(BaseType(a.dtype()), a.shape());
+    OP_REQUIRES_OK(ctx, FloatDispatch(a.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      const T* yp = y.data<T>();
-      const T* dp = dy.data<T>();
-      T* o = out.data<T>();
-      for (int64_t i = 0; i < y.num_elements(); ++i) {
-        o[i] = dp[i] * (T{1} - yp[i] * yp[i]);
-      }
+      Elementwise(a.num_elements(), out.data<T>(), RunOf<Functor>{},
+                  a.data<T>(), b.data<T>());
     }));
     ctx->set_output(0, std::move(out));
   }
 };
-REGISTER_KERNEL("TanhGrad", kDeviceCpu, TanhGradOp);
+REGISTER_KERNEL("ReluGrad", kDeviceCpu, ActivationGradOp<ReluGradFunc>);
+REGISTER_KERNEL("SigmoidGrad", kDeviceCpu, ActivationGradOp<SigmoidGradFunc>);
+REGISTER_KERNEL("TanhGrad", kDeviceCpu, ActivationGradOp<TanhGradFunc>);
 
-class LogicalAndOp : public OpKernel {
+struct LogicalAndFunc {
+  static bool Run(bool x, bool y) { return x && y; }
+};
+struct LogicalOrFunc {
+  static bool Run(bool x, bool y) { return x || y; }
+};
+
+template <typename Functor>
+class LogicalBinaryOp : public OpKernel {
  public:
   using OpKernel::OpKernel;
   void Compute(OpKernelContext* ctx) override {
@@ -225,28 +197,12 @@ class LogicalAndOp : public OpKernel {
     Tensor out(DataType::kBool, out_shape.value());
     BroadcastBinary<bool, bool>(a.data<bool>(), a.shape(), b.data<bool>(),
                                 b.shape(), out.data<bool>(), out.shape(),
-                                [](bool x, bool y) { return x && y; });
+                                RunOf<Functor>{});
     ctx->set_output(0, std::move(out));
   }
 };
-REGISTER_KERNEL("LogicalAnd", kDeviceCpu, LogicalAndOp);
-
-class LogicalOrOp : public OpKernel {
- public:
-  using OpKernel::OpKernel;
-  void Compute(OpKernelContext* ctx) override {
-    Tensor a = ctx->input(0);
-    Tensor b = ctx->input(1);
-    Result<TensorShape> out_shape = BroadcastShape(a.shape(), b.shape());
-    OP_REQUIRES_OK(ctx, out_shape.status());
-    Tensor out(DataType::kBool, out_shape.value());
-    BroadcastBinary<bool, bool>(a.data<bool>(), a.shape(), b.data<bool>(),
-                                b.shape(), out.data<bool>(), out.shape(),
-                                [](bool x, bool y) { return x || y; });
-    ctx->set_output(0, std::move(out));
-  }
-};
-REGISTER_KERNEL("LogicalOr", kDeviceCpu, LogicalOrOp);
+REGISTER_KERNEL("LogicalAnd", kDeviceCpu, LogicalBinaryOp<LogicalAndFunc>);
+REGISTER_KERNEL("LogicalOr", kDeviceCpu, LogicalBinaryOp<LogicalOrFunc>);
 
 class LogicalNotOp : public OpKernel {
  public:
@@ -256,7 +212,7 @@ class LogicalNotOp : public OpKernel {
     Tensor out(DataType::kBool, x.shape());
     const bool* in = x.data<bool>();
     bool* o = out.data<bool>();
-    for (int64_t i = 0; i < x.num_elements(); ++i) o[i] = !in[i];
+    for (int64_t i = 0, n = x.num_elements(); i < n; ++i) o[i] = !in[i];
     ctx->set_output(0, std::move(out));
   }
 };
@@ -315,15 +271,14 @@ class CastOp : public OpKernel {
   void Compute(OpKernelContext* ctx) override {
     Tensor x = ctx->input(0);
     Tensor out(dst_, x.shape());
+    const int64_t n = x.num_elements();
     Status s = NumericDispatch(x.dtype(), [&](auto src_tag) {
       using Src = decltype(src_tag);
       const Src* in = x.data<Src>();
       Status s2 = NumericDispatch(dst_, [&](auto dst_tag) {
         using Dst = decltype(dst_tag);
         Dst* o = out.data<Dst>();
-        for (int64_t i = 0; i < x.num_elements(); ++i) {
-          o[i] = static_cast<Dst>(in[i]);
-        }
+        for (int64_t i = 0; i < n; ++i) o[i] = static_cast<Dst>(in[i]);
       });
       (void)s2;
     });
@@ -333,9 +288,7 @@ class CastOp : public OpKernel {
       s = NumericDispatch(dst_, [&](auto dst_tag) {
         using Dst = decltype(dst_tag);
         Dst* o = out.data<Dst>();
-        for (int64_t i = 0; i < x.num_elements(); ++i) {
-          o[i] = static_cast<Dst>(in[i] ? 1 : 0);
-        }
+        for (int64_t i = 0; i < n; ++i) o[i] = static_cast<Dst>(in[i] ? 1 : 0);
       });
     }
     OP_REQUIRES_OK(ctx, s);
@@ -405,14 +358,14 @@ class AddNOp : public OpKernel {
       OP_REQUIRES(ctx, ctx->input(i).shape() == first.shape(),
                   InvalidArgument("AddN inputs must have equal shapes"));
     }
+    // out starts at zero and adds the inputs in order, per element.
     Tensor out(BaseType(first.dtype()), first.shape());
+    const int64_t n = out.num_elements();
     OP_REQUIRES_OK(ctx, NumericDispatch(first.dtype(), [&](auto tag) {
       using T = decltype(tag);
       T* o = out.data<T>();
       for (int i = 0; i < ctx->num_inputs(); ++i) {
-        Tensor x = ctx->input(i);
-        const T* in = x.data<T>();
-        for (int64_t j = 0; j < out.num_elements(); ++j) o[j] += in[j];
+        Elementwise(n, o, RunOf<AddFunc>{}, o, ctx->input(i).data<T>());
       }
     }));
     ctx->set_output(0, std::move(out));

@@ -3,7 +3,9 @@
 // threads — the workhorse of every model in the paper's evaluation.
 
 #include "kernels/dispatch.h"
+#include "kernels/elementwise_functors.h"
 #include "kernels/gemm.h"
+#include "kernels/lanes.h"
 #include "runtime/device.h"
 #include "runtime/kernel.h"
 
@@ -72,9 +74,7 @@ class BiasAddOp : public OpKernel {
       T* o = out.data<T>();
       const int64_t rows = c > 0 ? value.num_elements() / c : 0;
       for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t j = 0; j < c; ++j) {
-          o[r * c + j] = v[r * c + j] + bp[j];
-        }
+        Elementwise(c, o + r * c, RunOf<AddFunc>{}, v + r * c, bp);
       }
     }));
     ctx->set_output(0, std::move(out));
@@ -82,7 +82,8 @@ class BiasAddOp : public OpKernel {
 };
 REGISTER_KERNEL("BiasAdd", kDeviceCpu, BiasAddOp);
 
-// BiasAddGrad: sum out_backprop over all but the last dimension.
+// BiasAddGrad: sum out_backprop over all but the last dimension, each
+// column in ascending row order.
 class BiasAddGradOp : public OpKernel {
  public:
   using OpKernel::OpKernel;
@@ -98,9 +99,7 @@ class BiasAddGradOp : public OpKernel {
       T* o = out.data<T>();
       const int64_t rows = c > 0 ? g.num_elements() / c : 0;
       for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t j = 0; j < c; ++j) {
-          o[j] += gp[r * c + j];
-        }
+        Elementwise(c, o, RunOf<AddFunc>{}, o, gp + r * c);
       }
     }));
     ctx->set_output(0, std::move(out));

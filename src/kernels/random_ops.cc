@@ -24,7 +24,7 @@ uint64_t HashName(const std::string& s) {
 
 Result<TensorShape> ShapeFromTensor(const Tensor& t) {
   std::vector<int64_t> dims;
-  for (int64_t i = 0; i < t.num_elements(); ++i) {
+  for (int64_t i = 0, rank = t.num_elements(); i < rank; ++i) {
     dims.push_back(t.flat<int32_t>(i));
   }
   TF_RETURN_IF_ERROR(ValidateShape(dims));
@@ -57,7 +57,7 @@ class RandomOp : public OpKernel {
     OP_REQUIRES_OK(ctx, FloatDispatch(dtype_, [&](auto tag) {
       using T = decltype(tag);
       T* o = out.data<T>();
-      for (int64_t i = 0; i < out.num_elements(); ++i) {
+      for (int64_t i = 0, n = out.num_elements(); i < n; ++i) {
         if constexpr (K == RandomKind::kUniform) {
           o[i] = static_cast<T>(rng_->Uniform());
         } else if constexpr (K == RandomKind::kNormal) {
@@ -110,7 +110,7 @@ class RandomUniformIntOp : public OpKernel {
       T hi = *maxval.data<T>();
       T* o = out.data<T>();
       uint64_t range = static_cast<uint64_t>(hi - lo);
-      for (int64_t i = 0; i < out.num_elements(); ++i) {
+      for (int64_t i = 0, n = out.num_elements(); i < n; ++i) {
         o[i] = lo + static_cast<T>(rng_->UniformInt(range));
       }
     }));

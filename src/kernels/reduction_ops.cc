@@ -20,7 +20,7 @@ Status GetAxes(const Tensor& input, const Tensor& indices,
     // axes explicitly for "reduce all".
     return Status::OK();
   }
-  for (int64_t i = 0; i < indices.num_elements(); ++i) {
+  for (int64_t i = 0, count = indices.num_elements(); i < count; ++i) {
     int32_t axis = indices.flat<int32_t>(i);
     if (axis < 0) axis += rank;
     if (axis < 0 || axis >= rank) {
@@ -190,7 +190,7 @@ class L2LossOp : public OpKernel {
       using T = decltype(tag);
       const T* in = t.data<T>();
       double acc = 0;
-      for (int64_t i = 0; i < t.num_elements(); ++i) {
+      for (int64_t i = 0, n = t.num_elements(); i < n; ++i) {
         acc += static_cast<double>(in[i]) * in[i];
       }
       *out.data<T>() = static_cast<T>(acc / 2);

@@ -6,8 +6,11 @@
 // dataflow model relies on.
 
 #include <mutex>
+#include <type_traits>
 
 #include "kernels/dispatch.h"
+#include "kernels/elementwise_functors.h"
+#include "kernels/lanes.h"
 #include "runtime/kernel.h"
 
 namespace tfrepro {
@@ -97,17 +100,11 @@ class AssignUpdateOp : public OpKernel {
                 InvalidArgument("AssignAdd/Sub shape mismatch: " +
                                 ref->shape().DebugString() + " vs " +
                                 value.shape().DebugString()));
+    using F = std::conditional_t<IsAdd, AddFunc, SubFunc>;
     OP_REQUIRES_OK(ctx, NumericDispatch(ref->dtype(), [&](auto tag) {
       using T = decltype(tag);
       T* p = ref->data<T>();
-      const T* v = value.data<T>();
-      for (int64_t i = 0; i < ref->num_elements(); ++i) {
-        if constexpr (IsAdd) {
-          p[i] += v[i];
-        } else {
-          p[i] -= v[i];
-        }
-      }
+      Elementwise(ref->num_elements(), p, RunOf<F>{}, p, value.data<T>());
     }));
     ctx->forward_ref_input_to_output(0, 0);
   }
@@ -147,7 +144,7 @@ class ScatterOp : public OpKernel {
       dispatch_status = IndexDispatch(indices.dtype(), [&](auto itag) {
         using I = decltype(itag);
         const I* idx = indices.data<I>();
-        for (int64_t i = 0; i < indices.num_elements(); ++i) {
+        for (int64_t i = 0, count = indices.num_elements(); i < count; ++i) {
           if (idx[i] < 0 || idx[i] >= rows) {
             index_status = OutOfRange("scatter index out of range");
             return;

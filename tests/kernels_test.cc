@@ -6,12 +6,18 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/random.h"
 #include "graph/ops.h"
+#include "kernels/elementwise_functors.h"
 #include "kernels/gemm.h"
+#include "kernels/lanes.h"
 #include "runtime/session.h"
 
 namespace tfrepro {
@@ -699,6 +705,544 @@ TEST(KernelsTest, DynamicPartitionEmptyPartitions) {
   EXPECT_EQ(out[0].num_elements(), 0);
   EXPECT_EQ(out[1].num_elements(), 0);
   EXPECT_EQ(out[2].num_elements(), 3);
+}
+
+// A dense update that reads an input of the wrong shape must fail before it
+// writes: before these checks a smaller gradient or accumulator was read or
+// written past its buffer. Each case feeds a 2-element operand to an update
+// of a 4-element var and checks that var still holds its initial value.
+
+TEST(KernelsTest, SigmoidGradRejectsMismatchedDy) {
+  Status s = EvalStatus([](GraphBuilder* b) {
+    return b->Op("SigmoidGrad")
+        .Input(Const(b, Tensor::Vec<float>({0.5f, 0.5f, 0.5f, 0.5f})))
+        .Input(Const(b, Tensor::Vec<float>({1, 1})))
+        .Attr("T", DataType::kFloat)
+        .Finalize();
+  });
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+}
+
+TEST(KernelsTest, TanhGradRejectsMismatchedDy) {
+  Status s = EvalStatus([](GraphBuilder* b) {
+    return b->Op("TanhGrad")
+        .Input(Const(b, Tensor::Vec<float>({0.5f, 0.5f, 0.5f, 0.5f})))
+        .Input(Const(b, Tensor::Vec<float>({1, 1})))
+        .Attr("T", DataType::kFloat)
+        .Finalize();
+  });
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+}
+
+// A variable of the given name and size, initialised to ones.
+using Slot = std::function<Output(const std::string&, int64_t)>;
+
+// Runs an update op on a fresh 4-element var of ones and returns the
+// update's status. `inputs(b, slot)` returns the op's inputs after var; its
+// other ref inputs come from slot. *var_after is var after the update.
+Status RunMismatchedApply(
+    const std::string& op,
+    const std::function<std::vector<Output>(GraphBuilder*, const Slot&)>&
+        inputs,
+    Tensor* var_after) {
+  Graph g;
+  GraphBuilder b(&g);
+  std::vector<std::string> inits;
+  auto slot = [&](const std::string& name, int64_t size) {
+    Output v = ops::Variable(&b, DataType::kFloat, TensorShape({size}), name);
+    Tensor ones(DataType::kFloat, TensorShape({size}));
+    for (int64_t i = 0; i < size; ++i) ones.flat<float>(i) = 1;
+    inits.push_back(ops::Assign(&b, v, Const(&b, ones)).node->name());
+    return v;
+  };
+  Output var = slot("var", 4);
+  NodeBuilder nb = b.Op(op);
+  nb.Input(var);
+  for (const Output& in : inputs(&b, slot)) nb.Input(in);
+  Output update = nb.Attr("T", DataType::kFloat).Finalize();
+  Output read = ops::Identity(&b, var);
+  TF_CHECK_OK(b.status());
+  auto session = DirectSession::Create(g);
+  TF_CHECK_OK(session.value()->Run({}, {}, inits, nullptr));
+  Status s = session.value()->Run({}, {}, {update.node->name()}, nullptr);
+  std::vector<Tensor> out;
+  TF_CHECK_OK(session.value()->Run({read.name()}, &out));
+  *var_after = out[0];
+  return s;
+}
+
+void ExpectRejectedAndVarUnchanged(const Status& s, const Tensor& var) {
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+  EXPECT_EQ(Vec(var), (std::vector<float>{1, 1, 1, 1}));
+}
+
+TEST(KernelsTest, ApplyMomentumRejectsMismatchedShapes) {
+  for (int64_t accum_size : {4, 2}) {
+    const int64_t grad_size = accum_size == 4 ? 2 : 4;
+    Tensor var;
+    Status s = RunMismatchedApply(
+        "ApplyMomentum",
+        [&](GraphBuilder* b, const Slot& slot) {
+          return std::vector<Output>{
+              slot("accum", accum_size), Const(b, 0.1f),
+              Const(b, Tensor(DataType::kFloat, TensorShape({grad_size}))),
+              Const(b, 0.9f)};
+        },
+        &var);
+    ExpectRejectedAndVarUnchanged(s, var);
+  }
+}
+
+TEST(KernelsTest, ApplyAdagradRejectsMismatchedShapes) {
+  for (int64_t accum_size : {4, 2}) {
+    const int64_t grad_size = accum_size == 4 ? 2 : 4;
+    Tensor var;
+    Status s = RunMismatchedApply(
+        "ApplyAdagrad",
+        [&](GraphBuilder* b, const Slot& slot) {
+          return std::vector<Output>{
+              slot("accum", accum_size), Const(b, 0.1f),
+              Const(b, Tensor(DataType::kFloat, TensorShape({grad_size})))};
+        },
+        &var);
+    ExpectRejectedAndVarUnchanged(s, var);
+  }
+}
+
+TEST(KernelsTest, ApplyAdadeltaRejectsMismatchedShapes) {
+  for (int wrong = 0; wrong < 3; ++wrong) {
+    Tensor var;
+    Status s = RunMismatchedApply(
+        "ApplyAdadelta",
+        [&](GraphBuilder* b, const Slot& slot) {
+          return std::vector<Output>{
+              slot("accum", wrong == 0 ? 2 : 4),
+              slot("accum_update", wrong == 1 ? 2 : 4), Const(b, 0.1f),
+              Const(b, 0.95f), Const(b, 1e-6f),
+              Const(b, Tensor(DataType::kFloat,
+                              TensorShape({wrong == 2 ? 2 : 4})))};
+        },
+        &var);
+    ExpectRejectedAndVarUnchanged(s, var);
+  }
+}
+
+TEST(KernelsTest, ApplyRMSPropRejectsMismatchedShapes) {
+  for (int wrong = 0; wrong < 3; ++wrong) {
+    Tensor var;
+    Status s = RunMismatchedApply(
+        "ApplyRMSProp",
+        [&](GraphBuilder* b, const Slot& slot) {
+          return std::vector<Output>{
+              slot("ms", wrong == 0 ? 2 : 4), slot("mom", wrong == 1 ? 2 : 4),
+              Const(b, 0.1f), Const(b, 0.9f), Const(b, 0.5f),
+              Const(b, 1e-6f),
+              Const(b, Tensor(DataType::kFloat,
+                              TensorShape({wrong == 2 ? 2 : 4})))};
+        },
+        &var);
+    ExpectRejectedAndVarUnchanged(s, var);
+  }
+}
+
+TEST(KernelsTest, ApplyAdamRejectsMismatchedShapes) {
+  for (int wrong = 0; wrong < 3; ++wrong) {
+    Tensor var;
+    Status s = RunMismatchedApply(
+        "ApplyAdam",
+        [&](GraphBuilder* b, const Slot& slot) {
+          return std::vector<Output>{
+              slot("m", wrong == 0 ? 2 : 4), slot("v", wrong == 1 ? 2 : 4),
+              Const(b, 0.9f), Const(b, 0.999f), Const(b, 0.1f),
+              Const(b, 0.9f), Const(b, 0.999f), Const(b, 1e-8f),
+              Const(b, Tensor(DataType::kFloat,
+                              TensorShape({wrong == 2 ? 2 : 4})))};
+        },
+        &var);
+    ExpectRejectedAndVarUnchanged(s, var);
+  }
+}
+
+// The sparse updates read one row of grad per index and, for Adagrad,
+// write accum's rows: a grad with too few rows or a smaller accum is
+// rejected before var is written.
+TEST(KernelsTest, SparseApplyRejectsMismatchedShapes) {
+  const Tensor indices = Tensor::Vec<int32_t>({0, 2});
+  Tensor var;
+  Status s = RunMismatchedApply(
+      "SparseApplyGradientDescent",
+      [&](GraphBuilder* b, const Slot&) {
+        return std::vector<Output>{Const(b, 0.1f),
+                                   Const(b, Tensor::Vec<float>({1})),
+                                   Const(b, indices)};
+      },
+      &var);
+  ExpectRejectedAndVarUnchanged(s, var);
+  for (int64_t accum_size : {4, 2}) {
+    const int64_t grad_size = accum_size == 4 ? 1 : 2;
+    s = RunMismatchedApply(
+        "SparseApplyAdagrad",
+        [&](GraphBuilder* b, const Slot& slot) {
+          return std::vector<Output>{
+              slot("accum", accum_size), Const(b, 0.1f),
+              Const(b, Tensor(DataType::kFloat, TensorShape({grad_size}))),
+              Const(b, indices)};
+        },
+        &var);
+    ExpectRejectedAndVarUnchanged(s, var);
+  }
+}
+
+// Lane differential: the plain element-wise kernels run whole 16-byte
+// vectors and then a scalar tail (kernels/lanes.h). Each case compares a
+// kernel's output bit for bit with the scalar functor, or the loop the
+// kernel replaced, applied per element. Lengths run from 0 to
+// 2 * lanes + 3, which hits every split between vectors and tail, plus one
+// long length; values mix signs with NaN, +-0, +-inf and denormals.
+//
+// One thing is not compared bit for bit: when both operands of an add or a
+// multiply are NaN, x86 returns the first source operand of the
+// instruction, and which operand that is, is the compiler's register
+// choice in scalar and vector code alike (DESIGN.md §15). There the output
+// must only be a NaN.
+
+template <typename T>
+std::vector<int64_t> LaneLengths() {
+  std::vector<int64_t> lengths;
+  for (int64_t n = 0; n <= 2 * kLanes<T> + 3; ++n) lengths.push_back(n);
+  lengths.push_back(16387);
+  return lengths;
+}
+
+// Integers stay small enough that no reference operation overflows a
+// signed type (which would be undefined behaviour); uint8 wraps, as
+// defined.
+template <typename T>
+std::vector<T> LaneInputs(int64_t n, uint64_t seed) {
+  PhiloxRandom rng(seed);
+  std::vector<T> v(n);
+  for (T& x : v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      using L = std::numeric_limits<T>;
+      const T special[] = {L::quiet_NaN(),   -L::quiet_NaN(), T{0},
+                           -T{0},            L::infinity(),   -L::infinity(),
+                           L::denorm_min(),  -L::denorm_min(), L::min(),
+                           -L::min(),        T{1},            T{-1}};
+      x = rng.UniformInt(4) == 0
+              ? special[rng.UniformInt(std::size(special))]
+              : static_cast<T>(rng.UniformDouble() * 4 - 2);
+    } else if constexpr (std::is_signed_v<T>) {
+      x = static_cast<T>(static_cast<int64_t>(rng.UniformInt(2001)) - 1000);
+    } else {
+      x = static_cast<T>(rng.UniformInt(256));
+    }
+  }
+  return v;
+}
+
+// Bit-equal, or both NaN.
+template <typename T>
+bool SameLaneBits(const T* got, const std::vector<T>& want) {
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(T)) == 0) continue;
+    if constexpr (std::is_floating_point_v<T>) {
+      if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+    }
+    return false;
+  }
+  return true;
+}
+
+template <typename T>
+Output LaneConst(GraphBuilder* b, const std::vector<T>& values) {
+  return Const(b, Tensor::Vec<T>(values));
+}
+
+template <typename T>
+std::vector<T> Map(int64_t n, const std::function<T(int64_t)>& f) {
+  std::vector<T> v(n);
+  for (int64_t i = 0; i < n; ++i) v[i] = f(i);
+  return v;
+}
+
+// One graph of kernels and the bits each must produce. Run() runs the
+// initialising assigns, then the updates, then fetches every output.
+template <typename T>
+class LaneCheck {
+ public:
+  LaneCheck() : b_(&g_) {}
+  GraphBuilder* b() { return &b_; }
+  DataType dtype() const { return DataTypeToEnum<T>::value; }
+
+  Output Unary(const std::string& op, Output x) {
+    return b_.Op(op).Input(x).Attr("T", dtype()).Finalize();
+  }
+  Output Binary(const std::string& op, Output x, Output y) {
+    return b_.Op(op).Input(x).Input(y).Attr("T", dtype()).Finalize();
+  }
+  // A variable of `values.size()` elements, initialised to `values`.
+  Output Var(const std::vector<T>& values) {
+    Output v = ops::Variable(&b_, dtype(),
+                             TensorShape({static_cast<int64_t>(values.size())}),
+                             "v" + std::to_string(vars_++));
+    inits_.push_back(ops::Assign(&b_, v, LaneConst(&b_, values)).node->name());
+    return v;
+  }
+  void Update(Output op) { updates_.push_back(op.node->name()); }
+  void Expect(const std::string& label, Output out, std::vector<T> bits) {
+    labels_.push_back(label);
+    fetches_.push_back(out.name());
+    want_.push_back(std::move(bits));
+  }
+
+  void Run() {
+    TF_CHECK_OK(b_.status());
+    SessionOptions options;
+    options.optimizer.do_constant_folding = false;  // exercise the kernels
+    auto session = DirectSession::Create(g_, options);
+    TF_CHECK_OK(session.status());
+    if (!inits_.empty()) {
+      TF_CHECK_OK(session.value()->Run({}, {}, inits_, nullptr));
+      TF_CHECK_OK(session.value()->Run({}, {}, updates_, nullptr));
+    }
+    std::vector<Tensor> out;
+    TF_CHECK_OK(session.value()->Run(fetches_, &out));
+    for (size_t i = 0; i < out.size(); ++i) {
+      const std::string what = labels_[i] + " " +
+                               DataTypeName(dtype()) + " n=" +
+                               std::to_string(want_[i].size());
+      ASSERT_EQ(out[i].num_elements(),
+                static_cast<int64_t>(want_[i].size()))
+          << what;
+      EXPECT_TRUE(SameLaneBits(out[i].data<T>(), want_[i])) << what;
+    }
+  }
+
+ private:
+  Graph g_;
+  GraphBuilder b_;
+  int vars_ = 0;
+  std::vector<std::string> inits_;
+  std::vector<std::string> updates_;
+  std::vector<std::string> labels_;
+  std::vector<std::string> fetches_;
+  std::vector<std::vector<T>> want_;
+};
+
+template <typename T>
+using UnaryRef = T (*)(T);
+template <typename T>
+using BinaryRef = T (*)(T, T);
+
+// The libm functors run only on floating types here: on integers they
+// convert out-of-range doubles back (undefined behaviour), and they take
+// the same scalar path for every type.
+template <typename T>
+std::vector<std::pair<std::string, UnaryRef<T>>> UnaryFunctors() {
+  std::vector<std::pair<std::string, UnaryRef<T>>> fs = {
+      {"Neg", &NegFunc::Run<T>},   {"Square", &SquareFunc::Run<T>},
+      {"Abs", &AbsFunc::Run<T>},   {"Sign", &SignFunc::Run<T>},
+      {"Relu", &ReluFunc::Run<T>}};
+  if constexpr (std::is_floating_point_v<T>) {
+    fs.insert(fs.end(), {{"Exp", &ExpFunc::Run<T>},
+                         {"Log", &LogFunc::Run<T>},
+                         {"Sqrt", &SqrtFunc::Run<T>},
+                         {"Rsqrt", &RsqrtFunc::Run<T>},
+                         {"Tanh", &TanhFunc::Run<T>},
+                         {"Sigmoid", &SigmoidFunc::Run<T>},
+                         {"Floor", &FloorFunc::Run<T>},
+                         {"Ceil", &CeilFunc::Run<T>},
+                         {"Reciprocal", &ReciprocalFunc::Run<T>}});
+  }
+  return fs;
+}
+
+template <typename T>
+std::vector<std::pair<std::string, BinaryRef<T>>> BinaryFunctors() {
+  std::vector<std::pair<std::string, BinaryRef<T>>> fs = {
+      {"Add", &AddFunc::Run<T>},
+      {"Sub", &SubFunc::Run<T>},
+      {"Mul", &MulFunc::Run<T>},
+      {"Div", &DivFunc::Run<T>},
+      {"FloorDiv", &FloorDivFunc::Run<T>},
+      {"Mod", &ModFunc::Run<T>},
+      {"Maximum", &MaximumFunc::Run<T>},
+      {"Minimum", &MinimumFunc::Run<T>},
+      {"SquaredDifference", &SquaredDifferenceFunc::Run<T>}};
+  if constexpr (std::is_floating_point_v<T>) {
+    fs.push_back({"Pow", &PowFunc::Run<T>});
+  }
+  return fs;
+}
+
+// Unary and binary kernels (same shapes and each operand as a scalar),
+// AddN, and for floating types the activation gradients, the SGD and
+// momentum updates; AssignAdd and AssignSub for every type.
+template <typename T>
+void ExpectLanesMatchScalarLoops() {
+  for (int64_t n : LaneLengths<T>()) {
+    LaneCheck<T> check;
+    GraphBuilder* b = check.b();
+    const std::vector<T> x = LaneInputs<T>(n, 3 * n + 1);
+    std::vector<T> y = LaneInputs<T>(n, 3 * n + 2);
+    T s = LaneInputs<T>(1, 3 * n + 3)[0];
+    if constexpr (std::is_integral_v<T>) {  // divisors
+      for (T& v : y) v = v == 0 ? T{1} : v;
+      s = s == 0 ? T{1} : s;
+    }
+    const Output cx = LaneConst(b, x);
+    const Output cy = LaneConst(b, y);
+    const Output cs = Const(b, Tensor::FromVector<T>({s}, TensorShape()));
+
+    for (const auto& [op, f] : UnaryFunctors<T>()) {
+      check.Expect(op, check.Unary(op, cx),
+                   Map<T>(n, [&](int64_t i) { return f(x[i]); }));
+    }
+    for (const auto& [op, f] : BinaryFunctors<T>()) {
+      check.Expect(op, check.Binary(op, cx, cy),
+                   Map<T>(n, [&](int64_t i) { return f(x[i], y[i]); }));
+      check.Expect(op + "(scalar, y)", check.Binary(op, cs, cy),
+                   Map<T>(n, [&](int64_t i) { return f(s, y[i]); }));
+      check.Expect(op + "(x, scalar)", check.Binary(op, cx, cs),
+                   Map<T>(n, [&](int64_t i) { return f(x[i], s); }));
+    }
+    check.Expect("AddN", ops::AddN(b, {cx, cy, cx}),
+                 Map<T>(n, [&](int64_t i) {
+                   T acc{0};
+                   for (T v : {x[i], y[i], x[i]}) acc += v;
+                   return acc;
+                 }));
+
+    Output add_to = check.Var(y);
+    check.Update(ops::AssignAdd(b, add_to, cx));
+    check.Expect("AssignAdd", ops::Identity(b, add_to),
+                 Map<T>(n, [&](int64_t i) { return T(y[i] + x[i]); }));
+    Output sub_from = check.Var(y);
+    check.Update(ops::AssignSub(b, sub_from, cx));
+    check.Expect("AssignSub", ops::Identity(b, sub_from),
+                 Map<T>(n, [&](int64_t i) { return T(y[i] - x[i]); }));
+
+    if constexpr (std::is_floating_point_v<T>) {
+      check.Expect("ReluGrad", check.Binary("ReluGrad", cx, cy),
+                   Map<T>(n, [&](int64_t i) {
+                     return y[i] > T{0} ? x[i] : T{0};
+                   }));
+      check.Expect("SigmoidGrad", check.Binary("SigmoidGrad", cx, cy),
+                   Map<T>(n, [&](int64_t i) {
+                     return y[i] * x[i] * (T{1} - x[i]);
+                   }));
+      check.Expect("TanhGrad", check.Binary("TanhGrad", cx, cy),
+                   Map<T>(n, [&](int64_t i) {
+                     return y[i] * (T{1} - x[i] * x[i]);
+                   }));
+
+      const T alpha = static_cast<T>(0.37);
+      const T momentum = static_cast<T>(0.9);
+      Output sgd_var = check.Var(x);
+      check.Update(b->Op("ApplyGradientDescent")
+                       .Input(sgd_var)
+                       .Input(Const(b, Tensor::FromVector<T>({alpha}, {})))
+                       .Input(cy)
+                       .Attr("T", check.dtype())
+                       .Finalize());
+      check.Expect("ApplyGradientDescent", ops::Identity(b, sgd_var),
+                   Map<T>(n, [&](int64_t i) { return x[i] - alpha * y[i]; }));
+
+      Output mom_var = check.Var(x);
+      Output accum = check.Var(y);
+      check.Update(b->Op("ApplyMomentum")
+                       .Input(mom_var)
+                       .Input(accum)
+                       .Input(Const(b, Tensor::FromVector<T>({alpha}, {})))
+                       .Input(cx)
+                       .Input(Const(b, Tensor::FromVector<T>({momentum}, {})))
+                       .Attr("T", check.dtype())
+                       .Finalize());
+      const std::vector<T> accum_after =
+          Map<T>(n, [&](int64_t i) { return momentum * y[i] + x[i]; });
+      check.Expect("ApplyMomentum accum", ops::Identity(b, accum),
+                   accum_after);
+      check.Expect("ApplyMomentum var", ops::Identity(b, mom_var),
+                   Map<T>(n, [&](int64_t i) {
+                     return x[i] - alpha * accum_after[i];
+                   }));
+    }
+    check.Run();
+  }
+}
+
+TEST(LaneTest, ElementwiseKernelsMatchScalarLoops) {
+  ExpectLanesMatchScalarLoops<float>();
+  ExpectLanesMatchScalarLoops<double>();
+  ExpectLanesMatchScalarLoops<int32_t>();
+  ExpectLanesMatchScalarLoops<int64_t>();
+  ExpectLanesMatchScalarLoops<uint8_t>();
+}
+
+// BiasAdd and BiasAddGrad run Elementwise once per row: every column count
+// from 1 to 2 * lanes + 3 (most not a multiple of the lane count), zero and
+// several rows, and the [64, 256] layer of perfbench's train_mlp_local.
+// BiasAddGrad sums each column in ascending row order from zero.
+template <typename T>
+void ExpectBiasKernelsMatchScalarLoops() {
+  std::vector<std::pair<int64_t, int64_t>> shapes = {{0, 3}, {64, 256}};
+  for (int64_t c = 1; c <= 2 * kLanes<T> + 3; ++c) shapes.push_back({5, c});
+  LaneCheck<T> check;
+  GraphBuilder* b = check.b();
+  uint64_t seed = 100;
+  for (const auto& [rows, c] : shapes) {
+    const std::vector<T> value = LaneInputs<T>(rows * c, seed++);
+    const std::vector<T> bias = LaneInputs<T>(c, seed++);
+    const Output cvalue =
+        Const(b, Tensor::FromVector<T>(value, TensorShape({rows, c})));
+    const std::string shape =
+        "[" + std::to_string(rows) + "," + std::to_string(c) + "]";
+    check.Expect("BiasAdd " + shape,
+                 ops::BiasAdd(b, cvalue, LaneConst(b, bias)),
+                 Map<T>(rows * c, [&](int64_t i) {
+                   return T(value[i] + bias[i % c]);
+                 }));
+    check.Expect("BiasAddGrad " + shape,
+                 b->Op("BiasAddGrad")
+                     .Input(cvalue)
+                     .Attr("T", check.dtype())
+                     .Finalize(),
+                 Map<T>(c, [&](int64_t j) {
+                   T acc{0};
+                   for (int64_t r = 0; r < rows; ++r) acc += value[r * c + j];
+                   return acc;
+                 }));
+  }
+  check.Run();
+}
+
+TEST(LaneTest, BiasAddAndBiasAddGradMatchScalarLoops) {
+  ExpectBiasKernelsMatchScalarLoops<float>();
+  ExpectBiasKernelsMatchScalarLoops<double>();
+  ExpectBiasKernelsMatchScalarLoops<int32_t>();
+  ExpectBiasKernelsMatchScalarLoops<int64_t>();
+  ExpectBiasKernelsMatchScalarLoops<uint8_t>();
+}
+
+// The functors above are also the references, so Relu's own meaning is
+// pinned here: NaN and -0 give +0, on the lanes and in the tail.
+template <typename T>
+void ExpectReluOfNaNAndMinusZeroIsPlusZero() {
+  using L = std::numeric_limits<T>;
+  std::vector<T> x;
+  for (int i = 0; i < 2 * kLanes<T> + 1; ++i) {
+    x.push_back(i % 3 == 0 ? L::quiet_NaN() : i % 3 == 1 ? -T{0}
+                                                          : -L::quiet_NaN());
+  }
+  LaneCheck<T> check;
+  check.Expect("Relu", check.Unary("Relu", LaneConst(check.b(), x)),
+               std::vector<T>(x.size(), T{0}));
+  check.Run();
+}
+
+TEST(LaneTest, ReluOfNaNAndMinusZeroIsPlusZero) {
+  ExpectReluOfNaNAndMinusZeroIsPlusZero<float>();
+  ExpectReluOfNaNAndMinusZeroIsPlusZero<double>();
 }
 
 }  // namespace
