@@ -167,6 +167,28 @@ TEST(RegistryTest, JsonExportContainsEntries) {
   EXPECT_EQ(json.back(), '}');
 }
 
+// The snapshot document byte for byte: counters, then gauges, then
+// histograms, each sorted by (name, tags); names and tag strings escaped;
+// the last bucket is "+inf".
+TEST(RegistryTest, JsonGolden) {
+  Registry registry;
+  registry.GetCounter("c.\"quoted\"", {{"task", "w\\0"}})->Increment(3);
+  registry.GetGauge("g", {{"a", "1"}, {"b", "x\ty"}})->Set(-5);
+  Histogram* h = registry.GetHistogram("h", {0.5, 2.25});
+  h->Record(0.25);
+  h->Record(2.125);
+  h->Record(100.0);
+  EXPECT_EQ(registry.Snapshot().ToJson(),
+            R"({"metrics":[)"
+            R"({"name":"c.\"quoted\"","tags":{"task":"w\\0"},)"
+            R"("kind":"counter","value":3},)"
+            R"({"name":"g","tags":{"a":"1","b":"x\ty"},)"
+            R"("kind":"gauge","value":-5},)"
+            R"({"name":"h","tags":{},"kind":"histogram","count":3,)"
+            R"("sum":102.375,"buckets":[{"le":0.5,"count":1},)"
+            R"({"le":2.25,"count":1},{"le":"+inf","count":1}]}]})");
+}
+
 // The one JSON string escaper (core/coding.h), shared by the metrics
 // export, the Chrome trace and the profile dump.
 TEST(JsonStringTest, EscapesWhatJsonRequiresAndPassesTheRest) {

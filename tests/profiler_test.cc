@@ -131,6 +131,23 @@ TEST(ProfileStoreTest, MergeIsOrderIndependent) {
   EXPECT_DOUBLE_EQ(ab.NodeMeanMicros("n1"), 100.0);
 }
 
+// The profile document byte for byte: entries sorted by (op, node,
+// device), names escaped, trailing zero buckets elided.
+TEST(ProfileStoreTest, JsonGolden) {
+  ProfileStore store;
+  store.AddStepStats(MakeStep("a", "Add", "/device:CPU:0", 3));
+  store.AddStepStats(MakeStep("a", "Add", "/device:CPU:0", 6));
+  store.AddStepStats(MakeStep("m\"1", "MatMul", "/device:CPU:1", 1));
+  EXPECT_EQ(store.ToJson(),
+            R"({"steps":3,"entries":[)"
+            R"({"op":"Add","node":"a","device":"/device:CPU:0","count":2,)"
+            R"("mean_us":4.500,"min_us":3.000,"max_us":6.000,)"
+            R"("total_us":9.000,"buckets_pow2_us":[0,1,1]},)"
+            R"({"op":"MatMul","node":"m\"1","device":"/device:CPU:1",)"
+            R"("count":1,"mean_us":1.000,"min_us":1.000,"max_us":1.000,)"
+            R"("total_us":1.000,"buckets_pow2_us":[1]}]})");
+}
+
 TEST(ProfileStoreTest, WriteJsonIsAtomicAndParseable) {
   ProfileStore store;
   store.AddStepStats(MakeStep("n\"quoted\"", "Op", "/device:CPU:0", 42));

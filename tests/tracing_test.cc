@@ -339,6 +339,74 @@ TEST(TracingTest, WriteChromeTraceRoundTrip) {
   EXPECT_FALSE(stats.WriteChromeTrace("/nonexistent-dir/x/y.json").ok());
 }
 
+// The Chrome trace byte for byte: a node, a Send, a Recv, an instant on a
+// task scope (no device), a global instant, a span with args, then the
+// process and thread name rows. Times are rebased to the earliest event.
+TEST(TracingTest, ChromeTraceGolden) {
+  StepStats stats;
+  stats.step_id = 7;
+  NodeExecStats n;
+  n.node_name = "mm";
+  n.op = "MatMul";
+  n.device = "/job:w/task:0/device:CPU:0";
+  n.scheduled_micros = 100;
+  n.start_micros = 110;
+  n.end_micros = 150;
+  stats.nodes.push_back(n);
+  TransferStats send;
+  send.kind = TransferStats::Kind::kSend;
+  send.tensor_name = "t";
+  send.send_device = "/job:ps/task:0/device:CPU:0";
+  send.recv_device = n.device;
+  send.bytes = 16;
+  send.send_micros = 120;
+  stats.transfers.push_back(send);
+  TransferStats recv = send;
+  recv.kind = TransferStats::Kind::kRecv;
+  recv.send_micros = 0;
+  recv.recv_start_micros = 125;
+  recv.recv_end_micros = 140;
+  stats.transfers.push_back(recv);
+  stats.instants.push_back(
+      InstantEvent{"fault.kill", "/job:w/task:0", 130, {{"kind", "kill"}}});
+  stats.instants.push_back(InstantEvent{"master.retry", "", 135, {}});
+  stats.spans.push_back(SpanEvent{
+      "queue.wait", "/job:ps/task:0", 105, 145, {{"queue", "q\"1"}}});
+
+  EXPECT_EQ(
+      stats.ToChromeTraceJson(),
+      R"({"traceEvents":[)"
+      R"({"ph":"X","pid":1,"tid":1,"ts":10,"dur":40,"cat":"op",)"
+      R"("name":"MatMul","args":{"node":"mm","ready_wait_us":10}},)"
+      R"({"ph":"i","s":"t","pid":2,"tid":0,"ts":20,"cat":"transfer",)"
+      R"("name":"Send t","args":{"bytes":16,)"
+      R"("from":"/job:ps/task:0/device:CPU:0",)"
+      R"("to":"/job:w/task:0/device:CPU:0"}},)"
+      R"({"ph":"X","pid":1,"tid":0,"ts":25,"dur":15,"cat":"transfer",)"
+      R"("name":"Recv t","args":{"bytes":16,)"
+      R"("from":"/job:ps/task:0/device:CPU:0",)"
+      R"("to":"/job:w/task:0/device:CPU:0"}},)"
+      R"({"ph":"i","s":"p","pid":1,"ts":30,"cat":"marker",)"
+      R"("name":"fault.kill","args":{"kind":"kill"}},)"
+      R"({"ph":"i","s":"g","pid":0,"ts":35,"cat":"marker",)"
+      R"("name":"master.retry","args":{}},)"
+      R"({"ph":"X","pid":2,"tid":9990,"ts":5,"dur":40,"cat":"wait",)"
+      R"("name":"queue.wait","args":{"queue":"q\"1"}},)"
+      R"({"ph":"M","pid":2,"name":"process_name",)"
+      R"("args":{"name":"/job:ps/task:0"}},)"
+      R"({"ph":"M","pid":2,"tid":0,"name":"thread_name",)"
+      R"("args":{"name":"transfers"}},)"
+      R"({"ph":"M","pid":1,"name":"process_name",)"
+      R"("args":{"name":"/job:w/task:0"}},)"
+      R"({"ph":"M","pid":1,"tid":0,"name":"thread_name",)"
+      R"("args":{"name":"transfers"}},)"
+      R"({"ph":"M","pid":2,"tid":9990,"name":"thread_name",)"
+      R"("args":{"name":"waits"}},)"
+      R"({"ph":"M","pid":1,"tid":1,"name":"thread_name",)"
+      R"("args":{"name":"/job:w/task:0/device:CPU:0"}}],)"
+      R"("displayTimeUnit":"ms","metadata":{"step_id":7}})");
+}
+
 TEST(TracingTest, TabInNodeNameIsWrittenAsBackslashT) {
   StepStats stats;
   NodeExecStats n;
