@@ -8,12 +8,12 @@
 #define TFREPRO_BENCH_BENCH_JSON_H_
 
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/file.h"
+#include "core/json.h"
 #include "core/metrics.h"
 
 namespace tfrepro {
@@ -55,29 +55,27 @@ class BenchReport {
   // No-op without --json. Returns 0 on success for use as an exit code.
   int WriteIfRequested() const {
     if (path_.empty()) return 0;
-    std::ostringstream os;
-    os << "{\"bench\":\"" << bench_name_ << "\",\"results\":[";
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      const BenchRow& r = rows_[i];
-      if (i > 0) os << ",";
-      os << "{\"name\":\"" << r.name << "\",\"wall_ms\":" << r.wall_ms
-         << ",\"steps_per_s\":" << r.steps_per_s;
-      for (const auto& [k, v] : r.extras) {
-        os << ",\"" << k << "\":" << v;
-      }
-      os << "}";
+    JsonWriter w;
+    w.BeginObject().Key("bench").String(bench_name_);
+    w.Key("results").BeginArray();
+    for (const BenchRow& r : rows_) {
+      w.BeginObject().Key("name").String(r.name);
+      w.Key("wall_ms").Double(r.wall_ms);
+      w.Key("steps_per_s").Double(r.steps_per_s);
+      for (const auto& [k, v] : r.extras) w.Key(k).Double(v);
+      w.EndObject();
     }
-    os << "],\"metrics\":" << metrics::Registry::Global()->Snapshot().ToJson()
-       << "}\n";
-    std::ofstream out(path_);
-    if (!out) {
-      std::fprintf(stderr, "cannot open --json path '%s'\n", path_.c_str());
+    w.EndArray().Key("metrics");
+    metrics::Registry::Global()->Snapshot().AppendJson(&w);
+    w.EndObject();
+    Status s = WriteFileAtomically(path_, w.str() + "\n");
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-    out << os.str();
     std::fprintf(stderr, "wrote %zu result rows to %s\n", rows_.size(),
                  path_.c_str());
-    return out ? 0 : 1;
+    return 0;
   }
 
  private:

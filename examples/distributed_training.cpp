@@ -34,10 +34,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 
+#include "core/file.h"
 #include "core/metrics.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
@@ -284,8 +284,8 @@ int main(int argc, char** argv) {
                 sync_meta.step_stats.transfers.size());
 
     std::string metrics_path = trace_prefix + ".metrics.json";
-    std::ofstream metrics_out(metrics_path);
-    metrics_out << metrics::Registry::Global()->Snapshot().ToJson() << "\n";
+    TF_CHECK_OK(WriteFileAtomically(
+        metrics_path, metrics::Registry::Global()->Snapshot().ToJson() + "\n"));
     std::printf("wrote %s\n", metrics_path.c_str());
   }
 

@@ -259,20 +259,40 @@ PYEOF
   done
 }
 
-# Profiler smoke (DESIGN.md §12): run the distributed training example
-# with sampling enabled and check the dumped profile is well-formed —
-# sampled steps were taken and per-node entries aggregated.
+# Profiler smoke (DESIGN.md §8, §12): run the distributed training example
+# with sampling and tracing enabled. Every document it writes — the
+# profile, both Chrome traces and the metrics snapshot — must load with
+# Python's json module (NaN and Infinity rejected too); the profile must
+# hold sampled steps and per-node entries; and every default-bucket
+# histogram in the snapshot must list exactly
+# Histogram::DefaultLatencyBucketsMs() as its bounds (1048.576, not a
+# rounded 1048.58).
 run_profiler_smoke() {
-  echo "== profiler smoke: distributed_training --profile-out =="
+  echo "== profiler smoke: distributed_training --profile-out --trace-out =="
   cmake --build build -j "$JOBS" --target distributed_training
-  local profile=/tmp/profiler_smoke.json
-  rm -f "$profile"
+  local out
+  out="$(mktemp -d)"
   TFREPRO_PROFILE_EVERY=5 timeout 300 \
-      ./build/examples/distributed_training --profile-out "$profile"
-  python3 - "$profile" <<'PYEOF'
-import json, sys
+      ./build/examples/distributed_training --profile-out "$out/profile.json" \
+      --trace-out "$out/step"
+  python3 - "$out" <<'PYEOF'
+import json, os, sys
 
-profile = json.load(open(sys.argv[1]))
+out = sys.argv[1]
+
+def reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+docs = {}
+for name in ["profile.json", "step_async.trace.json", "step_sync.trace.json",
+             "step.metrics.json"]:
+    try:
+        with open(os.path.join(out, name)) as f:
+            docs[name] = json.load(f, parse_constant=reject)
+    except ValueError as e:
+        raise SystemExit(f"profiler smoke FAILED: {name} does not parse: {e}")
+
+profile = docs["profile.json"]
 steps = profile["steps"]
 entries = profile["entries"]
 if steps <= 0:
@@ -282,8 +302,34 @@ if not entries:
 bad = [e for e in entries if e["count"] <= 0 or e["mean_us"] < 0]
 if bad:
     raise SystemExit(f"profiler smoke FAILED: malformed entries {bad[:3]}")
-print(f"profiler smoke: {steps} sampled steps, {len(entries)} entries — ok")
+
+# Histogram::DefaultLatencyBucketsMs(), computed the same way.
+default = []
+b = 0.001
+while b < 200000.0:
+    default.append(b)
+    b *= 4.0
+checked = 0
+for m in docs["step.metrics.json"]["metrics"]:
+    if m["kind"] != "histogram":
+        continue
+    bounds = [bucket["le"] for bucket in m["buckets"][:-1]]
+    near = len(bounds) == len(default) and all(
+        abs(x - d) <= 1e-3 * d for x, d in zip(bounds, default))
+    if not near:
+        continue
+    checked += 1
+    if bounds != default:
+        raise SystemExit(f"profiler smoke FAILED: {m['name']} bounds {bounds} "
+                         f"are not the default buckets {default}")
+if checked == 0:
+    raise SystemExit("profiler smoke FAILED: no default-bucket histogram "
+                     "in the metrics snapshot")
+print(f"profiler smoke: {steps} sampled steps, {len(entries)} entries, "
+      f"{len(docs)} documents parse, {checked} default-bucket histograms "
+      "exact — ok")
 PYEOF
+  rm -r "$out"
 }
 
 case "${1:-}" in

@@ -20,7 +20,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -104,11 +103,6 @@ inline Status ReadShape(const std::string& in, size_t* offset,
   *shape = TensorShape(dims);
   return Status::OK();
 }
-
-// Writes `s` as a quoted JSON string: '"', '\\', newline and tab escape by
-// name, other bytes below 0x20 as \u00XX, and every other byte (UTF-8
-// included) passes through unchanged.
-void AppendJsonString(std::ostream* os, const std::string& s);
 
 }  // namespace tfrepro
 

@@ -5,12 +5,9 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
-#include "core/coding.h"
+#include "core/file.h"
 
 namespace tfrepro {
 namespace metrics {
@@ -106,62 +103,41 @@ int64_t RegistrySnapshot::TotalValue(const std::string& name) const {
   return total;
 }
 
-namespace {
-
-void AppendTags(std::ostringstream* os, const TagMap& tags) {
-  *os << "{";
-  bool first = true;
-  for (const auto& [k, v] : tags) {
-    if (!first) *os << ",";
-    first = false;
-    AppendJsonString(os, k);
-    *os << ":";
-    AppendJsonString(os, v);
-  }
-  *os << "}";
+std::string RegistrySnapshot::ToJson() const {
+  JsonWriter w;
+  AppendJson(&w);
+  return w.str();
 }
 
-}  // namespace
-
-std::string RegistrySnapshot::ToJson() const {
-  std::ostringstream os;
-  os << "{\"metrics\":[";
-  bool first = true;
+void RegistrySnapshot::AppendJson(JsonWriter* w) const {
+  w->BeginObject().Key("metrics").BeginArray();
   for (const MetricSnapshot& e : entries) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":";
-    AppendJsonString(&os, e.name);
-    os << ",\"tags\":";
-    AppendTags(&os, e.tags);
+    w->BeginObject().Key("name").String(e.name).Key("tags").StringMap(e.tags);
     switch (e.kind) {
       case MetricSnapshot::Kind::kCounter:
-        os << ",\"kind\":\"counter\",\"value\":" << e.value;
+        w->Key("kind").String("counter").Key("value").Int(e.value);
         break;
       case MetricSnapshot::Kind::kGauge:
-        os << ",\"kind\":\"gauge\",\"value\":" << e.value;
+        w->Key("kind").String("gauge").Key("value").Int(e.value);
         break;
-      case MetricSnapshot::Kind::kHistogram: {
-        os << ",\"kind\":\"histogram\",\"count\":" << e.count
-           << ",\"sum\":" << e.sum << ",\"buckets\":[";
+      case MetricSnapshot::Kind::kHistogram:
+        w->Key("kind").String("histogram").Key("count").Int(e.count);
+        w->Key("sum").Double(e.sum).Key("buckets").BeginArray();
         for (size_t i = 0; i < e.bucket_counts.size(); ++i) {
-          if (i > 0) os << ",";
-          os << "{\"le\":";
+          w->BeginObject().Key("le");
           if (i < e.bounds.size()) {
-            os << e.bounds[i];
+            w->Double(e.bounds[i]);
           } else {
-            os << "\"+inf\"";
+            w->String("+inf");
           }
-          os << ",\"count\":" << e.bucket_counts[i] << "}";
+          w->Key("count").Int(e.bucket_counts[i]).EndObject();
         }
-        os << "]";
+        w->EndArray();
         break;
-      }
     }
-    os << "}";
+    w->EndObject();
   }
-  os << "]}";
-  return os.str();
+  w->EndArray().EndObject();
 }
 
 Registry* Registry::Global() {
@@ -247,23 +223,7 @@ MetricsExporter::MetricsExporter(std::string path, double interval_seconds)
 MetricsExporter::~MetricsExporter() { Stop(); }
 
 Status MetricsExporter::WriteOnce() const {
-  const std::string json = Registry::Global()->Snapshot().ToJson();
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out.is_open()) {
-      return InvalidArgument("cannot open metrics dump file '" + tmp + "'");
-    }
-    out << json;
-    out.close();
-    if (!out) {
-      return DataLoss("failed writing metrics to '" + tmp + "'");
-    }
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    return DataLoss("failed renaming '" + tmp + "' to '" + path_ + "'");
-  }
-  return Status::OK();
+  return WriteFileAtomically(path_, Registry::Global()->Snapshot().ToJson());
 }
 
 void MetricsExporter::Stop() {

@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/json.h"
 #include "core/status.h"
 
 namespace tfrepro {
@@ -119,6 +120,8 @@ struct RegistrySnapshot {
   int64_t TotalValue(const std::string& name) const;
 
   std::string ToJson() const;
+  // Writes the ToJson() document as the next value of `w`.
+  void AppendJson(JsonWriter* w) const;
 };
 
 class Registry {
@@ -154,9 +157,10 @@ class Registry {
 // Periodic metrics exporter (DESIGN.md §12): a background thread that
 // writes Registry::Global()->Snapshot().ToJson() to `path` every
 // `interval_seconds`, plus a final dump at Stop/destruction. Each write
-// goes to `path + ".tmp"` and is renamed into place, so a concurrent
-// reader never observes a torn file. Intended for long-running processes
-// (worker_main) that have no other introspection channel.
+// goes through WriteFileAtomically (core/file.h), so a concurrent reader
+// never observes a torn file, even when several processes share one path.
+// Intended for long-running processes (worker_main) that have no other
+// introspection channel.
 class MetricsExporter {
  public:
   MetricsExporter(std::string path, double interval_seconds);

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "core/file.h"
 #include "core/metrics.h"
 
 namespace tfrepro {
@@ -159,25 +160,10 @@ Status MasterStateLog::CompactLocked() {
   }
   const std::string compact = os.str();
 
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream tmp_out(tmp, std::ios::trunc);
-    tmp_out << compact;
-    tmp_out.flush();
-    if (!tmp_out) {
-      return Internal("compaction write to '" + tmp + "' failed");
-    }
-  }
+  // On failure the old (uncompacted but complete) log is still in place;
+  // keep appending to it rather than losing durability.
+  TF_RETURN_IF_ERROR(WriteFileAtomically(path_, compact));
   out_.close();
-  std::error_code ec;
-  std::filesystem::rename(tmp, path_, ec);
-  if (ec) {
-    // The old (uncompacted but complete) log is still in place; keep
-    // appending to it rather than losing durability.
-    out_.open(path_, std::ios::app);
-    return Internal("compaction rename to '" + path_ +
-                    "' failed: " + ec.message());
-  }
   out_.open(path_, std::ios::app);
   if (!out_) {
     return Internal("cannot reopen master state log '" + path_ +

@@ -23,9 +23,10 @@
 // long-running master grows the log without bound while its replayed state
 // stays tiny (later records win). The log therefore tracks a compact
 // in-memory mirror of the replayed state and, when the file exceeds
-// `rotate_bytes`, atomically rewrites it to just that state (write to
-// "<path>.tmp", flush, rename over `path`) — recovery over a rotated log is
-// indistinguishable from recovery over the full history.
+// `rotate_bytes`, atomically rewrites it to just that state
+// (WriteFileAtomically: a uniquely named temp file renamed over `path`) —
+// recovery over a rotated log is indistinguishable from recovery over the
+// full history.
 
 #ifndef TFREPRO_DISTRIBUTED_MASTER_STATE_H_
 #define TFREPRO_DISTRIBUTED_MASTER_STATE_H_

@@ -1,30 +1,14 @@
 #include "kernels/checkpoint_format.h"
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
-#include <sstream>
 
 #include "core/coding.h"
+#include "core/file.h"
 
 namespace tfrepro {
 
-namespace {
-
 constexpr char kMagic[8] = {'T', 'F', 'R', 'C', 'K', 'P', 'T', '1'};
-
-Result<std::string> ReadWholeFile(const std::string& filename) {
-  std::ifstream in(filename, std::ios::binary);
-  if (!in) {
-    return NotFound("cannot open checkpoint file '" + filename + "'");
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-}  // namespace
 
 Status WriteCheckpoint(
     const std::string& filename,
@@ -36,23 +20,9 @@ Status WriteCheckpoint(
     AppendString(&bytes, name);
     tensor.AppendToBytes(&bytes);
   }
-  // Write via a temp file + rename for crash atomicity: a checkpoint that
-  // is only partially written must never shadow the previous good one.
-  std::string tmp = filename + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Internal("cannot open '" + tmp + "' for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      return Internal("short write to '" + tmp + "'");
-    }
-  }
-  if (std::rename(tmp.c_str(), filename.c_str()) != 0) {
-    return Internal("cannot rename '" + tmp + "' to '" + filename + "'");
-  }
-  return Status::OK();
+  // A checkpoint that is only partially written must never shadow the
+  // previous good one.
+  return WriteFileAtomically(filename, bytes);
 }
 
 namespace {
@@ -62,7 +32,7 @@ namespace {
 Status ScanCheckpoint(
     const std::string& filename,
     const std::function<bool(const std::string&, Tensor)>& visit) {
-  Result<std::string> bytes = ReadWholeFile(filename);
+  Result<std::string> bytes = ReadFile(filename);
   TF_RETURN_IF_ERROR(bytes.status());
   const std::string& data = bytes.value();
   if (data.size() < sizeof(kMagic) ||

@@ -3,9 +3,7 @@
 // graph operations — checkpointing is user-level, built by the Saver client
 // library (src/train/saver.*), not runtime magic.
 
-#include <fstream>
-#include <sstream>
-
+#include "core/file.h"
 #include "kernels/checkpoint_format.h"
 #include "runtime/kernel.h"
 
@@ -60,12 +58,9 @@ class ReadFileOp : public OpKernel {
     Tensor filename = ctx->input(0);
     OP_REQUIRES(ctx, filename.num_elements() == 1,
                 InvalidArgument("ReadFile filename must be a single string"));
-    std::ifstream in(filename.str(0), std::ios::binary);
-    OP_REQUIRES(ctx, static_cast<bool>(in),
-                NotFound("cannot open file '" + filename.str(0) + "'"));
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    ctx->set_output(0, Tensor::Scalar(ss.str()));
+    Result<std::string> content = ReadFile(filename.str(0));
+    OP_REQUIRES_OK(ctx, content.status());
+    ctx->set_output(0, Tensor::Scalar(std::move(content).value()));
   }
 };
 REGISTER_KERNEL("ReadFile", kDeviceCpu, ReadFileOp);

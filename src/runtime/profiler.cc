@@ -1,12 +1,10 @@
 #include "runtime/profiler.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
-#include "core/coding.h"
+#include "core/file.h"
+#include "core/json.h"
 
 namespace tfrepro {
 
@@ -18,12 +16,6 @@ int BucketOf(double micros) {
     ++b;
   }
   return b;
-}
-
-void AppendFixed(std::ostringstream* os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  *os << buf;
 }
 
 }  // namespace
@@ -92,63 +84,27 @@ std::vector<ProfileEntry> ProfileStore::Entries() const {
 }
 
 std::string ProfileStore::ToJson() const {
-  std::vector<ProfileEntry> entries = Entries();
-  int64_t steps;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    steps = steps_;
-  }
-  std::ostringstream os;
-  os << "{\"steps\":" << steps << ",\"entries\":[";
-  bool first = true;
-  for (const ProfileEntry& e : entries) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"op\":";
-    AppendJsonString(&os, e.op);
-    os << ",\"node\":";
-    AppendJsonString(&os, e.node);
-    os << ",\"device\":";
-    AppendJsonString(&os, e.device);
-    os << ",\"count\":" << e.count << ",\"mean_us\":";
-    AppendFixed(&os, e.mean_micros());
-    os << ",\"min_us\":";
-    AppendFixed(&os, e.min_micros);
-    os << ",\"max_us\":";
-    AppendFixed(&os, e.max_micros);
-    os << ",\"total_us\":";
-    AppendFixed(&os, e.total_micros);
+  JsonWriter w;
+  w.BeginObject().Key("steps").Int(steps()).Key("entries").BeginArray();
+  for (const ProfileEntry& e : Entries()) {
+    w.BeginObject().Key("op").String(e.op).Key("node").String(e.node);
+    w.Key("device").String(e.device).Key("count").Int(e.count);
+    w.Key("mean_us").Double(e.mean_micros());
+    w.Key("min_us").Double(e.min_micros).Key("max_us").Double(e.max_micros);
+    w.Key("total_us").Double(e.total_micros);
     // Trailing zero buckets are elided to keep dumps compact.
     int last = ProfileEntry::kNumBuckets;
     while (last > 0 && e.buckets[last - 1] == 0) --last;
-    os << ",\"buckets_pow2_us\":[";
-    for (int i = 0; i < last; ++i) {
-      if (i > 0) os << ",";
-      os << e.buckets[i];
-    }
-    os << "]}";
+    w.Key("buckets_pow2_us").BeginArray();
+    for (int i = 0; i < last; ++i) w.Int(e.buckets[i]);
+    w.EndArray().EndObject();
   }
-  os << "]}";
-  return os.str();
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 Status ProfileStore::WriteJson(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out.is_open()) {
-      return InvalidArgument("cannot open profile output file '" + tmp + "'");
-    }
-    out << ToJson();
-    out.close();
-    if (!out) {
-      return DataLoss("failed writing profile to '" + tmp + "'");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return DataLoss("failed renaming '" + tmp + "' to '" + path + "'");
-  }
-  return Status::OK();
+  return WriteFileAtomically(path, ToJson());
 }
 
 double ProfileStore::NodeMeanMicros(const std::string& node) const {

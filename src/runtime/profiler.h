@@ -4,7 +4,7 @@
 //   * ProfileStore — thread-safe aggregation of per-(op, node, device)
 //     latency observations harvested from traced StepStats: count / total /
 //     min / max plus a log2-bucketed latency histogram per key, with a
-//     deterministic JSON dump and an atomic (tmp+rename) file writer. The
+//     deterministic JSON dump and an atomic file writer (core/file.h). The
 //     store feeds back into the system: CostFunction() hands the placer a
 //     measured per-node cost, and src/sim consumes the overall dispatch
 //     mean via ObservedFrameworkProfile().
@@ -75,10 +75,10 @@ class ProfileStore {
   std::vector<ProfileEntry> Entries() const;
 
   // {"steps":N,"entries":[{"op":...,"node":...,"device":...,"count":...,
-  //  "mean_us":...,...,"buckets":[...]}]} with entries sorted as above.
+  //  "mean_us":...,...,"buckets_pow2_us":[...]}]}, sorted as above.
   std::string ToJson() const;
 
-  // Atomically writes ToJson() to `path` (tmp file + rename, so a reader
+  // Atomically writes ToJson() to `path` (WriteFileAtomically, so a reader
   // never observes a partial profile).
   Status WriteJson(const std::string& path) const;
 

@@ -1,11 +1,11 @@
 #include "runtime/tracing.h"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include "core/coding.h"
+#include "core/file.h"
+#include "core/json.h"
 #include "core/metrics.h"
 
 namespace tfrepro {
@@ -118,18 +118,12 @@ std::string StepStats::ToChromeTraceJson() const {
   std::map<std::string, int> task_pid;
   std::map<std::string, int> device_tid;
   auto pid_of_task = [&task_pid](const std::string& task) {
-    auto it = task_pid.find(task);
-    if (it != task_pid.end()) return it->second;
-    int pid = static_cast<int>(task_pid.size()) + 1;
-    task_pid[task] = pid;
-    return pid;
+    int next = static_cast<int>(task_pid.size()) + 1;
+    return task_pid.emplace(task, next).first->second;
   };
   auto tid_of_device = [&device_tid](const std::string& device) {
-    auto it = device_tid.find(device);
-    if (it != device_tid.end()) return it->second;
-    int tid = static_cast<int>(device_tid.size()) + 1;
-    device_tid[device] = tid;
-    return tid;
+    int next = static_cast<int>(device_tid.size()) + 1;
+    return device_tid.emplace(device, next).first->second;
   };
 
   int64_t base = INT64_MAX;
@@ -148,122 +142,83 @@ std::string StepStats::ToChromeTraceJson() const {
   // queue / batcher wait intervals sit alongside the compute lanes.
   constexpr int kWaitsTid = 9990;
 
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&os, &first]() {
-    if (!first) os << ",";
-    first = false;
+  JsonWriter w;
+  w.BeginObject().Key("traceEvents").BeginArray();
+  // Writes an event's fields in Chrome's order up to its "args" key; an
+  // instant's scope `s`, `tid` and a duration event's "dur" only when
+  // they apply.
+  auto event = [&](const char* ph, const char* s, int pid, int tid,
+                   int64_t start, int64_t end, const char* cat,
+                   const std::string& name) -> JsonWriter& {
+    w.BeginObject().Key("ph").String(ph);
+    if (s != nullptr) w.Key("s").String(s);
+    w.Key("pid").Int(pid);
+    if (tid >= 0) w.Key("tid").Int(tid);
+    w.Key("ts").Int(start - base);
+    if (*ph == 'X') w.Key("dur").Int(std::max<int64_t>(end - start, 1));
+    return w.Key("cat").String(cat).Key("name").String(name).Key("args");
   };
 
   for (const NodeExecStats& n : nodes) {
-    sep();
     int pid = pid_of_task(TaskOfDevice(n.device));
     int tid = tid_of_device(n.device);
-    int64_t dur = std::max<int64_t>(n.end_micros - n.start_micros, 1);
-    os << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
-       << ",\"ts\":" << (n.start_micros - base) << ",\"dur\":" << dur
-       << ",\"cat\":\"op\",\"name\":";
-    AppendJsonString(&os, n.op);
-    os << ",\"args\":{\"node\":";
-    AppendJsonString(&os, n.node_name);
-    os << ",\"ready_wait_us\":" << (n.start_micros - n.scheduled_micros)
-       << "}}";
+    event("X", nullptr, pid, tid, n.start_micros, n.end_micros, "op", n.op)
+        .BeginObject().Key("node").String(n.node_name);
+    w.Key("ready_wait_us").Int(n.start_micros - n.scheduled_micros);
+    w.EndObject().EndObject();
   }
 
   for (const TransferStats& t : transfers) {
-    sep();
     if (t.kind == TransferStats::Kind::kSend) {
-      int pid = pid_of_task(TaskOfDevice(t.send_device));
-      os << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << pid << ",\"tid\":0"
-         << ",\"ts\":" << (t.send_micros - base) << ",\"cat\":\"transfer\""
-         << ",\"name\":";
-      AppendJsonString(&os, "Send " + t.tensor_name);
+      event("i", "t", pid_of_task(TaskOfDevice(t.send_device)), 0,
+            t.send_micros, 0, "transfer", "Send " + t.tensor_name);
     } else {
-      int pid = pid_of_task(TaskOfDevice(t.recv_device));
-      int64_t dur =
-          std::max<int64_t>(t.recv_end_micros - t.recv_start_micros, 1);
-      os << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":0"
-         << ",\"ts\":" << (t.recv_start_micros - base) << ",\"dur\":" << dur
-         << ",\"cat\":\"transfer\",\"name\":";
-      AppendJsonString(&os, "Recv " + t.tensor_name);
+      event("X", nullptr, pid_of_task(TaskOfDevice(t.recv_device)), 0,
+            t.recv_start_micros, t.recv_end_micros, "transfer",
+            "Recv " + t.tensor_name);
     }
-    os << ",\"args\":{\"bytes\":" << t.bytes << ",\"from\":";
-    AppendJsonString(&os, t.send_device);
-    os << ",\"to\":";
-    AppendJsonString(&os, t.recv_device);
-    os << "}}";
+    w.BeginObject().Key("bytes").Int(t.bytes);
+    w.Key("from").String(t.send_device).Key("to").String(t.recv_device);
+    w.EndObject().EndObject();
   }
 
   for (const InstantEvent& i : instants) {
-    sep();
-    os << "{\"ph\":\"i\",\"s\":\"" << (i.scope.empty() ? 'g' : 'p')
-       << "\",\"pid\":" << (i.scope.empty() ? 0 : pid_of_task(i.scope))
-       << ",\"ts\":" << (i.micros - base) << ",\"cat\":\"marker\""
-       << ",\"name\":";
-    AppendJsonString(&os, i.name);
-    os << ",\"args\":{";
-    bool first_arg = true;
-    for (const auto& [k, v] : i.args) {
-      if (!first_arg) os << ",";
-      first_arg = false;
-      AppendJsonString(&os, k);
-      os << ":";
-      AppendJsonString(&os, v);
-    }
-    os << "}}";
+    const bool global = i.scope.empty();
+    event("i", global ? "g" : "p", global ? 0 : pid_of_task(i.scope), -1,
+          i.micros, 0, "marker", i.name)
+        .StringMap(i.args).EndObject();
   }
 
   std::set<int> span_pids;
   for (const SpanEvent& s : spans) {
-    sep();
     int pid = s.scope.empty() ? 0 : pid_of_task(s.scope);
     span_pids.insert(pid);
-    int64_t dur = std::max<int64_t>(s.end_micros - s.start_micros, 1);
-    os << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << kWaitsTid
-       << ",\"ts\":" << (s.start_micros - base) << ",\"dur\":" << dur
-       << ",\"cat\":\"wait\",\"name\":";
-    AppendJsonString(&os, s.name);
-    os << ",\"args\":{";
-    bool first_arg = true;
-    for (const auto& [k, v] : s.args) {
-      if (!first_arg) os << ",";
-      first_arg = false;
-      AppendJsonString(&os, k);
-      os << ":";
-      AppendJsonString(&os, v);
-    }
-    os << "}}";
+    event("X", nullptr, pid, kWaitsTid, s.start_micros, s.end_micros, "wait",
+          s.name)
+        .StringMap(s.args).EndObject();
   }
 
   // Name the rows. pid 0 hosts global markers when present.
+  auto name_row = [&w](int pid, int tid, const char* row,
+                       const std::string& name) {
+    w.BeginObject().Key("ph").String("M").Key("pid").Int(pid);
+    if (tid >= 0) w.Key("tid").Int(tid);
+    w.Key("name").String(row).Key("args").BeginObject().Key("name");
+    w.String(name).EndObject().EndObject();
+  };
   for (const auto& [task, pid] : task_pid) {
-    sep();
-    os << "{\"ph\":\"M\",\"pid\":" << pid
-       << ",\"name\":\"process_name\",\"args\":{\"name\":";
-    AppendJsonString(&os, task);
-    os << "}}";
-    sep();
-    os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":0"
-       << ",\"name\":\"thread_name\",\"args\":{\"name\":\"transfers\"}}";
+    name_row(pid, -1, "process_name", task);
+    name_row(pid, 0, "thread_name", "transfers");
   }
-  for (int pid : span_pids) {
-    sep();
-    os << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << kWaitsTid
-       << ",\"name\":\"thread_name\",\"args\":{\"name\":\"waits\"}}";
-  }
+  for (int pid : span_pids) name_row(pid, kWaitsTid, "thread_name", "waits");
   for (const auto& [device, tid] : device_tid) {
-    sep();
-    os << "{\"ph\":\"M\",\"pid\":" << pid_of_task(TaskOfDevice(device))
-       << ",\"tid\":" << tid
-       << ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    AppendJsonString(&os, device);
-    os << "}}";
+    name_row(pid_of_task(TaskOfDevice(device)), tid, "thread_name", device);
   }
 
-  os << "],\"displayTimeUnit\":\"ms\",\"metadata\":{\"step_id\":" << step_id
-     << "}}";
-  return os.str();
+  w.EndArray().Key("displayTimeUnit").String("ms");
+  w.Key("metadata").BeginObject().Key("step_id").Int(step_id).EndObject();
+  w.EndObject();
+  return w.str();
 }
 
 namespace {
@@ -433,16 +388,7 @@ void StepStats::MergeFrom(const StepStats& other) {
 }
 
 Status StepStats::WriteChromeTrace(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return InvalidArgument("cannot open trace output file '" + path + "'");
-  }
-  out << ToChromeTraceJson();
-  out.close();
-  if (!out) {
-    return DataLoss("failed writing trace to '" + path + "'");
-  }
-  return Status::OK();
+  return WriteFileAtomically(path, ToChromeTraceJson());
 }
 
 }  // namespace tfrepro

@@ -1,14 +1,20 @@
 // Tests for the metrics registry (DESIGN.md §8): concurrent counter
 // increments, histogram bucket boundaries, snapshot isolation, tag
-// separation, and the JSON export with its string escaper.
+// separation, and the JSON export; plus the JSON writer and the atomic
+// file write every dump goes through (core/json.h, core/file.h).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
-#include <sstream>
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
-#include "core/coding.h"
+#include "core/file.h"
+#include "core/json.h"
 #include "core/metrics.h"
 
 namespace tfrepro {
@@ -189,13 +195,53 @@ TEST(RegistryTest, JsonGolden) {
             R"({"le":2.25,"count":1},{"le":"+inf","count":1}]}]})");
 }
 
-// The one JSON string escaper (core/coding.h), shared by the metrics
-// export, the Chrome trace and the profile dump.
+// A default-bucket histogram: every bound and the sum are written in the
+// shortest form that parses back to the same double.
+TEST(RegistryTest, JsonNumbersParseBackBitEqual) {
+  Registry registry;
+  registry.GetHistogram("lat")->Record(1234567.891);
+  const std::string json = registry.Snapshot().ToJson();
+  EXPECT_EQ(json,
+            R"({"metrics":[{"name":"lat","tags":{},"kind":"histogram",)"
+            R"("count":1,"sum":1234567.891,"buckets":[)"
+            R"({"le":0.001,"count":0},{"le":0.004,"count":0},)"
+            R"({"le":0.016,"count":0},{"le":0.064,"count":0},)"
+            R"({"le":0.256,"count":0},{"le":1.024,"count":0},)"
+            R"({"le":4.096,"count":0},{"le":16.384,"count":0},)"
+            R"({"le":65.536,"count":0},{"le":262.144,"count":0},)"
+            R"({"le":1048.576,"count":0},{"le":4194.304,"count":0},)"
+            R"({"le":16777.216,"count":0},{"le":67108.864,"count":0},)"
+            R"({"le":"+inf","count":1}]}]})");
+  std::vector<double> bounds;
+  for (size_t at = json.find("\"le\":"); at != std::string::npos;
+       at = json.find("\"le\":", at + 1)) {
+    if (json[at + 5] != '"') {
+      bounds.push_back(std::strtod(json.c_str() + at + 5, nullptr));
+    }
+  }
+  EXPECT_EQ(bounds, Histogram::DefaultLatencyBucketsMs());
+  EXPECT_EQ(std::strtod(json.c_str() + json.find("\"sum\":") + 6, nullptr),
+            1234567.891);
+}
+
+// JSON cannot spell NaN or infinity: a histogram holding NaN still
+// exports a valid document.
+TEST(RegistryTest, NonFiniteSumIsWrittenAsNull) {
+  Registry registry;
+  registry.GetHistogram("nan", {1.0})->Record(std::nan(""));
+  EXPECT_EQ(registry.Snapshot().ToJson(),
+            R"({"metrics":[{"name":"nan","tags":{},"kind":"histogram",)"
+            R"("count":1,"sum":null,"buckets":[{"le":1,"count":0},)"
+            R"({"le":"+inf","count":1}]}]})");
+}
+
+// The one JSON writer (core/json.h), shared by the metrics export, the
+// Chrome trace, the profile dump and the bench reports.
 TEST(JsonStringTest, EscapesWhatJsonRequiresAndPassesTheRest) {
   auto json = [](const std::string& s) {
-    std::ostringstream os;
-    AppendJsonString(&os, s);
-    return os.str();
+    JsonWriter w;
+    w.String(s);
+    return w.str();
   };
   EXPECT_EQ(json("a\"b"), R"("a\"b")");
   EXPECT_EQ(json("a\\b"), R"("a\\b")");
@@ -203,6 +249,82 @@ TEST(JsonStringTest, EscapesWhatJsonRequiresAndPassesTheRest) {
   EXPECT_EQ(json("a\tb"), R"("a\tb")");
   EXPECT_EQ(json("a\x01" "b"), R"("a\u0001b")");
   EXPECT_EQ(json("caf\xc3\xa9"), "\"caf\xc3\xa9\"");  // UTF-8 unchanged
+}
+
+TEST(JsonWriterTest, PlacesSeparatorsAtEveryDepth) {
+  JsonWriter w;
+  w.BeginObject().Key("a").BeginArray().Int(1).Int(INT64_MIN);
+  w.BeginObject().EndObject().BeginArray().EndArray().EndArray();
+  w.Key("b").Bool(true).Key("c").Bool(false);
+  w.Key("d").StringMap({{"k", "v"}, {"x\"", "y"}}).EndObject();
+  EXPECT_EQ(w.str(), R"({"a":[1,-9223372036854775808,{},[]],"b":true,)"
+                     R"("c":false,"d":{"k":"v","x\"":"y"}})");
+}
+
+TEST(JsonWriterTest, DoublesAreShortestRoundTripAndNonFiniteIsNull) {
+  auto json = [](double v) {
+    JsonWriter w;
+    w.Double(v);
+    return w.str();
+  };
+  EXPECT_EQ(json(2.125), "2.125");
+  EXPECT_EQ(json(2.0), "2");
+  EXPECT_EQ(json(-0.5), "-0.5");
+  EXPECT_EQ(json(1048.576), "1048.576");
+  EXPECT_EQ(json(1234567.891), "1234567.891");
+  EXPECT_EQ(json(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(json(1e300), "1e+300");
+  EXPECT_EQ(json(std::nan("")), "null");
+  EXPECT_EQ(json(HUGE_VAL), "null");
+  EXPECT_EQ(json(-HUGE_VAL), "null");
+}
+
+// Two writers replace one path while a reader reads it: every read is one
+// whole document, and no temp file outlives its write.
+TEST(WriteFileAtomicallyTest, ConcurrentWritersNeverTearAReader) {
+  const std::string dir = ::testing::TempDir() + "/atomic_writers_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/doc.json";
+  const std::string docs[2] = {std::string(40000, 'a'),
+                               std::string(60000, 'b')};
+  TF_CHECK_OK(WriteFileAtomically(path, docs[0]));
+
+  constexpr int kWrites = 2000;
+  std::atomic<int> failed_writes{0};
+  std::atomic<bool> done{false};
+  int reads = 0, torn = 0;
+  std::thread reader([&]() {
+    while (!done.load()) {
+      Result<std::string> got = ReadFile(path);
+      ++reads;
+      if (!got.ok() || (got.value() != docs[0] && got.value() != docs[1])) {
+        ++torn;
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (const std::string& doc : docs) {
+    writers.emplace_back([&, doc]() {
+      for (int i = 0; i < kWrites; ++i) {
+        if (!WriteFileAtomically(path, doc).ok()) ++failed_writes;
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  done = true;
+  reader.join();
+
+  EXPECT_EQ(failed_writes.load(), 0);
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(torn, 0) << "of " << reads << " reads";
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    left.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(left, std::vector<std::string>{"doc.json"});
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RegistryTest, GlobalIsSingleton) {
