@@ -226,11 +226,14 @@ run_optimizer_smoke() {
 # Input-pipeline smoke (DESIGN.md §14): a fresh bench_input run must hold
 # the tentpole's acceptance ratio — in-graph pipeline throughput >= 2x the
 # feed-dict baseline on the latency-bound workload (the real ratio runs
-# ~5-7x; 2x leaves room for CI noise) — and the data-service chaos test
-# must pass under two different kill schedules (TFREPRO_CHAOS_SEED).
+# ~5-7x; 2x leaves room for CI noise) — the data-service chaos test must
+# pass under two different kill schedules (TFREPRO_CHAOS_SEED), and the
+# ParallelMap cases run 20 times under a timeout, so a lost wake-up of the
+# consumer (it is woken only by the map call it waits on) shows as a hang.
 run_input_smoke() {
-  echo "== input smoke: bench_input pipeline >= 2x feed_dict + data-service chaos seeds =="
-  cmake --build build -j "$JOBS" --target bench_input data_service_test
+  echo "== input smoke: bench_input pipeline >= 2x feed_dict + data-service chaos seeds + ParallelMap repeats =="
+  cmake --build build -j "$JOBS" --target bench_input data_service_test \
+      dataset_test
   local fresh=/tmp/bench_smoke_input.json
   timeout 120 ./build/bench/bench_input --seconds 1.5 --json "$fresh"
   python3 - "$fresh" <<'PYEOF'
@@ -257,6 +260,9 @@ PYEOF
     TFREPRO_CHAOS_SEED="$seed" timeout 120 ./build/tests/data_service_test \
         --gtest_filter='DataServiceTest.KillingPipelineTaskMidEpochLosesNothing'
   done
+  echo "-- dataset_test ParallelMap cases x20"
+  timeout 120 ./build/tests/dataset_test \
+      --gtest_filter='DatasetTest.ParallelMap*' --gtest_repeat=20
 }
 
 # Profiler smoke (DESIGN.md §8, §12): run the distributed training example

@@ -245,10 +245,15 @@ class RecordFileDataset : public DatasetBase {
 };
 
 // -----------------------------------------------------------------------------
-// ParallelMapDataset: a sliding window of `parallelism` in-flight map calls
-// on a private work-stealing pool; completions are surfaced in issue order,
-// so output order equals input order no matter which worker finishes first.
+// ParallelMapDataset: a window of in-flight map calls on a private
+// work-stealing pool; completions are surfaced in issue order, so output
+// order equals input order no matter which worker finishes first. The window
+// is refilled in batches once it has fallen to `parallelism` slots
+// (DESIGN.md §14): the calls still in flight keep the workers busy while the
+// consumer pulls, and the pool is woken once per refill, not per element.
 // -----------------------------------------------------------------------------
+
+constexpr int kRefillFactor = 8;
 
 class ParallelMapIterator : public IteratorBase {
  public:
@@ -267,54 +272,23 @@ class ParallelMapIterator : public IteratorBase {
 
   Status GetNext(IteratorContext* ctx, Element* out,
                  bool* end_of_sequence) override {
-    // Refill the window from the caller thread (iterators are
-    // single-consumer; the input pull stays serialized here).
-    while (true) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (cancelled_) return Cancelled("parallel map iterator cancelled");
-        if (input_done_ ||
-            static_cast<int>(window_.size()) >= parallelism_) {
-          break;
-        }
-      }
-      Element in;
-      bool in_eos = false;
-      Status s = input_->GetNext(ctx, &in, &in_eos);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!s.ok()) {
-        input_done_ = true;
-        input_status_ = s;
-        break;
-      }
-      if (in_eos) {
-        input_done_ = true;
-        break;
-      }
-      auto slot = std::make_shared<Slot>();
-      slot->input = std::move(in);
-      window_.push_back(slot);
-      pool_.Schedule([this, slot]() {
-        Element mapped;
-        Status ms = fn_(slot->input, &mapped);
-        GetDataMetrics().map_calls->Increment();
-        std::lock_guard<std::mutex> inner(mu_);
-        slot->status = ms;
-        slot->output = std::move(mapped);
-        slot->done = true;
-        cv_.notify_all();
-      });
+    if (static_cast<int>(window_.size()) <= parallelism_) Refill(ctx);
+    if (cancelled_.load(std::memory_order_acquire)) {
+      return Cancelled("parallel map iterator cancelled");
     }
-
-    std::unique_lock<std::mutex> lock(mu_);
     if (window_.empty()) {
       if (!input_status_.ok()) return input_status_;
       *end_of_sequence = true;
       return Status::OK();
     }
-    std::shared_ptr<Slot> slot = window_.front();
-    cv_.wait(lock, [&]() { return slot->done || cancelled_; });
-    if (cancelled_) return Cancelled("parallel map iterator cancelled");
+    const std::shared_ptr<Slot> slot = window_.front();
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      awaited_ = slot.get();
+      cv_.wait(lock, [&]() { return slot->done || cancelled_; });
+      awaited_ = nullptr;
+      if (cancelled_) return Cancelled("parallel map iterator cancelled");
+    }
     window_.pop_front();
     if (!slot->status.ok()) return slot->status;
     *out = std::move(slot->output);
@@ -333,21 +307,72 @@ class ParallelMapIterator : public IteratorBase {
  private:
   struct Slot {
     Element input;
+    // The map call sets these under mu_; the consumer reads output and
+    // status once it has seen done under mu_.
     Element output;
     Status status;
     bool done = false;
   };
 
+  // Pulls inputs on the consumer thread, with the consumer's ctx, until the
+  // window holds kRefillFactor * parallelism_ slots or the input ends, then
+  // schedules the new map calls as one batch. An input error ends the input
+  // and surfaces after the elements pulled before it.
+  void Refill(IteratorContext* ctx) {
+    std::vector<std::function<void()>> calls;
+    while (!input_done_ &&
+           static_cast<int>(window_.size()) < kRefillFactor * parallelism_ &&
+           !cancelled_.load(std::memory_order_acquire)) {
+      Element in;
+      bool in_eos = false;
+      Status s = input_->GetNext(ctx, &in, &in_eos);
+      if (!s.ok() || in_eos) {
+        input_done_ = true;
+        input_status_ = std::move(s);
+        break;
+      }
+      auto slot = std::make_shared<Slot>();
+      slot->input = std::move(in);
+      window_.push_back(slot);
+      calls.push_back([this, slot]() { Map(slot.get()); });
+    }
+    pool_.ScheduleBatch(std::move(calls));
+  }
+
+  // One map call on a pool thread. Only the completion of the slot the
+  // consumer waits on wakes it; a call of a cancelled iterator does not run.
+  void Map(Slot* slot) {
+    if (cancelled_.load(std::memory_order_acquire)) return;
+    Element mapped;
+    Status s = fn_(slot->input, &mapped);
+    GetDataMetrics().map_calls->Increment();
+    bool awaited;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      slot->status = std::move(s);
+      slot->output = std::move(mapped);
+      slot->done = true;
+      awaited = slot == awaited_;
+    }
+    // The iterator outlives this call: its destructor joins pool_.
+    if (awaited) cv_.notify_one();
+  }
+
   std::unique_ptr<IteratorBase> input_;
   const MapFn fn_;
   const int parallelism_;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
+  // Consumer-thread state: GetNext calls are serialized.
   std::deque<std::shared_ptr<Slot>> window_;
   bool input_done_ = false;
   Status input_status_;
-  bool cancelled_ = false;
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  const Slot* awaited_ = nullptr;  // guarded by mu_
+  // Written under mu_ so a waiting consumer cannot miss it; read without it
+  // by map calls and refills.
+  std::atomic<bool> cancelled_{false};
 
   ThreadPool pool_;  // last member: first destroyed, joins map tasks
 };

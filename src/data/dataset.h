@@ -141,8 +141,9 @@ Result<std::shared_ptr<DatasetBase>> NewRecordFileDataset(
     std::vector<std::string> filenames);
 
 // Applies the registered map fn to each input element on a private
-// work-stealing pool, `parallelism` elements in flight, output order equal
-// to input order.
+// work-stealing pool of `parallelism` threads, output order equal to input
+// order. Inputs are pulled ahead in batches of up to 8 * parallelism
+// elements (DESIGN.md §14).
 Result<std::shared_ptr<DatasetBase>> NewParallelMapDataset(
     std::shared_ptr<DatasetBase> input, const std::string& map_fn,
     int parallelism, DataTypeVector output_dtypes);

@@ -23,17 +23,16 @@ constexpr int kMR = 4;
 template <typename T>
 constexpr int kNR = 2 * kLanes<T>;
 
-// Cache blocks: a kMC x kKC block of op(a) is packed per thread, a kKC x kNC
-// block of op(b) once per product step; 64 KiB of floats each. A 256-wide
-// kNC ran ~15% faster on perfbench's train_mlp_local, but at 256 KiB per
-// thread that multiplies it grew that 15.5 MB process by 15-30%
-// (DESIGN.md §15).
+// Cache blocks: each thread packs a kMC x kKC block of op(a) and a kKC x kNC
+// block of op(b); 64 KiB of floats each. A 256-wide kNC ran ~15% faster
+// only while each column block cost a fork-join; with one per product it
+// runs perfbench's train_mlp_local 2% slower in 0.7 MB more (DESIGN.md §15).
 constexpr int64_t kKC = 256;
 constexpr int64_t kMC = 64;
 constexpr int64_t kNC = 64;
 
-// Smallest row shard handed to another thread, in flops; a product with
-// fewer than two shards runs inline on the caller. How it was measured:
+// Smallest shard handed to another thread, in flops; a product with fewer
+// than two shards runs inline on the caller. How it was measured:
 // DESIGN.md §15.
 constexpr int64_t kMinShardFlops = int64_t{1} << 20;
 
@@ -227,26 +226,39 @@ void Gemm(const T* a, const T* b, T* c, int64_t m, int64_t k, int64_t n,
   }
   const View<T> va{a, transpose_a ? 1 : k, transpose_a ? m : 1};
   const View<T> vb{b, transpose_b ? 1 : n, transpose_b ? k : 1};
-  // Whole kMR panels per shard, each doing at least kMinShardFlops.
-  const int64_t shard_rows =
-      RoundUp(CeilDiv(kMinShardFlops, 2 * k * n), kMR);
-  const bool parallel =
-      pool != nullptr && pool->num_threads() > 1 && m > shard_rows;
-  for (int64_t jc = 0; jc < n; jc += kNC) {
-    const int64_t nc = std::min(kNC, n - jc);
-    for (int64_t pc = 0; pc < k; pc += kKC) {
-      const int64_t kc = std::min(kKC, k - pc);
-      T* bpack = tls_pack_b.Get<T>(RoundUp(nc, kNR<T>) * kc);
-      PackB(vb, pc, kc, jc, nc, bpack);
-      auto rows = [&](int64_t lo, int64_t hi) {
-        MultiplyRows(va, bpack, c, n, lo, hi, pc, kc, jc, nc);
-      };
-      if (parallel) {
-        pool->ParallelFor(m, shard_rows, rows);
-      } else {
-        rows(0, m);
+  // c as a grid of cells, each one kMR-row panel of one kNC-column block,
+  // numbered column block by column block. cells(lo, hi) computes cells
+  // [lo, hi): for each column block they touch, every k-block in ascending
+  // order packs that op(b) block and multiplies the block's rows in range.
+  const int64_t panels = CeilDiv(m, kMR);
+  auto cells = [&](int64_t lo, int64_t hi) {
+    for (int64_t jb = lo / panels; jb * panels < hi; ++jb) {
+      const int64_t jc = jb * kNC;
+      const int64_t nc = std::min(kNC, n - jc);
+      const int64_t row_lo = std::max<int64_t>(0, lo - jb * panels) * kMR;
+      const int64_t row_hi = std::min(m, (hi - jb * panels) * kMR);
+      for (int64_t pc = 0; pc < k; pc += kKC) {
+        const int64_t kc = std::min(kKC, k - pc);
+        T* bpack = tls_pack_b.Get<T>(RoundUp(nc, kNR<T>) * kc);
+        PackB(vb, pc, kc, jc, nc, bpack);
+        MultiplyRows(va, bpack, c, n, row_lo, row_hi, pc, kc, jc, nc);
       }
     }
+  };
+  // One fork-join per product: shards are runs of consecutive cells, and
+  // every element of c is in one shard. A shard does at least
+  // kMinShardFlops, and it is kMC rows of cells or more while that still
+  // leaves every thread a shard: each shard packs the op(b) blocks it
+  // touches, so shorter shards repack op(b) more often (DESIGN.md §15).
+  const int64_t total = panels * CeilDiv(n, kNC);
+  const int64_t threads = pool != nullptr ? pool->num_threads() : 1;
+  const int64_t shard_cells =
+      std::max(CeilDiv(kMinShardFlops, 2 * kMR * kNC * k),
+               std::min(kMC / kMR, CeilDiv(total, threads)));
+  if (threads > 1 && total > shard_cells) {
+    pool->ParallelFor(total, shard_cells, cells);
+  } else {
+    cells(0, total);
   }
 }
 

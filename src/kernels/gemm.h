@@ -1,7 +1,7 @@
 // The kernel layer's matrix multiply (DESIGN.md §15): one packed,
-// register-blocked GEMM for every transpose form and numeric type, split by
-// output rows across a device's threads (paper §5: kernels that run in
-// parallel on multicore CPUs).
+// register-blocked GEMM for every transpose form and numeric type, split
+// into blocks of output across a device's threads (paper §5: kernels that
+// run in parallel on multicore CPUs).
 
 #ifndef TFREPRO_KERNELS_GEMM_H_
 #define TFREPRO_KERNELS_GEMM_H_
@@ -17,8 +17,8 @@ namespace tfrepro {
 // Every element of c is written. Each output element is one accumulator
 // that starts at zero and adds op(a)[i,p] * op(b)[p,j] for p = 0 .. k-1 in
 // ascending order, so the result does not depend on the pool, its thread
-// count or how the rows were split. Products large enough to pay for it are
-// split by output rows across `pool`, which may be null.
+// count or how the output was split. Products large enough to pay for it
+// are split across `pool`, which may be null, in one ParallelFor.
 //
 // T is one of float, double, int32_t, int64_t, uint8_t.
 template <typename T>

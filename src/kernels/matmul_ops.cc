@@ -1,5 +1,5 @@
 // MatMul and bias kernels. MatMul runs the packed GEMM of kernels/gemm.h
-// for every transpose form, split by output rows across the device's
+// for every transpose form, split into blocks of output across the device's
 // threads — the workhorse of every model in the paper's evaluation.
 
 #include "kernels/dispatch.h"

@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -287,9 +289,53 @@ TEST(DatasetTest, ShuffleIsDeterministicPerSeed) {
   EXPECT_EQ(sa, sc);           // ...of the same multiset
 }
 
+// A source of the float scalars 0, 1, 2, ... whose iterator counts
+// productions: measures how far ahead ParallelMap's refills and Prefetch's
+// producer pull.
+class CountingDataset : public data::DatasetBase {
+ public:
+  CountingDataset(int limit, std::atomic<int>* produced)
+      : limit_(limit), produced_(produced) {}
+
+  class Iter : public data::IteratorBase {
+   public:
+    Iter(int limit, std::atomic<int>* produced)
+        : limit_(limit), produced_(produced) {}
+    Status GetNext(data::IteratorContext*, Element* out,
+                   bool* end_of_sequence) override {
+      if (next_ >= limit_) {
+        *end_of_sequence = true;
+        return Status::OK();
+      }
+      out->clear();
+      out->push_back(Tensor::Scalar(static_cast<float>(next_++)));
+      produced_->fetch_add(1);
+      *end_of_sequence = false;
+      return Status::OK();
+    }
+
+   private:
+    const int limit_;
+    std::atomic<int>* produced_;
+    int next_ = 0;
+  };
+
+  Result<std::unique_ptr<data::IteratorBase>> MakeIterator() const override {
+    return std::unique_ptr<data::IteratorBase>(new Iter(limit_, produced_));
+  }
+  const DataTypeVector& output_dtypes() const override { return dtypes_; }
+  std::string DebugString() const override { return "CountingDataset"; }
+
+ private:
+  const int limit_;
+  std::atomic<int>* produced_;
+  const DataTypeVector dtypes_{DataType::kFloat};
+};
+
 TEST(DatasetTest, ParallelMapPreservesInputOrder) {
+  // 200 records: several window refills at every parallelism below.
   const std::string path = TempPath("ds_pmap");
-  auto source = RecordsDataset(path, 40);
+  auto source = RecordsDataset(path, 200);
   auto labels_with_parallelism = [&](int parallelism) {
     auto d = data::NewParallelMapDataset(
         source, "parse_example", parallelism,
@@ -307,6 +353,164 @@ TEST(DatasetTest, ParallelMapPreservesInputOrder) {
   // The ordering contract: output order == input order, independent of how
   // many map calls run concurrently.
   EXPECT_EQ(labels_with_parallelism(1), labels_with_parallelism(8));
+}
+
+// dataset.cc's kRefillFactor: a ParallelMap window that has fallen to
+// `parallelism` slots is refilled to kHighWaterFactor * parallelism.
+constexpr int kHighWaterFactor = 8;
+
+std::unique_ptr<data::IteratorBase> CountingMapIterator(
+    int count, std::atomic<int>* pulls, const std::string& fn,
+    int parallelism) {
+  auto d = data::NewParallelMapDataset(
+      std::make_shared<CountingDataset>(count, pulls), fn, parallelism,
+      {DataType::kFloat});
+  TF_CHECK_OK(d.status());
+  auto it = d.value()->MakeIterator();
+  TF_CHECK_OK(it.status());
+  return std::move(it.value());
+}
+
+TEST(DatasetTest, ParallelMapRefillsOnlyAtTheLowWaterMark) {
+  constexpr int kParallelism = 2;
+  constexpr int kHighWater = kHighWaterFactor * kParallelism;
+  std::atomic<int> pulls{0};
+  std::unique_ptr<data::IteratorBase> it =
+      CountingMapIterator(100, &pulls, "identity", kParallelism);
+  data::IteratorContext ctx;
+  int want = 0;
+  auto next = [&]() {
+    Element e;
+    bool eos = false;
+    TF_CHECK_OK(it->GetNext(&ctx, &e, &eos));
+    ASSERT_FALSE(eos);
+    EXPECT_EQ(*e[0].data<float>(), want++);
+  };
+  // The first GetNext fills the window to the high-water mark.
+  next();
+  EXPECT_EQ(pulls.load(), kHighWater);
+  // Nothing is pulled while more than `parallelism` slots are left...
+  for (int i = 1; i < kHighWater - kParallelism; ++i) {
+    next();
+    EXPECT_EQ(pulls.load(), kHighWater) << "after " << want << " elements";
+  }
+  // ...and the GetNext that finds `parallelism` left refills it.
+  next();
+  EXPECT_EQ(pulls.load(), 2 * kHighWater - kParallelism);
+  for (int i = want; i < 100; ++i) next();
+  Element e;
+  bool eos = false;
+  TF_CHECK_OK(it->GetNext(&ctx, &e, &eos));
+  EXPECT_TRUE(eos);
+  EXPECT_EQ(pulls.load(), 100);
+}
+
+TEST(DatasetTest, ParallelMapErrorInRefillBatchSurfacesAtItsPosition) {
+  // Element 21 is mapped in the window's second batch (elements 16-29 at
+  // parallelism 2); its error comes out as the 22nd GetNext, between
+  // elements 20 and 22, and the stream goes on after it.
+  static const bool registered = []() {
+    TF_CHECK_OK(data::MapFnRegistry::Global()->Register(
+        "test_fail_on_21", [](const Element& in, Element* out) -> Status {
+          if (*in[0].data<float>() == 21) {
+            return InvalidArgument("bad element 21");
+          }
+          *out = in;
+          return Status::OK();
+        }));
+    return true;
+  }();
+  ASSERT_TRUE(registered);
+  std::atomic<int> pulls{0};
+  std::unique_ptr<data::IteratorBase> it =
+      CountingMapIterator(40, &pulls, "test_fail_on_21", 2);
+  data::IteratorContext ctx;
+  std::vector<float> got;  // -1 stands for an error
+  bool eos = false;
+  while (!eos && got.size() <= 40) {
+    Element e;
+    Status s = it->GetNext(&ctx, &e, &eos);
+    if (!s.ok()) {
+      EXPECT_EQ(s.code(), Code::kInvalidArgument);
+      got.push_back(-1);
+    } else if (!eos) {
+      got.push_back(*e[0].data<float>());
+    }
+  }
+  EXPECT_TRUE(eos);
+  ASSERT_EQ(got.size(), 40u);
+  for (int i = 0; i < 40; ++i) EXPECT_EQ(got[i], i == 21 ? -1 : i) << i;
+}
+
+// A map fn that blocks until the test opens the gate; counts its calls.
+struct MapGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  std::atomic<int> calls{0};
+};
+
+MapGate& TheMapGate() {
+  static MapGate gate;
+  return gate;
+}
+
+TEST(DatasetTest, ParallelMapCancelSkipsQueuedCalls) {
+  static const bool registered = []() {
+    TF_CHECK_OK(data::MapFnRegistry::Global()->Register(
+        "test_gated_identity", [](const Element& in, Element* out) {
+          MapGate& gate = TheMapGate();
+          gate.calls.fetch_add(1);
+          std::unique_lock<std::mutex> lock(gate.mu);
+          gate.cv.wait(lock, [&]() { return gate.open; });
+          *out = in;
+          return Status::OK();
+        }));
+    return true;
+  }();
+  ASSERT_TRUE(registered);
+  MapGate& gate = TheMapGate();
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.open = false;
+  }
+  gate.calls = 0;
+  constexpr int kParallelism = 2;
+  std::atomic<int> pulls{0};
+  std::unique_ptr<data::IteratorBase> it =
+      CountingMapIterator(100, &pulls, "test_gated_identity", kParallelism);
+  std::promise<Status> result;
+  std::future<Status> status = result.get_future();
+  std::thread consumer([&]() {
+    data::IteratorContext ctx;
+    Element e;
+    bool eos = false;
+    result.set_value(it->GetNext(&ctx, &e, &eos));
+  });
+  // Both pool threads are inside the fn, so the window's other calls are
+  // queued behind them.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (gate.calls.load() < kParallelism &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(gate.calls.load(), kParallelism);
+  EXPECT_EQ(pulls.load(), kHighWaterFactor * kParallelism);
+  it->Cancel();
+  const bool unblocked =
+      status.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.open = true;
+  }
+  gate.cv.notify_all();
+  consumer.join();
+  EXPECT_TRUE(unblocked) << "GetNext stayed blocked for 2 s after Cancel()";
+  EXPECT_EQ(status.get().code(), Code::kCancelled);
+  it.reset();  // joins the pool: the queued calls are dequeued now
+  EXPECT_EQ(gate.calls.load(), kParallelism)
+      << "queued map calls ran after Cancel()";
 }
 
 TEST(DatasetTest, ParallelMapOverlapsBlockingMapFn) {
@@ -407,48 +611,6 @@ TEST(DatasetTest, RepeatRemakesInputIterator) {
   ASSERT_EQ(all.size(), 12u);
   for (size_t i = 3; i < all.size(); ++i) EXPECT_EQ(all[i], all[i % 3]);
 }
-
-// A source whose iterator counts productions — measures how far ahead
-// Prefetch's producer runs.
-class CountingDataset : public data::DatasetBase {
- public:
-  CountingDataset(int limit, std::atomic<int>* produced)
-      : limit_(limit), produced_(produced) {}
-
-  class Iter : public data::IteratorBase {
-   public:
-    Iter(int limit, std::atomic<int>* produced)
-        : limit_(limit), produced_(produced) {}
-    Status GetNext(data::IteratorContext*, Element* out,
-                   bool* end_of_sequence) override {
-      if (next_ >= limit_) {
-        *end_of_sequence = true;
-        return Status::OK();
-      }
-      out->clear();
-      out->push_back(Tensor::Scalar(static_cast<float>(next_++)));
-      produced_->fetch_add(1);
-      *end_of_sequence = false;
-      return Status::OK();
-    }
-
-   private:
-    const int limit_;
-    std::atomic<int>* produced_;
-    int next_ = 0;
-  };
-
-  Result<std::unique_ptr<data::IteratorBase>> MakeIterator() const override {
-    return std::unique_ptr<data::IteratorBase>(new Iter(limit_, produced_));
-  }
-  const DataTypeVector& output_dtypes() const override { return dtypes_; }
-  std::string DebugString() const override { return "CountingDataset"; }
-
- private:
-  const int limit_;
-  std::atomic<int>* produced_;
-  const DataTypeVector dtypes_{DataType::kFloat};
-};
 
 TEST(DatasetTest, PrefetchOccupancyIsBounded) {
   std::atomic<int> produced{0};

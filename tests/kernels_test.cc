@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/metrics.h"
 #include "core/random.h"
 #include "graph/ops.h"
 #include "kernels/elementwise_functors.h"
@@ -397,16 +398,20 @@ struct GemmShape {
 // Edges of every blocking level: empty and unit dimensions, the 4-row
 // register tile +-1, the 4/8/32-column tiles (double, float/int32, uint8)
 // +-1, k past one and two 256-deep k-blocks, n past one 256-wide block,
-// and the training-sized product.
+// and the training-sized product. The last two split on a 4-thread pool
+// into shards that straddle 64-column blocks, with ragged m and n and k
+// past one k-block.
 const std::vector<GemmShape>& EdgeShapes() {
   static const std::vector<GemmShape> shapes = {
       {0, 3, 4},   {3, 0, 4},   {3, 4, 0},    {0, 0, 0},    {1, 1, 1},
       {3, 5, 3},   {5, 3, 5},   {4, 8, 8},    {3, 7, 7},    {5, 9, 9},
       {1, 16, 31}, {4, 17, 33}, {5, 33, 32},  {7, 2, 17},   {9, 257, 9},
-      {5, 300, 33}, {3, 513, 5}, {6, 20, 260}, {64, 256, 256}};
+      {5, 300, 33}, {3, 513, 5}, {6, 20, 260}, {64, 256, 256},
+      {37, 300, 150}, {130, 513, 70}};
   return shapes;
 }
 
+// Each product inline and on `pool` against one reference loop.
 template <typename T>
 void ExpectGemmMatchesAscendingKLoop(ThreadPool* pool) {
   uint64_t seed = 1;
@@ -415,10 +420,13 @@ void ExpectGemmMatchesAscendingKLoop(ThreadPool* pool) {
       for (bool tb : {false, true}) {
         const std::vector<T> a = RandomMatrix<T>(s.m * s.k, seed++);
         const std::vector<T> b = RandomMatrix<T>(s.k * s.n, seed++);
-        EXPECT_TRUE(SameBits(RunGemm(a, b, s.m, s.k, s.n, ta, tb, pool),
-                             AscendingKLoop(a, b, s.m, s.k, s.n, ta, tb)))
-            << DataTypeName(DataTypeToEnum<T>::value) << " m=" << s.m
-            << " k=" << s.k << " n=" << s.n << " ta=" << ta << " tb=" << tb;
+        const std::vector<T> want = AscendingKLoop(a, b, s.m, s.k, s.n, ta, tb);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), pool}) {
+          EXPECT_TRUE(SameBits(RunGemm(a, b, s.m, s.k, s.n, ta, tb, p), want))
+              << DataTypeName(DataTypeToEnum<T>::value) << " m=" << s.m
+              << " k=" << s.k << " n=" << s.n << " ta=" << ta << " tb=" << tb
+              << (p == nullptr ? " inline" : " on the pool");
+        }
       }
     }
   }
@@ -426,13 +434,33 @@ void ExpectGemmMatchesAscendingKLoop(ThreadPool* pool) {
 
 TEST(GemmTest, MatchesAscendingKLoopForEveryFormAndType) {
   ThreadPool pool("gemm_test", 4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    ExpectGemmMatchesAscendingKLoop<float>(p);
-    ExpectGemmMatchesAscendingKLoop<double>(p);
-    ExpectGemmMatchesAscendingKLoop<int32_t>(p);
-    ExpectGemmMatchesAscendingKLoop<int64_t>(p);
-    ExpectGemmMatchesAscendingKLoop<uint8_t>(p);
-  }
+  ExpectGemmMatchesAscendingKLoop<float>(&pool);
+  ExpectGemmMatchesAscendingKLoop<double>(&pool);
+  ExpectGemmMatchesAscendingKLoop<int32_t>(&pool);
+  ExpectGemmMatchesAscendingKLoop<int64_t>(&pool);
+  ExpectGemmMatchesAscendingKLoop<uint8_t>(&pool);
+}
+
+TEST(GemmTest, OneForkJoinPerProduct) {
+  // A split product is one ParallelFor, which hands a 4-thread pool at most
+  // 3 helper tasks; a product below the split threshold schedules none.
+  const std::string name = "gemm_fork_join";
+  ThreadPool pool(name, 4);
+  metrics::Counter* tasks = metrics::Registry::Global()->GetCounter(
+      "threadpool.tasks", {{"pool", name}});
+  auto tasks_for = [&](int64_t m, int64_t k, int64_t n) {
+    const std::vector<float> a = RandomMatrix<float>(m * k, 31);
+    const std::vector<float> b = RandomMatrix<float>(k * n, 32);
+    pool.WaitIdle();  // also flushes the pool's batched task count
+    const int64_t before = tasks->value();
+    RunGemm(a, b, m, k, n, false, false, &pool);
+    pool.WaitIdle();
+    return tasks->value() - before;
+  };
+  const int64_t split = tasks_for(64, 256, 256);
+  EXPECT_GE(split, 1) << "the training-sized product no longer splits";
+  EXPECT_LE(split, 3);
+  EXPECT_EQ(tasks_for(32, 128, 128), 0);
 }
 
 TEST(GemmTest, SameBitsOnPoolsOfOneTwoAndFourThreads) {
