@@ -66,6 +66,15 @@ BENCHMARK(BM_MatMulForm)
     ->Args({64, 256, 256, 0, 1})
     ->UseRealTime();
 
+// A float tensor of uniform values in [-1, 1).
+Tensor RandomSign(const TensorShape& shape, uint64_t seed) {
+  Tensor t(DataType::kFloat, shape);
+  PhiloxRandom rng(seed);
+  const int64_t n = t.num_elements();
+  for (int64_t i = 0; i < n; ++i) t.flat<float>(i) = rng.Uniform() * 2 - 1;
+  return t;
+}
+
 // One element-wise kernel at the [64,256] layer shape of perfbench's
 // train_mlp_local, on seeded random-sign inputs, in its own session: each
 // row is the kernel plus one step's dispatch (DESIGN.md §15).
@@ -74,17 +83,10 @@ void BM_Elementwise(benchmark::State& state) {
                                      "ApplyGradientDescent", "BiasAddGrad"};
   const std::string op = kOps[state.range(0)];
   const TensorShape shape({64, 256});
-  auto random_sign = [&](uint64_t seed) {
-    Tensor t(DataType::kFloat, shape);
-    PhiloxRandom rng(seed);
-    const int64_t n = t.num_elements();
-    for (int64_t i = 0; i < n; ++i) t.flat<float>(i) = rng.Uniform() * 2 - 1;
-    return t;
-  };
   Graph g;
   GraphBuilder b(&g);
-  Output x = ops::Const(&b, random_sign(1));
-  Output y = ops::Const(&b, random_sign(2));
+  Output x = ops::Const(&b, RandomSign(shape, 1));
+  Output y = ops::Const(&b, RandomSign(shape, 2));
   std::vector<std::string> inits, fetches, targets;
   if (op == "ApplyGradientDescent") {
     Output w = ops::Variable(&b, DataType::kFloat, shape, "w");
@@ -118,6 +120,54 @@ void BM_Elementwise(benchmark::State& state) {
   state.SetLabel(op);
 }
 BENCHMARK(BM_Elementwise)->DenseRange(0, 3)->UseRealTime();
+
+// Conv2D and its two gradients at batch 8, a 32x32x16 input and a
+// 3x3x16 -> 32 filter, stride 1, SAME, each op in its own session. Each is
+// one product of 8192 x 144 x 32 multiply-adds on the device's pool plus
+// moving windows to or from a patch matrix (DESIGN.md §15).
+void BM_Conv2D(benchmark::State& state) {
+  static const char* const kOps[] = {"Conv2D", "Conv2DBackpropInput",
+                                     "Conv2DBackpropFilter"};
+  const std::string op = kOps[state.range(0)];
+  const TensorShape in_shape({8, 32, 32, 16});
+  const TensorShape f_shape({3, 3, 16, 32});
+  Graph g;
+  GraphBuilder b(&g);
+  auto sizes = [&](const TensorShape& s) {
+    std::vector<int32_t> dims(s.dims().begin(), s.dims().end());
+    return ops::ConstVecI32(&b, dims);
+  };
+  Output input = ops::Const(&b, RandomSign(in_shape, 1));
+  Output filter = ops::Const(&b, RandomSign(f_shape, 2));
+  Output grad = ops::Const(&b, RandomSign(TensorShape({8, 32, 32, 32}), 3));
+  NodeBuilder nb = b.Op(op);
+  if (op == "Conv2D") {
+    nb.Input(input).Input(filter);
+  } else if (op == "Conv2DBackpropInput") {
+    nb.Input(sizes(in_shape)).Input(filter).Input(grad);
+  } else {
+    nb.Input(input).Input(sizes(f_shape)).Input(grad);
+  }
+  Output out = nb.Attr("T", DataType::kFloat)
+                   .Attr("strides", std::vector<int64_t>{1, 1, 1, 1})
+                   .Attr("padding", std::string("SAME"))
+                   .Finalize();
+  TF_CHECK_OK(b.status());
+  SessionOptions options;
+  options.optimizer.do_constant_folding = false;  // keep the kernel live
+  auto session = DirectSession::Create(g, options);
+  TF_CHECK_OK(session.status());
+  std::vector<Tensor> fetched;
+  for (auto _ : state) {
+    TF_CHECK_OK(session.value()->Run({out.name()}, &fetched));
+    benchmark::DoNotOptimize(fetched);
+  }
+  state.counters["gflops"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 2 * 8192 * 144 * 32 * 1e-9,
+      benchmark::Counter::kIsRate);
+  state.SetLabel(op);
+}
+BENCHMARK(BM_Conv2D)->DenseRange(0, 2)->UseRealTime();
 
 void BM_RendezvousSendRecv(benchmark::State& state) {
   LocalRendezvous rendezvous;

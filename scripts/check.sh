@@ -25,13 +25,14 @@ TSAN_TESTS=(metrics_test tracing_test fault_tolerance_test queue_test
             dataset_test kernels_test rpc_transport_test distributed_test)
 # Three chaos seeds and five fuzz and session-differential seeds under
 # TSan keep the pass under a few minutes; the full sweeps run in the
-# regular tier-1 ctest. Of kernels_test only the MatMul and GEMM cases
-# run: they split products across pool threads (DESIGN.md §15). The
-# differential runs in-process here (no TFREPRO_TRANSPORT).
+# regular tier-1 ctest. Of kernels_test only the MatMul, GEMM and
+# convolution cases run: they split products across pool threads
+# (DESIGN.md §15). The session differential runs in-process here (no
+# TFREPRO_TRANSPORT).
 declare -A TSAN_FILTER=(
   [chaos_test]="--gtest_filter=ChaosTest.Seed0:ChaosTest.Seed1:ChaosTest.Seed2"
   [optimizer_fuzz_test]="--gtest_filter=OptimizerFuzzTest.Seed0:OptimizerFuzzTest.Seed1:OptimizerFuzzTest.Seed2:OptimizerFuzzTest.Seed3:OptimizerFuzzTest.Seed4"
-  [kernels_test]="--gtest_filter=GemmTest.*:KernelsTest.MatMul*"
+  [kernels_test]="--gtest_filter=GemmTest.*:KernelsTest.MatMul*:KernelsTest.Conv2D*:WindowTest.*"
   [distributed_test]="--gtest_filter=SessionDifferentialTest.Seed0:SessionDifferentialTest.Seed1:SessionDifferentialTest.Seed2:SessionDifferentialTest.Seed3:SessionDifferentialTest.Seed4"
 )
 

@@ -1,5 +1,6 @@
 #include "graph/shape_inference.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -345,43 +346,82 @@ Status GatherShape(ShapeInferenceContext* c) {
   return Status::OK();
 }
 
+}  // namespace
+
+Status ComputeWindow2D(const std::vector<int64_t>& ksize,
+                       const std::vector<int64_t>& strides,
+                       const std::string& padding, int64_t in_h, int64_t in_w,
+                       Window2D* window) {
+  auto is_window = [](const std::vector<int64_t>& v) {
+    return v.size() == 4 && v[0] == 1 && v[3] == 1 && v[1] >= 1 && v[2] >= 1;
+  };
+  if (!is_window(ksize) || !is_window(strides)) {
+    return InvalidArgument("window " + TensorShape(ksize).DebugString() +
+                           " and strides " +
+                           TensorShape(strides).DebugString() +
+                           " must each be [1, h, w, 1] with h, w >= 1");
+  }
+  if (padding != "SAME" && padding != "VALID") {
+    return InvalidArgument("padding must be SAME or VALID, got '" + padding +
+                           "'");
+  }
+  // One spatial dimension; false when a known output extent is below 1.
+  auto extent = [&](int64_t in, int64_t k, int64_t stride, int64_t* out,
+                    int64_t* pad) {
+    if (in < 0) return true;
+    if (padding == "SAME") {
+      *out = (in + stride - 1) / stride;
+      *pad = std::max<int64_t>(0, (*out - 1) * stride + k - in) / 2;
+    } else {
+      *out = in >= k ? (in - k) / stride + 1 : 0;
+    }
+    return *out >= 1;
+  };
+  *window = {in_h, in_w, ksize[1], ksize[2], strides[1], strides[2],
+             -1,   -1,   0,        0};
+  if (!extent(in_h, ksize[1], strides[1], &window->out_h, &window->pad_top) ||
+      !extent(in_w, ksize[2], strides[2], &window->out_w, &window->pad_left)) {
+    return InvalidArgument(
+        "window " + TensorShape(ksize).DebugString() + " at strides " +
+        TensorShape(strides).DebugString() + " with " + padding +
+        " padding has no output for a " + std::to_string(in_h) + "x" +
+        std::to_string(in_w) + " input");
+  }
+  return Status::OK();
+}
+
+namespace {
+
 Status Conv2DShape(ShapeInferenceContext* c) {
   PartialShape input, filter;
   TF_RETURN_IF_ERROR(c->WithRank(c->input(0), 4, &input));
   TF_RETURN_IF_ERROR(c->WithRank(c->input(1), 4, &filter));
   int64_t merged_c;
   TF_RETURN_IF_ERROR(c->MergeDim(input.dim(3), filter.dim(2), &merged_c));
-  const auto& strides = c->node().GetAttr("strides").int_list();
-  const std::string& padding = c->node().GetAttr("padding").s();
-  auto out_dim = [&](int64_t in, int64_t k, int64_t stride) -> int64_t {
-    if (in < 0 || k < 0) return -1;
-    return padding == "SAME" ? (in + stride - 1) / stride
-                             : (in - k) / stride + 1;
-  };
-  c->set_output(0, PartialShape({input.dim(0),
-                                 out_dim(input.dim(1), filter.dim(0),
-                                         strides[1]),
-                                 out_dim(input.dim(2), filter.dim(1),
-                                         strides[2]),
-                                 filter.dim(3)}));
+  // An unknown filter extent leaves that output extent unknown; the attrs
+  // are checked either way.
+  const int64_t k_h = filter.dim(0);
+  const int64_t k_w = filter.dim(1);
+  Window2D w{};
+  TF_RETURN_IF_ERROR(ComputeWindow2D(
+      {1, k_h < 0 ? 1 : k_h, k_w < 0 ? 1 : k_w, 1},
+      c->node().GetAttr("strides").int_list(), c->node().GetAttr("padding").s(),
+      k_h < 0 ? -1 : input.dim(1), k_w < 0 ? -1 : input.dim(2), &w));
+  c->set_output(0,
+                PartialShape({input.dim(0), w.out_h, w.out_w, filter.dim(3)}));
   return Status::OK();
 }
 
 Status PoolShape(ShapeInferenceContext* c) {
   PartialShape input;
   TF_RETURN_IF_ERROR(c->WithRank(c->input(0), 4, &input));
-  const auto& ksize = c->node().GetAttr("ksize").int_list();
-  const auto& strides = c->node().GetAttr("strides").int_list();
-  const std::string& padding = c->node().GetAttr("padding").s();
-  auto out_dim = [&](int64_t in, int64_t k, int64_t stride) -> int64_t {
-    if (in < 0) return -1;
-    return padding == "SAME" ? (in + stride - 1) / stride
-                             : (in - k) / stride + 1;
-  };
-  c->set_output(0, PartialShape({input.dim(0),
-                                 out_dim(input.dim(1), ksize[1], strides[1]),
-                                 out_dim(input.dim(2), ksize[2], strides[2]),
-                                 input.dim(3)}));
+  Window2D w{};
+  TF_RETURN_IF_ERROR(ComputeWindow2D(
+      c->node().GetAttr("ksize").int_list(),
+      c->node().GetAttr("strides").int_list(), c->node().GetAttr("padding").s(),
+      input.dim(1), input.dim(2), &w));
+  c->set_output(0,
+                PartialShape({input.dim(0), w.out_h, w.out_w, input.dim(3)}));
   return Status::OK();
 }
 

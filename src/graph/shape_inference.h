@@ -117,6 +117,32 @@ struct ShapeRegistrar {
   static const ::tfrepro::shape_registration::ShapeRegistrar   \
       REGISTER_OP_CONCAT(shape_registrar_, __COUNTER__)(op_name, fn)
 
+// The window of Conv2D, MaxPool, AvgPool and their gradients over the
+// spatial dimensions of an NHWC input (DESIGN.md §15).
+struct Window2D {
+  int64_t in_h, in_w;          // input extent; -1 when unknown
+  int64_t k_h, k_w;            // window extent
+  int64_t stride_h, stride_w;
+  int64_t out_h, out_w;        // output extent; -1 when the input's is unknown
+  int64_t pad_top, pad_left;   // leading padding; 0 under VALID
+};
+
+// The one window-geometry rule, used by the Conv2D and pool shape functions
+// and by all seven window kernels. Checks the attrs: `ksize` (a pool's, or
+// {1, filter height, filter width, 1} for a convolution) and `strides` are
+// lists of 4 of the form [1, h, w, 1] with h, w >= 1, and `padding` is SAME
+// or VALID. Then maps the input extent (in_h, in_w; -1 when unknown) to the
+// output extent and leading pad of each spatial dimension:
+//   SAME:  out = ceil(in / stride); the total pad (out - 1) * stride + k - in,
+//          if positive, is split with the smaller half leading;
+//   VALID: out = (in - k) / stride + 1 when the window fits (in >= k), and
+//          no output otherwise.
+// A known output extent below 1 is InvalidArgument.
+Status ComputeWindow2D(const std::vector<int64_t>& ksize,
+                       const std::vector<int64_t>& strides,
+                       const std::string& padding, int64_t in_h, int64_t in_w,
+                       Window2D* window);
+
 // Infers shapes for every node (topological order). Ops without a
 // registered shape function get unknown output shapes (permissive).
 // Returns an error for provably-incompatible graphs. If `shapes` is

@@ -842,7 +842,7 @@ REGISTER_OP("Dequantize")
     .Input("max_range: float")
     .Output("output: float");
 
-// Low-precision matmul: uint8 x uint8 with int32 accumulation, rescaled to
+// Low-precision matmul: uint8 x uint8 with int64 accumulation, rescaled to
 // float using each operand's quantization range.
 REGISTER_OP("QuantizedMatMul")
     .Input("a: uint8")

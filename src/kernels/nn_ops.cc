@@ -2,306 +2,157 @@
 // (NHWC layout, HWIO filters, SAME/VALID padding), softmax family, and the
 // fused softmax-cross-entropy kernels.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "graph/shape_inference.h"
 #include "kernels/dispatch.h"
+#include "kernels/gemm.h"
+#include "runtime/device.h"
 #include "runtime/kernel.h"
 
 namespace tfrepro {
 namespace {
 
-struct Conv2DParams {
-  int64_t batch, in_h, in_w, in_c;
-  int64_t k_h, k_w, out_c;
-  int64_t stride_h, stride_w;
-  int64_t out_h, out_w;
-  int64_t pad_top, pad_left;
+// Convolution and pooling (DESIGN.md §15). Every window kernel takes its
+// geometry from ComputeWindow2D and visits windows through ForEachWindow;
+// the convolutions move their windows into a patch matrix and run one Gemm.
+
+// A window over every output pixel of an NHWC batch.
+struct Geometry : Window2D {
+  int64_t batch;
+  int64_t channels;  // input channels
+  int64_t pixels() const { return batch * out_h * out_w; }  // output pixels
+  int64_t taps() const { return k_h * k_w; }
+  int64_t patch() const { return taps() * channels; }  // one window's values
 };
 
-Status ComputeConv2DParams(const TensorShape& input, const TensorShape& filter,
-                           const std::vector<int64_t>& strides,
-                           const std::string& padding, Conv2DParams* p) {
-  if (input.rank() != 4) {
-    return InvalidArgument("Conv2D input must be NHWC rank-4");
+// Marks a window tap that falls in the padding.
+constexpr int64_t kPadded = -1;
+
+// The one window walk. For each output pixel (b, oh, ow) in ascending order
+// it calls visit(pixel, taps): `pixel` counts output pixels in that order,
+// and taps[kh * k_w + kw] is the input pixel under tap (kh, kw), counted in
+// NHW order, or kPadded.
+template <typename Visit>
+void ForEachWindow(const Geometry& g, Visit visit) {
+  std::vector<int64_t> taps(g.taps());
+  int64_t pixel = 0;
+  for (int64_t b = 0; b < g.batch; ++b) {
+    for (int64_t oh = 0; oh < g.out_h; ++oh) {
+      for (int64_t ow = 0; ow < g.out_w; ++ow) {
+        int64_t* tap = taps.data();
+        for (int64_t kh = 0; kh < g.k_h; ++kh) {
+          const int64_t ih = oh * g.stride_h + kh - g.pad_top;
+          for (int64_t kw = 0; kw < g.k_w; ++kw) {
+            const int64_t iw = ow * g.stride_w + kw - g.pad_left;
+            const bool inside =
+                ih >= 0 && ih < g.in_h && iw >= 0 && iw < g.in_w;
+            *tap++ = inside ? (b * g.in_h + ih) * g.in_w + iw : kPadded;
+          }
+        }
+        visit(pixel++, static_cast<const int64_t*>(taps.data()));
+      }
+    }
   }
-  if (filter.rank() != 4) {
-    return InvalidArgument("Conv2D filter must be HWIO rank-4");
-  }
-  if (strides.size() != 4 || strides[0] != 1 || strides[3] != 1) {
-    return InvalidArgument("Conv2D strides must be [1, sh, sw, 1]");
-  }
-  p->batch = input.dim(0);
-  p->in_h = input.dim(1);
-  p->in_w = input.dim(2);
-  p->in_c = input.dim(3);
-  p->k_h = filter.dim(0);
-  p->k_w = filter.dim(1);
-  if (filter.dim(2) != p->in_c) {
-    return InvalidArgument("Conv2D filter in-channels mismatch");
-  }
-  p->out_c = filter.dim(3);
-  p->stride_h = strides[1];
-  p->stride_w = strides[2];
-  if (padding == "SAME") {
-    p->out_h = (p->in_h + p->stride_h - 1) / p->stride_h;
-    p->out_w = (p->in_w + p->stride_w - 1) / p->stride_w;
-    int64_t pad_h =
-        std::max<int64_t>(0, (p->out_h - 1) * p->stride_h + p->k_h - p->in_h);
-    int64_t pad_w =
-        std::max<int64_t>(0, (p->out_w - 1) * p->stride_w + p->k_w - p->in_w);
-    p->pad_top = pad_h / 2;
-    p->pad_left = pad_w / 2;
-  } else if (padding == "VALID") {
-    p->out_h = (p->in_h - p->k_h) / p->stride_h + 1;
-    p->out_w = (p->in_w - p->k_w) / p->stride_w + 1;
-    p->pad_top = 0;
-    p->pad_left = 0;
-  } else {
-    return InvalidArgument("Conv2D padding must be SAME or VALID");
-  }
-  if (p->out_h <= 0 || p->out_w <= 0) {
-    return InvalidArgument("Conv2D output would be empty");
-  }
-  return Status::OK();
 }
 
-class Conv2DOp : public OpKernel {
- public:
-  explicit Conv2DOp(OpKernelConstruction* ctx) : OpKernel(ctx) {
-    ctx->SetStatus(ctx->GetIntListAttr("strides", &strides_));
-    ctx->SetStatus(ctx->GetStringAttr("padding", &padding_));
-  }
-  void Compute(OpKernelContext* ctx) override {
-    Tensor input = ctx->input(0);
-    Tensor filter = ctx->input(1);
-    Conv2DParams p;
-    OP_REQUIRES_OK(ctx, ComputeConv2DParams(input.shape(), filter.shape(),
-                                            strides_, padding_, &p));
-    Tensor out(BaseType(input.dtype()),
-               TensorShape({p.batch, p.out_h, p.out_w, p.out_c}));
-    OP_REQUIRES_OK(ctx, FloatDispatch(input.dtype(), [&](auto tag) {
-      using T = decltype(tag);
-      const T* in = input.data<T>();
-      const T* f = filter.data<T>();
-      T* o = out.data<T>();
-      for (int64_t b = 0; b < p.batch; ++b) {
-        for (int64_t oh = 0; oh < p.out_h; ++oh) {
-          for (int64_t ow = 0; ow < p.out_w; ++ow) {
-            T* opix = o + ((b * p.out_h + oh) * p.out_w + ow) * p.out_c;
-            for (int64_t kh = 0; kh < p.k_h; ++kh) {
-              int64_t ih = oh * p.stride_h + kh - p.pad_top;
-              if (ih < 0 || ih >= p.in_h) continue;
-              for (int64_t kw = 0; kw < p.k_w; ++kw) {
-                int64_t iw = ow * p.stride_w + kw - p.pad_left;
-                if (iw < 0 || iw >= p.in_w) continue;
-                const T* ipix =
-                    in + ((b * p.in_h + ih) * p.in_w + iw) * p.in_c;
-                const T* fpix = f + (kh * p.k_w + kw) * p.in_c * p.out_c;
-                for (int64_t ic = 0; ic < p.in_c; ++ic) {
-                  T iv = ipix[ic];
-                  if (iv == T{0}) continue;
-                  const T* frow = fpix + ic * p.out_c;
-                  for (int64_t oc = 0; oc < p.out_c; ++oc) {
-                    opix[oc] += iv * frow[oc];
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }));
-    ctx->set_output(0, std::move(out));
-  }
-
- private:
-  std::vector<int64_t> strides_;
-  std::string padding_;
-};
-REGISTER_KERNEL("Conv2D", kDeviceCpu, Conv2DOp);
-
-class Conv2DBackpropInputOp : public OpKernel {
- public:
-  explicit Conv2DBackpropInputOp(OpKernelConstruction* ctx) : OpKernel(ctx) {
-    ctx->SetStatus(ctx->GetIntListAttr("strides", &strides_));
-    ctx->SetStatus(ctx->GetStringAttr("padding", &padding_));
-  }
-  void Compute(OpKernelContext* ctx) override {
-    Tensor input_sizes = ctx->input(0);
-    Tensor filter = ctx->input(1);
-    Tensor grad = ctx->input(2);
-    OP_REQUIRES(ctx, input_sizes.num_elements() == 4,
-                InvalidArgument("input_sizes must have 4 elements"));
-    TensorShape in_shape({input_sizes.flat<int32_t>(0),
-                          input_sizes.flat<int32_t>(1),
-                          input_sizes.flat<int32_t>(2),
-                          input_sizes.flat<int32_t>(3)});
-    Conv2DParams p;
-    OP_REQUIRES_OK(ctx, ComputeConv2DParams(in_shape, filter.shape(), strides_,
-                                            padding_, &p));
-    Tensor out(BaseType(grad.dtype()), in_shape);
-    OP_REQUIRES_OK(ctx, FloatDispatch(grad.dtype(), [&](auto tag) {
-      using T = decltype(tag);
-      const T* g = grad.data<T>();
-      const T* f = filter.data<T>();
-      T* o = out.data<T>();
-      for (int64_t b = 0; b < p.batch; ++b) {
-        for (int64_t oh = 0; oh < p.out_h; ++oh) {
-          for (int64_t ow = 0; ow < p.out_w; ++ow) {
-            const T* gpix = g + ((b * p.out_h + oh) * p.out_w + ow) * p.out_c;
-            for (int64_t kh = 0; kh < p.k_h; ++kh) {
-              int64_t ih = oh * p.stride_h + kh - p.pad_top;
-              if (ih < 0 || ih >= p.in_h) continue;
-              for (int64_t kw = 0; kw < p.k_w; ++kw) {
-                int64_t iw = ow * p.stride_w + kw - p.pad_left;
-                if (iw < 0 || iw >= p.in_w) continue;
-                T* opix = o + ((b * p.in_h + ih) * p.in_w + iw) * p.in_c;
-                const T* fpix = f + (kh * p.k_w + kw) * p.in_c * p.out_c;
-                for (int64_t ic = 0; ic < p.in_c; ++ic) {
-                  const T* frow = fpix + ic * p.out_c;
-                  T acc{0};
-                  for (int64_t oc = 0; oc < p.out_c; ++oc) {
-                    acc += gpix[oc] * frow[oc];
-                  }
-                  opix[ic] += acc;
-                }
-              }
-            }
-          }
-        }
-      }
-    }));
-    ctx->set_output(0, std::move(out));
-  }
-
- private:
-  std::vector<int64_t> strides_;
-  std::string padding_;
-};
-REGISTER_KERNEL("Conv2DBackpropInput", kDeviceCpu, Conv2DBackpropInputOp);
-
-class Conv2DBackpropFilterOp : public OpKernel {
- public:
-  explicit Conv2DBackpropFilterOp(OpKernelConstruction* ctx) : OpKernel(ctx) {
-    ctx->SetStatus(ctx->GetIntListAttr("strides", &strides_));
-    ctx->SetStatus(ctx->GetStringAttr("padding", &padding_));
-  }
-  void Compute(OpKernelContext* ctx) override {
-    Tensor input = ctx->input(0);
-    Tensor filter_sizes = ctx->input(1);
-    Tensor grad = ctx->input(2);
-    OP_REQUIRES(ctx, filter_sizes.num_elements() == 4,
-                InvalidArgument("filter_sizes must have 4 elements"));
-    TensorShape f_shape({filter_sizes.flat<int32_t>(0),
-                         filter_sizes.flat<int32_t>(1),
-                         filter_sizes.flat<int32_t>(2),
-                         filter_sizes.flat<int32_t>(3)});
-    Conv2DParams p;
-    OP_REQUIRES_OK(ctx, ComputeConv2DParams(input.shape(), f_shape, strides_,
-                                            padding_, &p));
-    Tensor out(BaseType(grad.dtype()), f_shape);
-    OP_REQUIRES_OK(ctx, FloatDispatch(grad.dtype(), [&](auto tag) {
-      using T = decltype(tag);
-      const T* in = input.data<T>();
-      const T* g = grad.data<T>();
-      T* o = out.data<T>();
-      for (int64_t b = 0; b < p.batch; ++b) {
-        for (int64_t oh = 0; oh < p.out_h; ++oh) {
-          for (int64_t ow = 0; ow < p.out_w; ++ow) {
-            const T* gpix = g + ((b * p.out_h + oh) * p.out_w + ow) * p.out_c;
-            for (int64_t kh = 0; kh < p.k_h; ++kh) {
-              int64_t ih = oh * p.stride_h + kh - p.pad_top;
-              if (ih < 0 || ih >= p.in_h) continue;
-              for (int64_t kw = 0; kw < p.k_w; ++kw) {
-                int64_t iw = ow * p.stride_w + kw - p.pad_left;
-                if (iw < 0 || iw >= p.in_w) continue;
-                const T* ipix =
-                    in + ((b * p.in_h + ih) * p.in_w + iw) * p.in_c;
-                T* fpix = o + (kh * p.k_w + kw) * p.in_c * p.out_c;
-                for (int64_t ic = 0; ic < p.in_c; ++ic) {
-                  T iv = ipix[ic];
-                  if (iv == T{0}) continue;
-                  T* frow = fpix + ic * p.out_c;
-                  for (int64_t oc = 0; oc < p.out_c; ++oc) {
-                    frow[oc] += iv * gpix[oc];
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }));
-    ctx->set_output(0, std::move(out));
-  }
-
- private:
-  std::vector<int64_t> strides_;
-  std::string padding_;
-};
-REGISTER_KERNEL("Conv2DBackpropFilter", kDeviceCpu, Conv2DBackpropFilterOp);
-
-struct PoolParams {
-  Conv2DParams conv;  // reuse geometry (k = ksize)
-};
-
-Status ComputePoolParams(const TensorShape& input,
-                         const std::vector<int64_t>& ksize,
-                         const std::vector<int64_t>& strides,
-                         const std::string& padding, Conv2DParams* p) {
-  if (ksize.size() != 4 || ksize[0] != 1 || ksize[3] != 1) {
-    return InvalidArgument("pool ksize must be [1, kh, kw, 1]");
-  }
-  // Fabricate a filter shape with matching channels so the conv geometry
-  // helper applies.
-  if (input.rank() != 4) {
-    return InvalidArgument("pool input must be NHWC rank-4");
-  }
-  TensorShape filter({ksize[1], ksize[2], input.dim(3), input.dim(3)});
-  return ComputeConv2DParams(input, filter, strides, padding, p);
+// Row `pixel` of the patch matrix [pixels, taps * channels] holds that
+// output pixel's window of `in`, tap by tap, zero where a tap is padded.
+template <typename T>
+std::vector<T> Im2Col(const Geometry& g, const T* in) {
+  std::vector<T> patches(g.pixels() * g.patch());
+  const int64_t c = g.channels;
+  ForEachWindow(g, [&](int64_t pixel, const int64_t* taps) {
+    T* row = patches.data() + pixel * g.patch();
+    for (int64_t t = 0; t < g.taps(); ++t, row += c) {
+      if (taps[t] != kPadded) std::copy_n(in + taps[t] * c, c, row);
+    }
+  });
+  return patches;
 }
 
-class MaxPoolOp : public OpKernel {
+// The inverse of Im2Col: adds each patch-matrix row onto the input pixels
+// its window covers, pixel by pixel and tap by tap.
+template <typename T>
+void Col2Im(const Geometry& g, const T* patches, T* out) {
+  const int64_t c = g.channels;
+  ForEachWindow(g, [&](int64_t pixel, const int64_t* taps) {
+    const T* row = patches + pixel * g.patch();
+    for (int64_t t = 0; t < g.taps(); ++t, row += c) {
+      if (taps[t] == kPadded) continue;
+      T* dst = out + taps[t] * c;
+      for (int64_t i = 0; i < c; ++i) dst[i] += row[i];
+    }
+  });
+}
+
+// The shape a gradient op reads from an int32 input (input_sizes,
+// filter_sizes, orig_input_shape): four sizes, none negative.
+Status ShapeFromSizes(const char* name, const Tensor& sizes,
+                      TensorShape* shape) {
+  std::vector<int64_t> dims(sizes.num_elements());
+  for (size_t i = 0; i < dims.size(); ++i) dims[i] = sizes.flat<int32_t>(i);
+  *shape = TensorShape(dims);
+  if (dims.size() != 4) {
+    return InvalidArgument(std::string(name) + " " + shape->DebugString() +
+                           " must hold four sizes");
+  }
+  return ValidateShape(dims).Prepend(name);
+}
+
+// The attrs of every convolution and pooling kernel. A pool's window is its
+// ksize attr; a convolution's is its filter's extent.
+class WindowOp : public OpKernel {
  public:
-  explicit MaxPoolOp(OpKernelConstruction* ctx) : OpKernel(ctx) {
-    ctx->SetStatus(ctx->GetIntListAttr("ksize", &ksize_));
+  explicit WindowOp(OpKernelConstruction* ctx) : OpKernel(ctx) {
+    if (ctx->FindAttr("ksize") != nullptr) {
+      ctx->SetStatus(ctx->GetIntListAttr("ksize", &ksize_));
+    }
     ctx->SetStatus(ctx->GetIntListAttr("strides", &strides_));
     ctx->SetStatus(ctx->GetStringAttr("padding", &padding_));
   }
-  void Compute(OpKernelContext* ctx) override {
-    Tensor input = ctx->input(0);
-    Conv2DParams p;
-    OP_REQUIRES_OK(
-        ctx, ComputePoolParams(input.shape(), ksize_, strides_, padding_, &p));
-    Tensor out(BaseType(input.dtype()),
-               TensorShape({p.batch, p.out_h, p.out_w, p.in_c}));
-    OP_REQUIRES_OK(ctx, FloatDispatch(input.dtype(), [&](auto tag) {
-      using T = decltype(tag);
-      const T* in = input.data<T>();
-      T* o = out.data<T>();
-      for (int64_t b = 0; b < p.batch; ++b) {
-        for (int64_t oh = 0; oh < p.out_h; ++oh) {
-          for (int64_t ow = 0; ow < p.out_w; ++ow) {
-            for (int64_t c = 0; c < p.in_c; ++c) {
-              T best = std::numeric_limits<T>::lowest();
-              for (int64_t kh = 0; kh < p.k_h; ++kh) {
-                int64_t ih = oh * p.stride_h + kh - p.pad_top;
-                if (ih < 0 || ih >= p.in_h) continue;
-                for (int64_t kw = 0; kw < p.k_w; ++kw) {
-                  int64_t iw = ow * p.stride_w + kw - p.pad_left;
-                  if (iw < 0 || iw >= p.in_w) continue;
-                  T v = in[((b * p.in_h + ih) * p.in_w + iw) * p.in_c + c];
-                  if (v > best) best = v;
-                }
-              }
-              o[((b * p.out_h + oh) * p.out_w + ow) * p.in_c + c] = best;
-            }
-          }
-        }
+
+ protected:
+  // The window over an NHWC `input`; a convolution passes its HWIO filter.
+  Status GetGeometry(const TensorShape& input, const TensorShape* filter,
+                     Geometry* g) const {
+    if (input.rank() != 4) {
+      return InvalidArgument("input must be NHWC rank-4, got " +
+                             input.DebugString());
+    }
+    std::vector<int64_t> ksize = ksize_;
+    if (filter != nullptr) {
+      if (filter->rank() != 4 || filter->dim(2) != input.dim(3)) {
+        return InvalidArgument("filter " + filter->DebugString() +
+                               " must be HWIO with the input's " +
+                               std::to_string(input.dim(3)) + " channels");
       }
-    }));
-    ctx->set_output(0, std::move(out));
+      ksize = {1, filter->dim(0), filter->dim(1), 1};
+    }
+    g->batch = input.dim(0);
+    g->channels = input.dim(3);
+    return ComputeWindow2D(ksize, strides_, padding_, input.dim(1),
+                           input.dim(2), g);
+  }
+
+  // A gradient input must be shaped like the forward op's output.
+  static Status CheckOutputShape(const char* name, const Tensor& t,
+                                 const Geometry& g, int64_t channels) {
+    const TensorShape want({g.batch, g.out_h, g.out_w, channels});
+    if (t.shape() != want) {
+      return InvalidArgument(std::string(name) + " must be " +
+                             want.DebugString() + ", got " +
+                             t.shape().DebugString());
+    }
+    return Status::OK();
+  }
+
+  static ThreadPool* Pool(OpKernelContext* ctx) {
+    return ctx->device() != nullptr ? ctx->device()->pool() : nullptr;
   }
 
  private:
@@ -309,176 +160,198 @@ class MaxPoolOp : public OpKernel {
   std::vector<int64_t> strides_;
   std::string padding_;
 };
-REGISTER_KERNEL("MaxPool", kDeviceCpu, MaxPoolOp);
 
-class MaxPoolGradOp : public OpKernel {
+// The HWIO filter is the row-major matrix [k_h * k_w * in_c, out_c], so a
+// convolution is the patch matrix times the filter.
+class Conv2DOp : public WindowOp {
  public:
-  explicit MaxPoolGradOp(OpKernelConstruction* ctx) : OpKernel(ctx) {
-    ctx->SetStatus(ctx->GetIntListAttr("ksize", &ksize_));
-    ctx->SetStatus(ctx->GetIntListAttr("strides", &strides_));
-    ctx->SetStatus(ctx->GetStringAttr("padding", &padding_));
+  using WindowOp::WindowOp;
+  void Compute(OpKernelContext* ctx) override {
+    Tensor input = ctx->input(0);
+    Tensor filter = ctx->input(1);
+    Geometry g{};
+    OP_REQUIRES_OK(ctx, GetGeometry(input.shape(), &filter.shape(), &g));
+    const int64_t out_c = filter.dim(3);
+    Tensor out(BaseType(input.dtype()),
+               TensorShape({g.batch, g.out_h, g.out_w, out_c}));
+    OP_REQUIRES_OK(ctx, FloatDispatch(input.dtype(), [&](auto tag) {
+      using T = decltype(tag);
+      const std::vector<T> patches = Im2Col(g, input.data<T>());
+      Gemm<T>(patches.data(), filter.data<T>(), out.data<T>(), g.pixels(),
+              g.patch(), out_c, false, false, Pool(ctx));
+    }));
+    ctx->set_output(0, std::move(out));
   }
+};
+REGISTER_KERNEL("Conv2D", kDeviceCpu, Conv2DOp);
+
+// out_backprop [pixels, out_c] times the filter transposed gives each
+// window's gradient; Col2Im sums them onto the input pixels.
+class Conv2DBackpropInputOp : public WindowOp {
+ public:
+  using WindowOp::WindowOp;
+  void Compute(OpKernelContext* ctx) override {
+    TensorShape in_shape;
+    OP_REQUIRES_OK(ctx,
+                   ShapeFromSizes("input_sizes", ctx->input(0), &in_shape));
+    Tensor filter = ctx->input(1);
+    Tensor grad = ctx->input(2);
+    Geometry g{};
+    OP_REQUIRES_OK(ctx, GetGeometry(in_shape, &filter.shape(), &g));
+    const int64_t out_c = filter.dim(3);
+    OP_REQUIRES_OK(ctx, CheckOutputShape("out_backprop", grad, g, out_c));
+    Tensor out(BaseType(grad.dtype()), in_shape);
+    OP_REQUIRES_OK(ctx, FloatDispatch(grad.dtype(), [&](auto tag) {
+      using T = decltype(tag);
+      std::vector<T> cols(g.pixels() * g.patch());
+      Gemm<T>(grad.data<T>(), filter.data<T>(), cols.data(), g.pixels(), out_c,
+              g.patch(), false, true, Pool(ctx));
+      Col2Im(g, cols.data(), out.data<T>());
+    }));
+    ctx->set_output(0, std::move(out));
+  }
+};
+REGISTER_KERNEL("Conv2DBackpropInput", kDeviceCpu, Conv2DBackpropInputOp);
+
+// The patch matrix transposed times out_backprop: one product over the
+// whole batch, so each filter entry sums its pixels in ascending order.
+class Conv2DBackpropFilterOp : public WindowOp {
+ public:
+  using WindowOp::WindowOp;
+  void Compute(OpKernelContext* ctx) override {
+    Tensor input = ctx->input(0);
+    TensorShape f_shape;
+    OP_REQUIRES_OK(ctx,
+                   ShapeFromSizes("filter_sizes", ctx->input(1), &f_shape));
+    Tensor grad = ctx->input(2);
+    Geometry g{};
+    OP_REQUIRES_OK(ctx, GetGeometry(input.shape(), &f_shape, &g));
+    const int64_t out_c = f_shape.dim(3);
+    OP_REQUIRES_OK(ctx, CheckOutputShape("out_backprop", grad, g, out_c));
+    Tensor out(BaseType(grad.dtype()), f_shape);
+    OP_REQUIRES_OK(ctx, FloatDispatch(grad.dtype(), [&](auto tag) {
+      using T = decltype(tag);
+      const std::vector<T> patches = Im2Col(g, input.data<T>());
+      Gemm<T>(patches.data(), grad.data<T>(), out.data<T>(), g.patch(),
+              g.pixels(), out_c, true, false, Pool(ctx));
+    }));
+    ctx->set_output(0, std::move(out));
+  }
+};
+REGISTER_KERNEL("Conv2DBackpropFilter", kDeviceCpu, Conv2DBackpropFilterOp);
+
+// MaxPool (kMax) or AvgPool: per output pixel and channel, the max or the
+// mean of the taps inside the input; padded taps count for nothing.
+template <bool kMax>
+class PoolOp : public WindowOp {
+ public:
+  using WindowOp::WindowOp;
+  void Compute(OpKernelContext* ctx) override {
+    Tensor input = ctx->input(0);
+    Geometry g{};
+    OP_REQUIRES_OK(ctx, GetGeometry(input.shape(), nullptr, &g));
+    const int64_t c = g.channels;
+    Tensor out(BaseType(input.dtype()),
+               TensorShape({g.batch, g.out_h, g.out_w, c}));
+    OP_REQUIRES_OK(ctx, FloatDispatch(input.dtype(), [&](auto tag) {
+      using T = decltype(tag);
+      const T* in = input.data<T>();
+      T* o = out.data<T>();
+      ForEachWindow(g, [&](int64_t pixel, const int64_t* taps) {
+        for (int64_t ch = 0; ch < c; ++ch) {
+          T best = std::numeric_limits<T>::lowest();
+          double sum = 0;
+          int64_t count = 0;
+          for (int64_t t = 0; t < g.taps(); ++t) {
+            if (taps[t] == kPadded) continue;
+            const T v = in[taps[t] * c + ch];
+            if constexpr (kMax) {
+              if (v > best) best = v;
+            } else {
+              sum += v;
+              ++count;
+            }
+          }
+          o[pixel * c + ch] =
+              kMax ? best : static_cast<T>(count > 0 ? sum / count : 0);
+        }
+      });
+    }));
+    ctx->set_output(0, std::move(out));
+  }
+};
+REGISTER_KERNEL("MaxPool", kDeviceCpu, PoolOp<true>);
+REGISTER_KERNEL("AvgPool", kDeviceCpu, PoolOp<false>);
+
+class MaxPoolGradOp : public WindowOp {
+ public:
+  using WindowOp::WindowOp;
   void Compute(OpKernelContext* ctx) override {
     Tensor input = ctx->input(0);
     Tensor output = ctx->input(1);
     Tensor grad = ctx->input(2);
-    Conv2DParams p;
-    OP_REQUIRES_OK(
-        ctx, ComputePoolParams(input.shape(), ksize_, strides_, padding_, &p));
+    Geometry g{};
+    OP_REQUIRES_OK(ctx, GetGeometry(input.shape(), nullptr, &g));
+    const int64_t c = g.channels;
+    OP_REQUIRES_OK(ctx, CheckOutputShape("orig_output", output, g, c));
+    OP_REQUIRES_OK(ctx, CheckOutputShape("grad", grad, g, c));
     Tensor out(BaseType(input.dtype()), input.shape());
     OP_REQUIRES_OK(ctx, FloatDispatch(input.dtype(), [&](auto tag) {
       using T = decltype(tag);
       const T* in = input.data<T>();
       const T* op = output.data<T>();
-      const T* g = grad.data<T>();
+      const T* gp = grad.data<T>();
       T* o = out.data<T>();
-      for (int64_t b = 0; b < p.batch; ++b) {
-        for (int64_t oh = 0; oh < p.out_h; ++oh) {
-          for (int64_t ow = 0; ow < p.out_w; ++ow) {
-            for (int64_t c = 0; c < p.in_c; ++c) {
-              int64_t oidx = ((b * p.out_h + oh) * p.out_w + ow) * p.in_c + c;
-              T best = op[oidx];
-              // Route the gradient to the first element matching the max.
-              bool routed = false;
-              for (int64_t kh = 0; kh < p.k_h && !routed; ++kh) {
-                int64_t ih = oh * p.stride_h + kh - p.pad_top;
-                if (ih < 0 || ih >= p.in_h) continue;
-                for (int64_t kw = 0; kw < p.k_w && !routed; ++kw) {
-                  int64_t iw = ow * p.stride_w + kw - p.pad_left;
-                  if (iw < 0 || iw >= p.in_w) continue;
-                  int64_t iidx =
-                      ((b * p.in_h + ih) * p.in_w + iw) * p.in_c + c;
-                  if (in[iidx] == best) {
-                    o[iidx] += g[oidx];
-                    routed = true;
-                  }
-                }
-              }
+      ForEachWindow(g, [&](int64_t pixel, const int64_t* taps) {
+        for (int64_t ch = 0; ch < c; ++ch) {
+          // Route the gradient to the first tap holding the max.
+          const int64_t oidx = pixel * c + ch;
+          for (int64_t t = 0; t < g.taps(); ++t) {
+            if (taps[t] != kPadded && in[taps[t] * c + ch] == op[oidx]) {
+              o[taps[t] * c + ch] += gp[oidx];
+              break;
             }
           }
         }
-      }
+      });
     }));
     ctx->set_output(0, std::move(out));
   }
-
- private:
-  std::vector<int64_t> ksize_;
-  std::vector<int64_t> strides_;
-  std::string padding_;
 };
 REGISTER_KERNEL("MaxPoolGrad", kDeviceCpu, MaxPoolGradOp);
 
-class AvgPoolOp : public OpKernel {
+class AvgPoolGradOp : public WindowOp {
  public:
-  explicit AvgPoolOp(OpKernelConstruction* ctx) : OpKernel(ctx) {
-    ctx->SetStatus(ctx->GetIntListAttr("ksize", &ksize_));
-    ctx->SetStatus(ctx->GetIntListAttr("strides", &strides_));
-    ctx->SetStatus(ctx->GetStringAttr("padding", &padding_));
-  }
+  using WindowOp::WindowOp;
   void Compute(OpKernelContext* ctx) override {
-    Tensor input = ctx->input(0);
-    Conv2DParams p;
+    TensorShape in_shape;
     OP_REQUIRES_OK(
-        ctx, ComputePoolParams(input.shape(), ksize_, strides_, padding_, &p));
-    Tensor out(BaseType(input.dtype()),
-               TensorShape({p.batch, p.out_h, p.out_w, p.in_c}));
-    OP_REQUIRES_OK(ctx, FloatDispatch(input.dtype(), [&](auto tag) {
-      using T = decltype(tag);
-      const T* in = input.data<T>();
-      T* o = out.data<T>();
-      for (int64_t b = 0; b < p.batch; ++b) {
-        for (int64_t oh = 0; oh < p.out_h; ++oh) {
-          for (int64_t ow = 0; ow < p.out_w; ++ow) {
-            for (int64_t c = 0; c < p.in_c; ++c) {
-              double acc = 0;
-              int64_t count = 0;
-              for (int64_t kh = 0; kh < p.k_h; ++kh) {
-                int64_t ih = oh * p.stride_h + kh - p.pad_top;
-                if (ih < 0 || ih >= p.in_h) continue;
-                for (int64_t kw = 0; kw < p.k_w; ++kw) {
-                  int64_t iw = ow * p.stride_w + kw - p.pad_left;
-                  if (iw < 0 || iw >= p.in_w) continue;
-                  acc += in[((b * p.in_h + ih) * p.in_w + iw) * p.in_c + c];
-                  ++count;
-                }
-              }
-              o[((b * p.out_h + oh) * p.out_w + ow) * p.in_c + c] =
-                  static_cast<T>(count > 0 ? acc / count : 0);
-            }
-          }
-        }
-      }
-    }));
-    ctx->set_output(0, std::move(out));
-  }
-
- private:
-  std::vector<int64_t> ksize_;
-  std::vector<int64_t> strides_;
-  std::string padding_;
-};
-REGISTER_KERNEL("AvgPool", kDeviceCpu, AvgPoolOp);
-
-class AvgPoolGradOp : public OpKernel {
- public:
-  explicit AvgPoolGradOp(OpKernelConstruction* ctx) : OpKernel(ctx) {
-    ctx->SetStatus(ctx->GetIntListAttr("ksize", &ksize_));
-    ctx->SetStatus(ctx->GetIntListAttr("strides", &strides_));
-    ctx->SetStatus(ctx->GetStringAttr("padding", &padding_));
-  }
-  void Compute(OpKernelContext* ctx) override {
-    Tensor shape_t = ctx->input(0);
+        ctx, ShapeFromSizes("orig_input_shape", ctx->input(0), &in_shape));
     Tensor grad = ctx->input(1);
-    TensorShape in_shape({shape_t.flat<int32_t>(0), shape_t.flat<int32_t>(1),
-                          shape_t.flat<int32_t>(2), shape_t.flat<int32_t>(3)});
-    Conv2DParams p;
-    OP_REQUIRES_OK(ctx,
-                   ComputePoolParams(in_shape, ksize_, strides_, padding_, &p));
+    Geometry g{};
+    OP_REQUIRES_OK(ctx, GetGeometry(in_shape, nullptr, &g));
+    const int64_t c = g.channels;
+    OP_REQUIRES_OK(ctx, CheckOutputShape("grad", grad, g, c));
     Tensor out(BaseType(grad.dtype()), in_shape);
     OP_REQUIRES_OK(ctx, FloatDispatch(grad.dtype(), [&](auto tag) {
       using T = decltype(tag);
-      const T* g = grad.data<T>();
+      const T* gp = grad.data<T>();
       T* o = out.data<T>();
-      for (int64_t b = 0; b < p.batch; ++b) {
-        for (int64_t oh = 0; oh < p.out_h; ++oh) {
-          for (int64_t ow = 0; ow < p.out_w; ++ow) {
-            // Count contributing elements (same loop as forward).
-            int64_t count = 0;
-            for (int64_t kh = 0; kh < p.k_h; ++kh) {
-              int64_t ih = oh * p.stride_h + kh - p.pad_top;
-              if (ih < 0 || ih >= p.in_h) continue;
-              for (int64_t kw = 0; kw < p.k_w; ++kw) {
-                int64_t iw = ow * p.stride_w + kw - p.pad_left;
-                if (iw >= 0 && iw < p.in_w) ++count;
-              }
-            }
-            if (count == 0) continue;
-            for (int64_t c = 0; c < p.in_c; ++c) {
-              T share =
-                  g[((b * p.out_h + oh) * p.out_w + ow) * p.in_c + c] /
-                  static_cast<T>(count);
-              for (int64_t kh = 0; kh < p.k_h; ++kh) {
-                int64_t ih = oh * p.stride_h + kh - p.pad_top;
-                if (ih < 0 || ih >= p.in_h) continue;
-                for (int64_t kw = 0; kw < p.k_w; ++kw) {
-                  int64_t iw = ow * p.stride_w + kw - p.pad_left;
-                  if (iw < 0 || iw >= p.in_w) continue;
-                  o[((b * p.in_h + ih) * p.in_w + iw) * p.in_c + c] += share;
-                }
-              }
-            }
+      ForEachWindow(g, [&](int64_t pixel, const int64_t* taps) {
+        const int64_t count =
+            std::count_if(taps, taps + g.taps(),
+                          [](int64_t t) { return t != kPadded; });
+        if (count == 0) return;
+        for (int64_t ch = 0; ch < c; ++ch) {
+          const T share = gp[pixel * c + ch] / static_cast<T>(count);
+          for (int64_t t = 0; t < g.taps(); ++t) {
+            if (taps[t] != kPadded) o[taps[t] * c + ch] += share;
           }
         }
-      }
+      });
     }));
     ctx->set_output(0, std::move(out));
   }
-
- private:
-  std::vector<int64_t> ksize_;
-  std::vector<int64_t> strides_;
-  std::string padding_;
 };
 REGISTER_KERNEL("AvgPoolGrad", kDeviceCpu, AvgPoolGradOp);
 

@@ -1,11 +1,15 @@
 // Quantization kernels (paper §5): affine uint8 quantization and a
-// gemmlowp-style low-precision matrix multiply with int32 accumulation.
+// gemmlowp-style low-precision matrix multiply with integer accumulation on
+// the packed GEMM of kernels/gemm.h.
 // Quantized inference trades a little accuracy for integer arithmetic —
 // the mobile/datacenter-inference path the paper describes.
 
 #include <cmath>
+#include <vector>
 
 #include "kernels/dispatch.h"
+#include "kernels/gemm.h"
+#include "runtime/device.h"
 #include "runtime/kernel.h"
 
 namespace tfrepro {
@@ -18,7 +22,17 @@ struct QuantParams {
   float inv_scale;
 };
 
-Result<QuantParams> GetParams(float min_range, float max_range) {
+// The range held by inputs `min` and `min + 1`, one float each.
+Result<QuantParams> GetParams(OpKernelContext* ctx, int min) {
+  const Tensor lo = ctx->input(min);
+  const Tensor hi = ctx->input(min + 1);
+  if (lo.num_elements() != 1 || hi.num_elements() != 1) {
+    return InvalidArgument("quantization range inputs must hold one float "
+                           "each, got " + lo.shape().DebugString() + " and " +
+                           hi.shape().DebugString());
+  }
+  const float min_range = *lo.data<float>();
+  const float max_range = *hi.data<float>();
   if (!(max_range > min_range)) {
     return InvalidArgument("quantization range must satisfy max > min");
   }
@@ -34,8 +48,7 @@ class QuantizeOp : public OpKernel {
   using OpKernel::OpKernel;
   void Compute(OpKernelContext* ctx) override {
     Tensor input = ctx->input(0);
-    Result<QuantParams> params = GetParams(*ctx->input(1).data<float>(),
-                                           *ctx->input(2).data<float>());
+    Result<QuantParams> params = GetParams(ctx, 1);
     OP_REQUIRES_OK(ctx, params.status());
     Tensor out(DataType::kUint8, input.shape());
     const float* in = input.data<float>();
@@ -55,8 +68,7 @@ class DequantizeOp : public OpKernel {
   using OpKernel::OpKernel;
   void Compute(OpKernelContext* ctx) override {
     Tensor input = ctx->input(0);
-    Result<QuantParams> params = GetParams(*ctx->input(1).data<float>(),
-                                           *ctx->input(2).data<float>());
+    Result<QuantParams> params = GetParams(ctx, 1);
     OP_REQUIRES_OK(ctx, params.status());
     Tensor out(DataType::kFloat, input.shape());
     const uint8_t* in = input.data<uint8_t>();
@@ -82,28 +94,33 @@ class QuantizedMatMulOp : public OpKernel {
                 InvalidArgument("QuantizedMatMul inputs must be rank-2"));
     OP_REQUIRES(ctx, a.dim(1) == b.dim(0),
                 InvalidArgument("QuantizedMatMul inner dimensions differ"));
-    Result<QuantParams> pa = GetParams(*ctx->input(2).data<float>(),
-                                       *ctx->input(3).data<float>());
+    Result<QuantParams> pa = GetParams(ctx, 2);
     OP_REQUIRES_OK(ctx, pa.status());
-    Result<QuantParams> pb = GetParams(*ctx->input(4).data<float>(),
-                                       *ctx->input(5).data<float>());
+    Result<QuantParams> pb = GetParams(ctx, 4);
     OP_REQUIRES_OK(ctx, pb.status());
 
-    int64_t m = a.dim(0);
-    int64_t k = a.dim(1);
-    int64_t n = b.dim(1);
+    const int64_t m = a.dim(0);
+    const int64_t k = a.dim(1);
+    const int64_t n = b.dim(1);
     const uint8_t* ap = a.data<uint8_t>();
     const uint8_t* bp = b.data<uint8_t>();
 
-    // Row sums of a and column sums of b for the cross terms.
-    std::vector<int64_t> row_sum(m, 0);
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t kk = 0; kk < k; ++kk) row_sum[i] += ap[i * k + kk];
+    // Both operands widened to int64 while taking the row sums of a and the
+    // column sums of b for the cross terms.
+    std::vector<int64_t> a64(m * k), b64(k * n), row_sum(m), col_sum(n);
+    for (int64_t i = 0; i < m * k; ++i) {
+      a64[i] = ap[i];
+      row_sum[i / k] += a64[i];
     }
-    std::vector<int64_t> col_sum(n, 0);
-    for (int64_t kk = 0; kk < k; ++kk) {
-      for (int64_t j = 0; j < n; ++j) col_sum[j] += bp[kk * n + j];
+    for (int64_t i = 0; i < k * n; ++i) {
+      b64[i] = bp[i];
+      col_sum[i % n] += b64[i];
     }
+    // The integer dot products; a uint8 product is below 2^16, so int64
+    // holds any sum of fewer than 2^47 of them.
+    std::vector<int64_t> acc(m * n);
+    Gemm<int64_t>(a64.data(), b64.data(), acc.data(), m, k, n, false, false,
+                  ctx->device() != nullptr ? ctx->device()->pool() : nullptr);
 
     Tensor out(DataType::kFloat, TensorShape({m, n}));
     float* o = out.data<float>();
@@ -113,12 +130,8 @@ class QuantizedMatMulOp : public OpKernel {
     const float mb = pb.value().min;
     for (int64_t i = 0; i < m; ++i) {
       for (int64_t j = 0; j < n; ++j) {
-        int64_t acc = 0;  // integer dot product
-        for (int64_t kk = 0; kk < k; ++kk) {
-          acc += static_cast<int64_t>(ap[i * k + kk]) * bp[kk * n + j];
-        }
         // (ma + sa*qa) . (mb + sb*qb) expanded over k terms.
-        o[i * n + j] = static_cast<float>(acc) * sa * sb +
+        o[i * n + j] = static_cast<float>(acc[i * n + j]) * sa * sb +
                        ma * sb * static_cast<float>(col_sum[j]) +
                        mb * sa * static_cast<float>(row_sum[i]) +
                        ma * mb * static_cast<float>(k);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -550,6 +551,600 @@ TEST(KernelsTest, AvgPoolValues) {
                         "VALID");
   });
   EXPECT_FLOAT_EQ(*r.data<float>(), 2.5f);
+}
+
+TEST(KernelsTest, Conv2DZeroTimesInfIsNaN) {
+  // IEEE gives 0 * inf = NaN. The loops that once ran Conv2D and
+  // Conv2DBackpropFilter skipped zero inputs and answered 1 here.
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor input = Tensor::FromVector<float>({0, 1}, TensorShape({1, 1, 2, 1}));
+  Tensor r = Eval([&](GraphBuilder* b) {
+    return ops::Conv2D(b, Const(b, Tensor(input)),
+                       Const(b, Tensor::FromVector<float>(
+                                    {inf, 1}, TensorShape({1, 2, 1, 1}))),
+                       {1, 1, 1, 1}, "VALID");
+  });
+  EXPECT_TRUE(std::isnan(r.flat<float>(0))) << r.flat<float>(0);
+  Tensor dw = Eval([&](GraphBuilder* b) {
+    return b->Op("Conv2DBackpropFilter")
+        .Input(Const(b, Tensor(input)))
+        .Input(ops::ConstVecI32(b, {1, 1, 1, 1}))
+        .Input(Const(b, Tensor::FromVector<float>({inf, 1},
+                                                  TensorShape({1, 1, 2, 1}))))
+        .Attr("T", DataType::kFloat)
+        .Attr("strides", std::vector<int64_t>{1, 1, 1, 1})
+        .Attr("padding", std::string("VALID"))
+        .Finalize();
+  });
+  EXPECT_TRUE(std::isnan(dw.flat<float>(0))) << dw.flat<float>(0);
+}
+
+// The window kernels (DESIGN.md §15) against the loops they replaced, kept
+// here as references: seven-deep loops over (b, oh, ow), the in-bounds
+// window taps and the channels, adding into zeroed outputs, and skipping
+// zero inputs where the old kernels did. Geometry is the old rule too.
+
+struct WindowCase {
+  int64_t batch, in_h, in_w, in_c;
+  int64_t k_h, k_w, out_c;  // window; out_c is the filter's
+  int64_t stride_h, stride_w;
+  bool same;
+  int64_t out_h, out_w, pad_top, pad_left;
+};
+
+WindowCase MakeWindowCase(int64_t batch, int64_t in_h, int64_t in_w,
+                          int64_t in_c, int64_t k_h, int64_t k_w,
+                          int64_t out_c, int64_t stride_h, int64_t stride_w,
+                          bool same) {
+  WindowCase p{batch,    in_h,     in_w, in_c, k_h, k_w, out_c,
+               stride_h, stride_w, same, 0,    0,   0,   0};
+  if (same) {
+    p.out_h = (in_h + stride_h - 1) / stride_h;
+    p.out_w = (in_w + stride_w - 1) / stride_w;
+    p.pad_top =
+        std::max<int64_t>(0, (p.out_h - 1) * stride_h + k_h - in_h) / 2;
+    p.pad_left =
+        std::max<int64_t>(0, (p.out_w - 1) * stride_w + k_w - in_w) / 2;
+  } else {
+    p.out_h = (in_h - k_h) / stride_h + 1;
+    p.out_w = (in_w - k_w) / stride_w + 1;
+  }
+  return p;
+}
+
+template <typename T>
+std::vector<T> RefConv2D(const WindowCase& p, const std::vector<T>& in,
+                         const std::vector<T>& f) {
+  std::vector<T> o(p.batch * p.out_h * p.out_w * p.out_c);
+  for (int64_t b = 0; b < p.batch; ++b) {
+    for (int64_t oh = 0; oh < p.out_h; ++oh) {
+      for (int64_t ow = 0; ow < p.out_w; ++ow) {
+        T* opix = &o[((b * p.out_h + oh) * p.out_w + ow) * p.out_c];
+        for (int64_t kh = 0; kh < p.k_h; ++kh) {
+          int64_t ih = oh * p.stride_h + kh - p.pad_top;
+          if (ih < 0 || ih >= p.in_h) continue;
+          for (int64_t kw = 0; kw < p.k_w; ++kw) {
+            int64_t iw = ow * p.stride_w + kw - p.pad_left;
+            if (iw < 0 || iw >= p.in_w) continue;
+            const T* ipix = &in[((b * p.in_h + ih) * p.in_w + iw) * p.in_c];
+            const T* fpix = &f[(kh * p.k_w + kw) * p.in_c * p.out_c];
+            for (int64_t ic = 0; ic < p.in_c; ++ic) {
+              T iv = ipix[ic];
+              if (iv == T{0}) continue;
+              const T* frow = fpix + ic * p.out_c;
+              for (int64_t oc = 0; oc < p.out_c; ++oc) {
+                opix[oc] += iv * frow[oc];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return o;
+}
+
+template <typename T>
+std::vector<T> RefConv2DBackpropInput(const WindowCase& p,
+                                      const std::vector<T>& f,
+                                      const std::vector<T>& g) {
+  std::vector<T> o(p.batch * p.in_h * p.in_w * p.in_c);
+  for (int64_t b = 0; b < p.batch; ++b) {
+    for (int64_t oh = 0; oh < p.out_h; ++oh) {
+      for (int64_t ow = 0; ow < p.out_w; ++ow) {
+        const T* gpix = &g[((b * p.out_h + oh) * p.out_w + ow) * p.out_c];
+        for (int64_t kh = 0; kh < p.k_h; ++kh) {
+          int64_t ih = oh * p.stride_h + kh - p.pad_top;
+          if (ih < 0 || ih >= p.in_h) continue;
+          for (int64_t kw = 0; kw < p.k_w; ++kw) {
+            int64_t iw = ow * p.stride_w + kw - p.pad_left;
+            if (iw < 0 || iw >= p.in_w) continue;
+            T* opix = &o[((b * p.in_h + ih) * p.in_w + iw) * p.in_c];
+            const T* fpix = &f[(kh * p.k_w + kw) * p.in_c * p.out_c];
+            for (int64_t ic = 0; ic < p.in_c; ++ic) {
+              const T* frow = fpix + ic * p.out_c;
+              T acc{0};
+              for (int64_t oc = 0; oc < p.out_c; ++oc) {
+                acc += gpix[oc] * frow[oc];
+              }
+              opix[ic] += acc;
+            }
+          }
+        }
+      }
+    }
+  }
+  return o;
+}
+
+template <typename T>
+std::vector<T> RefConv2DBackpropFilter(const WindowCase& p,
+                                       const std::vector<T>& in,
+                                       const std::vector<T>& g) {
+  std::vector<T> o(p.k_h * p.k_w * p.in_c * p.out_c);
+  for (int64_t b = 0; b < p.batch; ++b) {
+    for (int64_t oh = 0; oh < p.out_h; ++oh) {
+      for (int64_t ow = 0; ow < p.out_w; ++ow) {
+        const T* gpix = &g[((b * p.out_h + oh) * p.out_w + ow) * p.out_c];
+        for (int64_t kh = 0; kh < p.k_h; ++kh) {
+          int64_t ih = oh * p.stride_h + kh - p.pad_top;
+          if (ih < 0 || ih >= p.in_h) continue;
+          for (int64_t kw = 0; kw < p.k_w; ++kw) {
+            int64_t iw = ow * p.stride_w + kw - p.pad_left;
+            if (iw < 0 || iw >= p.in_w) continue;
+            const T* ipix = &in[((b * p.in_h + ih) * p.in_w + iw) * p.in_c];
+            T* fpix = &o[(kh * p.k_w + kw) * p.in_c * p.out_c];
+            for (int64_t ic = 0; ic < p.in_c; ++ic) {
+              T iv = ipix[ic];
+              if (iv == T{0}) continue;
+              T* frow = fpix + ic * p.out_c;
+              for (int64_t oc = 0; oc < p.out_c; ++oc) {
+                frow[oc] += iv * gpix[oc];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return o;
+}
+
+// The pools' window is k_h x k_w over in_c channels.
+template <typename T>
+std::vector<T> RefMaxPool(const WindowCase& p, const std::vector<T>& in) {
+  std::vector<T> o(p.batch * p.out_h * p.out_w * p.in_c);
+  for (int64_t b = 0; b < p.batch; ++b) {
+    for (int64_t oh = 0; oh < p.out_h; ++oh) {
+      for (int64_t ow = 0; ow < p.out_w; ++ow) {
+        for (int64_t c = 0; c < p.in_c; ++c) {
+          T best = std::numeric_limits<T>::lowest();
+          for (int64_t kh = 0; kh < p.k_h; ++kh) {
+            int64_t ih = oh * p.stride_h + kh - p.pad_top;
+            if (ih < 0 || ih >= p.in_h) continue;
+            for (int64_t kw = 0; kw < p.k_w; ++kw) {
+              int64_t iw = ow * p.stride_w + kw - p.pad_left;
+              if (iw < 0 || iw >= p.in_w) continue;
+              T v = in[((b * p.in_h + ih) * p.in_w + iw) * p.in_c + c];
+              if (v > best) best = v;
+            }
+          }
+          o[((b * p.out_h + oh) * p.out_w + ow) * p.in_c + c] = best;
+        }
+      }
+    }
+  }
+  return o;
+}
+
+template <typename T>
+std::vector<T> RefMaxPoolGrad(const WindowCase& p, const std::vector<T>& in,
+                              const std::vector<T>& out,
+                              const std::vector<T>& g) {
+  std::vector<T> o(in.size());
+  for (int64_t b = 0; b < p.batch; ++b) {
+    for (int64_t oh = 0; oh < p.out_h; ++oh) {
+      for (int64_t ow = 0; ow < p.out_w; ++ow) {
+        for (int64_t c = 0; c < p.in_c; ++c) {
+          int64_t oidx = ((b * p.out_h + oh) * p.out_w + ow) * p.in_c + c;
+          T best = out[oidx];
+          bool routed = false;
+          for (int64_t kh = 0; kh < p.k_h && !routed; ++kh) {
+            int64_t ih = oh * p.stride_h + kh - p.pad_top;
+            if (ih < 0 || ih >= p.in_h) continue;
+            for (int64_t kw = 0; kw < p.k_w && !routed; ++kw) {
+              int64_t iw = ow * p.stride_w + kw - p.pad_left;
+              if (iw < 0 || iw >= p.in_w) continue;
+              int64_t iidx = ((b * p.in_h + ih) * p.in_w + iw) * p.in_c + c;
+              if (in[iidx] == best) {
+                o[iidx] += g[oidx];
+                routed = true;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return o;
+}
+
+template <typename T>
+std::vector<T> RefAvgPool(const WindowCase& p, const std::vector<T>& in) {
+  std::vector<T> o(p.batch * p.out_h * p.out_w * p.in_c);
+  for (int64_t b = 0; b < p.batch; ++b) {
+    for (int64_t oh = 0; oh < p.out_h; ++oh) {
+      for (int64_t ow = 0; ow < p.out_w; ++ow) {
+        for (int64_t c = 0; c < p.in_c; ++c) {
+          double acc = 0;
+          int64_t count = 0;
+          for (int64_t kh = 0; kh < p.k_h; ++kh) {
+            int64_t ih = oh * p.stride_h + kh - p.pad_top;
+            if (ih < 0 || ih >= p.in_h) continue;
+            for (int64_t kw = 0; kw < p.k_w; ++kw) {
+              int64_t iw = ow * p.stride_w + kw - p.pad_left;
+              if (iw < 0 || iw >= p.in_w) continue;
+              acc += in[((b * p.in_h + ih) * p.in_w + iw) * p.in_c + c];
+              ++count;
+            }
+          }
+          o[((b * p.out_h + oh) * p.out_w + ow) * p.in_c + c] =
+              static_cast<T>(count > 0 ? acc / count : 0);
+        }
+      }
+    }
+  }
+  return o;
+}
+
+template <typename T>
+std::vector<T> RefAvgPoolGrad(const WindowCase& p, const std::vector<T>& g) {
+  std::vector<T> o(p.batch * p.in_h * p.in_w * p.in_c);
+  for (int64_t b = 0; b < p.batch; ++b) {
+    for (int64_t oh = 0; oh < p.out_h; ++oh) {
+      for (int64_t ow = 0; ow < p.out_w; ++ow) {
+        int64_t count = 0;
+        for (int64_t kh = 0; kh < p.k_h; ++kh) {
+          int64_t ih = oh * p.stride_h + kh - p.pad_top;
+          if (ih < 0 || ih >= p.in_h) continue;
+          for (int64_t kw = 0; kw < p.k_w; ++kw) {
+            int64_t iw = ow * p.stride_w + kw - p.pad_left;
+            if (iw >= 0 && iw < p.in_w) ++count;
+          }
+        }
+        if (count == 0) continue;
+        for (int64_t c = 0; c < p.in_c; ++c) {
+          T share = g[((b * p.out_h + oh) * p.out_w + ow) * p.in_c + c] /
+                    static_cast<T>(count);
+          for (int64_t kh = 0; kh < p.k_h; ++kh) {
+            int64_t ih = oh * p.stride_h + kh - p.pad_top;
+            if (ih < 0 || ih >= p.in_h) continue;
+            for (int64_t kw = 0; kw < p.k_w; ++kw) {
+              int64_t iw = ow * p.stride_w + kw - p.pad_left;
+              if (iw < 0 || iw >= p.in_w) continue;
+              o[((b * p.in_h + ih) * p.in_w + iw) * p.in_c + c] += share;
+            }
+          }
+        }
+      }
+    }
+  }
+  return o;
+}
+
+// A seeded sweep: batch 1-3, spatial 1-14 with independent height and
+// width, channels 1-9, windows 1x1 to 5x3, 1-10 filters, strides 1-3, SAME
+// and VALID (a VALID window no larger than the input). Three fixed cases
+// come first: their forward, input-gradient and filter-gradient products
+// are big enough for Gemm to split them on the session's 4-thread pool
+// (DESIGN.md §15).
+std::vector<WindowCase> WindowSweep(int count) {
+  std::vector<WindowCase> cases = {
+      MakeWindowCase(3, 14, 14, 9, 5, 3, 10, 1, 1, true),
+      MakeWindowCase(3, 14, 13, 9, 5, 3, 10, 1, 1, false),
+      MakeWindowCase(2, 14, 14, 8, 3, 3, 9, 1, 1, true)};
+  PhiloxRandom rng(2516);
+  auto in = [&](int64_t lo, int64_t hi) {
+    return lo + static_cast<int64_t>(rng.UniformInt(hi - lo + 1));
+  };
+  while (static_cast<int>(cases.size()) < count) {
+    const int64_t batch = in(1, 3), in_h = in(1, 14), in_w = in(1, 14),
+                  in_c = in(1, 9), k_h = in(1, 5), k_w = in(1, 3),
+                  out_c = in(1, 10), stride_h = in(1, 3), stride_w = in(1, 3);
+    const bool same = rng.UniformInt(2) == 0;
+    if (!same && (in_h < k_h || in_w < k_w)) continue;
+    cases.push_back(MakeWindowCase(batch, in_h, in_w, in_c, k_h, k_w, out_c,
+                                   stride_h, stride_w, same));
+  }
+  return cases;
+}
+
+// Uniform in [-1, 1), 30% of entries zero.
+template <typename T>
+std::vector<T> WindowValues(int64_t n, PhiloxRandom* rng) {
+  std::vector<T> v(n);
+  for (T& x : v) {
+    const bool zero = rng->UniformDouble() < 0.3;
+    x = zero ? T{0} : static_cast<T>(rng->UniformDouble() * 2 - 1);
+  }
+  return v;
+}
+
+std::string Describe(const WindowCase& p) {
+  auto x = [](int64_t a, int64_t b) {
+    return std::to_string(a) + "x" + std::to_string(b);
+  };
+  return "batch " + std::to_string(p.batch) + ", input " + x(p.in_h, p.in_w) +
+         "x" + std::to_string(p.in_c) + ", window " + x(p.k_h, p.k_w) + ", " +
+         std::to_string(p.out_c) + " filters, strides " +
+         x(p.stride_h, p.stride_w) + (p.same ? ", SAME" : ", VALID");
+}
+
+template <typename T>
+Tensor WindowTensor(const std::vector<T>& v, std::vector<int64_t> dims) {
+  return Tensor::FromVector<T>(v, TensorShape(dims));
+}
+
+// Runs the seven kernels on each case, many cases to a session, and
+// compares every output with its reference by memcmp.
+template <typename T>
+void ExpectWindowKernelsMatchOldLoops(const std::vector<WindowCase>& cases) {
+  constexpr size_t kCasesPerSession = 64;
+  PhiloxRandom rng(DataTypeToEnum<T>::value == DataType::kFloat ? 1 : 2);
+  for (size_t first = 0; first < cases.size(); first += kCasesPerSession) {
+    Graph graph;
+    GraphBuilder b(&graph);
+    std::vector<std::string> fetches;
+    std::vector<std::vector<T>> want;
+    std::vector<std::string> labels;
+    for (size_t i = first; i < std::min(cases.size(), first + kCasesPerSession);
+         ++i) {
+      const WindowCase& p = cases[i];
+      const std::vector<int64_t> in_dims = {p.batch, p.in_h, p.in_w, p.in_c};
+      const std::vector<int64_t> f_dims = {p.k_h, p.k_w, p.in_c, p.out_c};
+      const std::vector<int64_t> conv_dims = {p.batch, p.out_h, p.out_w,
+                                              p.out_c};
+      const std::vector<int64_t> pool_dims = {p.batch, p.out_h, p.out_w,
+                                              p.in_c};
+      const std::vector<T> in = WindowValues<T>(
+          p.batch * p.in_h * p.in_w * p.in_c, &rng);
+      const std::vector<T> f =
+          WindowValues<T>(p.k_h * p.k_w * p.in_c * p.out_c, &rng);
+      const std::vector<T> conv_grad = WindowValues<T>(
+          p.batch * p.out_h * p.out_w * p.out_c, &rng);
+      const std::vector<T> pool_grad = WindowValues<T>(
+          p.batch * p.out_h * p.out_w * p.in_c, &rng);
+      const std::vector<T> max_out = RefMaxPool(p, in);
+      const std::vector<int64_t> strides = {1, p.stride_h, p.stride_w, 1};
+      const std::vector<int64_t> ksize = {1, p.k_h, p.k_w, 1};
+      const std::string padding = p.same ? "SAME" : "VALID";
+      auto sizes = [&](const std::vector<int64_t>& dims) {
+        return ops::ConstVecI32(
+            &b, {static_cast<int32_t>(dims[0]), static_cast<int32_t>(dims[1]),
+                 static_cast<int32_t>(dims[2]), static_cast<int32_t>(dims[3])});
+      };
+      auto window_op = [&](const char* op, std::vector<Output> inputs,
+                           bool pool) {
+        NodeBuilder nb = b.Op(op);
+        for (const Output& x : inputs) nb.Input(x);
+        nb.Attr("T", DataTypeToEnum<T>::value)
+            .Attr("strides", strides)
+            .Attr("padding", padding);
+        if (pool) nb.Attr("ksize", ksize);
+        return nb.Finalize();
+      };
+      Output input = Const(&b, WindowTensor(in, in_dims));
+      Output filter = Const(&b, WindowTensor(f, f_dims));
+      Output dconv = Const(&b, WindowTensor(conv_grad, conv_dims));
+      Output dpool = Const(&b, WindowTensor(pool_grad, pool_dims));
+      const std::vector<std::pair<Output, std::vector<T>>> runs = {
+          {window_op("Conv2D", {input, filter}, false), RefConv2D(p, in, f)},
+          {window_op("Conv2DBackpropInput", {sizes(in_dims), filter, dconv},
+                     false),
+           RefConv2DBackpropInput(p, f, conv_grad)},
+          {window_op("Conv2DBackpropFilter", {input, sizes(f_dims), dconv},
+                     false),
+           RefConv2DBackpropFilter(p, in, conv_grad)},
+          {window_op("MaxPool", {input}, true), max_out},
+          {window_op("MaxPoolGrad",
+                     {input, Const(&b, WindowTensor(max_out, pool_dims)),
+                      dpool},
+                     true),
+           RefMaxPoolGrad(p, in, max_out, pool_grad)},
+          {window_op("AvgPool", {input}, true), RefAvgPool(p, in)},
+          {window_op("AvgPoolGrad", {sizes(in_dims), dpool}, true),
+           RefAvgPoolGrad(p, pool_grad)}};
+      for (const auto& [out, ref] : runs) {
+        fetches.push_back(out.name());
+        want.push_back(ref);
+        labels.push_back(out.node->op() + " " + Describe(p));
+      }
+    }
+    TF_CHECK_OK(b.status());
+    SessionOptions options;
+    options.optimizer.do_constant_folding = false;  // exercise the kernels
+    auto session = DirectSession::Create(graph, options);
+    TF_CHECK_OK(session.status());
+    std::vector<Tensor> got;
+    TF_CHECK_OK(session.value()->Run(fetches, &got));
+    for (size_t j = 0; j < got.size(); ++j) {
+      ASSERT_EQ(got[j].num_elements(), static_cast<int64_t>(want[j].size()))
+          << labels[j];
+      EXPECT_EQ(std::memcmp(got[j].template data<T>(), want[j].data(),
+                            want[j].size() * sizeof(T)),
+                0)
+          << DataTypeName(DataTypeToEnum<T>::value) << " " << labels[j];
+    }
+  }
+}
+
+TEST(WindowTest, KernelsMatchTheOldLoopsBitForBit) {
+  const std::vector<WindowCase> cases = WindowSweep(1500);
+  ExpectWindowKernelsMatchOldLoops<float>(cases);
+  ExpectWindowKernelsMatchOldLoops<double>(cases);
+}
+
+Tensor Floats(std::vector<int64_t> dims) {
+  return Tensor(DataType::kFloat, TensorShape(dims));
+}
+
+Tensor Sizes(std::vector<int32_t> sizes) { return Tensor::Vec<int32_t>(sizes); }
+
+// Attrs the shape functions reject while the session compiles, before any
+// kernel runs: before, a short list was read past its end, a zero stride
+// divided by zero, and the rest failed only in the kernel or not at all.
+TEST(KernelsTest, WindowAttrsRejectedAtCompile) {
+  struct Attrs {
+    std::vector<int64_t> ksize, strides;
+    std::string padding;
+  };
+  // A convolution's window is its filter, [ksize[1], ksize[2], 1, 1].
+  const std::vector<Attrs> bad = {
+      {{1, 2, 2, 1}, {1, 1}, "SAME"},          // short strides
+      {{1, 2, 2, 1}, {1, 0, 1, 1}, "SAME"},    // zero stride
+      {{1, 2, 2, 1}, {2, 1, 1, 1}, "SAME"},    // batch stride
+      {{1, 2, 2, 1}, {1, 1, 1, 1}, "FULL"},    // unknown padding
+      {{1, 0, 2, 1}, {1, 1, 1, 1}, "SAME"},    // zero window
+      {{1, 5, 2, 1}, {1, 1, 1, 1}, "VALID"},   // window taller than input
+      {{1, 2, 2}, {1, 1, 1, 1}, "SAME"}};      // short ksize (pools only)
+  for (const Attrs& a : bad) {
+    for (const std::string op : {"Conv2D", "MaxPool", "AvgPool"}) {
+      if (op == "Conv2D" && a.ksize.size() != 4) continue;
+      Status s = EvalStatus([&](GraphBuilder* b) {
+        NodeBuilder nb = b->Op(op);
+        nb.Input(Const(b, Floats({1, 4, 4, 1})));
+        if (op == "Conv2D") {
+          nb.Input(Const(b, Floats({a.ksize[1], a.ksize[2], 1, 1})));
+        } else {
+          nb.Attr("ksize", a.ksize);
+        }
+        return nb.Attr("T", DataType::kFloat)
+            .Attr("strides", a.strides)
+            .Attr("padding", a.padding)
+            .Finalize();
+      });
+      EXPECT_EQ(s.code(), Code::kInvalidArgument) << op << ": " << s.ToString();
+      EXPECT_NE(s.ToString().find("shape inference"), std::string::npos)
+          << op << ": " << s.ToString();
+    }
+  }
+}
+
+// Runs one window gradient op on constant inputs.
+Status RunWindowOp(const std::string& op, const std::vector<Tensor>& inputs,
+                   std::vector<int64_t> ksize,
+                   std::vector<int64_t> strides = {1, 1, 1, 1},
+                   const std::string& padding = "VALID") {
+  return EvalStatus([&](GraphBuilder* b) {
+    NodeBuilder nb = b->Op(op);
+    for (const Tensor& t : inputs) nb.Input(Const(b, Tensor(t)));
+    if (!ksize.empty()) nb.Attr("ksize", ksize);
+    return nb.Attr("T", DataType::kFloat)
+        .Attr("strides", strides)
+        .Attr("padding", padding)
+        .Finalize();
+  });
+}
+
+// Before, each of these read past a buffer and returned OK.
+TEST(KernelsTest, ConvGradientsRejectMisshapedOutBackprop) {
+  // A 2x2 VALID window over 4x4 gives a 3x3 output; out_backprop is 2x2.
+  Status s = RunWindowOp("Conv2DBackpropInput",
+                         {Sizes({1, 4, 4, 1}), Floats({2, 2, 1, 1}),
+                          Floats({1, 2, 2, 1})},
+                         {});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+  s = RunWindowOp("Conv2DBackpropFilter",
+                  {Floats({1, 4, 4, 1}), Sizes({2, 2, 1, 1}),
+                   Floats({1, 2, 2, 1})},
+                  {});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+}
+
+TEST(KernelsTest, MaxPoolGradRejectsMisshapedOutputAndGrad) {
+  // A 2x2 window at stride 2 over 4x4 gives 2x2.
+  const std::vector<int64_t> window = {1, 2, 2, 1};
+  const std::vector<int64_t> strides = {1, 2, 2, 1};
+  Status s = RunWindowOp(
+      "MaxPoolGrad", {Floats({1, 4, 4, 1}), Floats({1, 1, 1, 1}),
+                      Floats({1, 2, 2, 1})},
+      window, strides);
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+  s = RunWindowOp("MaxPoolGrad", {Floats({1, 4, 4, 1}), Floats({1, 2, 2, 1}),
+                                  Floats({1, 1, 1, 1})},
+                  window, strides);
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+}
+
+TEST(KernelsTest, AvgPoolGradRejectsShortShapeAndMisshapedGrad) {
+  const std::vector<int64_t> window = {1, 2, 2, 1};
+  const std::vector<int64_t> strides = {1, 2, 2, 1};
+  Status s = RunWindowOp("AvgPoolGrad",
+                         {Sizes({1, 4, 4}), Floats({1, 2, 2, 1})}, window,
+                         strides);
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+  s = RunWindowOp("AvgPoolGrad", {Sizes({1, 4, 4, 1}), Floats({1, 1, 1, 1})},
+                  window, strides);
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+}
+
+// Before, a negative entry sized a tensor with a negative element count
+// and the allocation threw inside the kernel.
+TEST(KernelsTest, WindowGradientsRejectNegativeSizes) {
+  Status s = RunWindowOp("Conv2DBackpropInput",
+                         {Sizes({-1, 4, 4, 1}), Floats({2, 2, 1, 1}),
+                          Floats({1, 3, 3, 1})},
+                         {});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+  s = RunWindowOp("Conv2DBackpropFilter",
+                  {Floats({1, 4, 4, 1}), Sizes({2, 2, 1, -1}),
+                   Floats({1, 3, 3, 1})},
+                  {});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+  s = RunWindowOp("AvgPoolGrad", {Sizes({-1, 4, 4, 1}), Floats({1, 2, 2, 1})},
+                  {1, 2, 2, 1}, {1, 2, 2, 1});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+}
+
+// The gradient ops have no shape function, so their kernels check the
+// attrs. Before, a zero stride divided by zero and a zero window returned
+// OK.
+TEST(KernelsTest, WindowGradientsRejectZeroStrideAndWindow) {
+  Status s = RunWindowOp("Conv2DBackpropFilter",
+                         {Floats({1, 4, 4, 1}), Sizes({2, 2, 1, 1}),
+                          Floats({1, 3, 3, 1})},
+                         {}, {1, 0, 1, 1});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+  s = RunWindowOp("MaxPoolGrad",
+                  {Floats({1, 4, 4, 1}), Floats({1, 4, 4, 1}),
+                   Floats({1, 4, 4, 1})},
+                  {1, 1, 1, 1}, {1, 1, 0, 1});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+  s = RunWindowOp("MaxPoolGrad",
+                  {Floats({1, 4, 4, 1}), Floats({1, 5, 4, 1}),
+                   Floats({1, 5, 4, 1})},
+                  {1, 0, 1, 1});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+}
+
+TEST(KernelsTest, MaxPoolRejectsZeroWindow) {
+  // Before: lowest() in every output entry, status OK.
+  Status s = RunWindowOp("MaxPool", {Floats({1, 4, 4, 1})}, {1, 0, 2, 1});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+}
+
+// VALID never pads, so a window larger than the input has no output.
+// Before, (in - k) / stride + 1 rounded toward zero to 1 here and the
+// kernel summed the part of the window that fell inside the input.
+TEST(KernelsTest, ValidWindowLargerThanInputRejected) {
+  Status s = RunWindowOp("Conv2DBackpropFilter",
+                         {Floats({1, 2, 2, 1}), Sizes({3, 3, 1, 1}),
+                          Floats({1, 1, 1, 1})},
+                         {}, {1, 2, 2, 1});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+  s = RunWindowOp("AvgPool", {Floats({1, 2, 2, 1})}, {1, 3, 3, 1},
+                  {1, 2, 2, 1});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
 }
 
 TEST(KernelsTest, SoftmaxRowsSumToOne) {

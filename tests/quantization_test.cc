@@ -120,6 +120,75 @@ TEST(QuantizationTest, QuantizedMatMulTracksFloatReference) {
   }
 }
 
+// Runs one quantization op on `inputs` (constants) and returns its status.
+Status RunQuantOp(const std::string& op, const std::vector<Tensor>& inputs,
+                  std::vector<Tensor>* out = nullptr) {
+  Graph g;
+  GraphBuilder b(&g);
+  NodeBuilder nb = b.Op(op);
+  for (const Tensor& t : inputs) nb.Input(Const(&b, Tensor(t)));
+  Output result = nb.Finalize();
+  TF_RETURN_IF_ERROR(b.status());
+  SessionOptions options;
+  options.optimizer.do_constant_folding = false;
+  auto session = DirectSession::Create(g, options);
+  std::vector<Tensor> fetched;
+  Status s = session.value()->Run({result.name()}, &fetched);
+  if (out != nullptr) *out = std::move(fetched);
+  return s;
+}
+
+Tensor Bytes(int64_t rows, int64_t cols, uint8_t value) {
+  Tensor t(DataType::kUint8, TensorShape({rows, cols}));
+  for (int64_t i = 0; i < rows * cols; ++i) t.flat<uint8_t>(i) = value;
+  return t;
+}
+
+// A range input holds one float. Before, each kernel read the first float
+// of whatever it was given: past the end of an empty tensor, or ignoring
+// the rest of a longer one.
+TEST(QuantizationTest, QuantizeRejectsRangeOfTwoFloats) {
+  Status s = RunQuantOp("Quantize", {Tensor::Vec<float>({0.5f}),
+                                     Tensor::Vec<float>({-1.0f, 0.0f}),
+                                     Tensor::Scalar(1.0f)});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+}
+
+TEST(QuantizationTest, DequantizeRejectsEmptyRange) {
+  Status s = RunQuantOp("Dequantize",
+                        {Bytes(1, 1, 7), Tensor::Scalar(-1.0f),
+                         Tensor(DataType::kFloat, TensorShape({0}))});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+}
+
+TEST(QuantizationTest, QuantizedMatMulRejectsNonScalarRange) {
+  Status s = RunQuantOp(
+      "QuantizedMatMul",
+      {Bytes(2, 3, 1), Bytes(3, 2, 1), Tensor::Scalar(-1.0f),
+       Tensor::Scalar(1.0f), Tensor::Vec<float>({-1.0f, 5.0f}),
+       Tensor::Scalar(1.0f)});
+  EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString();
+}
+
+TEST(QuantizationTest, QuantizedMatMulSumsExactlyPastTheInt32Range) {
+  // 40,000 products of 255 * 255 sum to 2,601,000,000, past INT32_MAX
+  // (an int32 accumulator wraps once k > 33,025). With ranges [0, 255]
+  // every scale is 1 and every offset 0, so each output is that sum
+  // rounded once to float.
+  constexpr int64_t kK = 40000;
+  std::vector<Tensor> out;
+  Status s = RunQuantOp(
+      "QuantizedMatMul",
+      {Bytes(2, kK, 255), Bytes(kK, 3, 255), Tensor::Scalar(0.0f),
+       Tensor::Scalar(255.0f), Tensor::Scalar(0.0f), Tensor::Scalar(255.0f)},
+      &out);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(out[0].shape().DebugString(), "[2,3]");
+  for (int64_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(out[0].flat<float>(i), static_cast<float>(kK * 255 * 255)) << i;
+  }
+}
+
 TEST(DeviceSetterTest, RoundRobinCycles) {
   train::ReplicaDeviceSetter setter(3, "/job:worker/task:0");
   EXPECT_EQ(setter.NextPsDevice(), "/job:ps/task:0");
