@@ -1,7 +1,8 @@
-// --json support for the google-benchmark binaries: a console reporter
-// that also captures every run into a BenchReport, so `--json <path>`
-// produces the same report shape as the figure benches (rows + metrics
-// snapshot) while the normal console output is unchanged.
+// --json support for the google-benchmark binaries: a reporter that shows
+// every run through google-benchmark's own display reporter, so
+// --benchmark_format and --benchmark_color work as they do without it, and
+// also captures the run into a BenchReport, so `--json <path>` produces
+// the same report shape as the figure benches (rows + metrics snapshot).
 
 #ifndef TFREPRO_BENCH_BENCH_JSON_GBENCH_H_
 #define TFREPRO_BENCH_BENCH_JSON_GBENCH_H_
@@ -13,9 +14,17 @@
 namespace tfrepro {
 namespace bench {
 
-class JsonCaptureReporter : public benchmark::ConsoleReporter {
+class JsonCaptureReporter : public benchmark::BenchmarkReporter {
  public:
-  explicit JsonCaptureReporter(BenchReport* report) : report_(report) {}
+  // `display` outlives the reporter: google-benchmark's default display
+  // reporter lives as long as the process.
+  JsonCaptureReporter(BenchReport* report,
+                      benchmark::BenchmarkReporter* display)
+      : report_(report), display_(display) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
@@ -32,11 +41,14 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
       }
       report_->Add(std::move(row));
     }
-    ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+
+  void Finalize() override { display_->Finalize(); }
 
  private:
   BenchReport* report_;
+  benchmark::BenchmarkReporter* display_;
 };
 
 // Drop-in replacement for BENCHMARK_MAIN()'s body that honours --json.
@@ -44,7 +56,8 @@ inline int RunGBenchWithJson(const char* bench_name, int argc, char** argv) {
   BenchReport report(bench_name, &argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonCaptureReporter reporter(&report);
+  JsonCaptureReporter reporter(&report,
+                               benchmark::CreateDefaultDisplayReporter());
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return report.WriteIfRequested();

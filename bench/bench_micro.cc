@@ -7,6 +7,7 @@
 #include "bench_json_gbench.h"
 #include "core/random.h"
 #include "graph/ops.h"
+#include "kernels/gemm.h"
 #include "kernels/queue.h"
 #include "runtime/rendezvous.h"
 #include "runtime/session.h"
@@ -64,6 +65,43 @@ BENCHMARK(BM_MatMulForm)
     ->Args({64, 256, 256, 0, 0})
     ->Args({256, 64, 256, 1, 0})
     ->Args({64, 256, 256, 0, 1})
+    ->UseRealTime();
+
+// One float Gemm at each vector width this CPU runs (16, 32 or 64 bytes,
+// the first argument), on one thread and outside any session: the three
+// forms of the 256-wide layer above, then serving's 32x16x16 batch and
+// 1x16x16 request (DESIGN.md §15).
+void BM_GemmWidth(benchmark::State& state) {
+  const int bytes = static_cast<int>(state.range(0));
+  const int64_t m = state.range(1), k = state.range(2), n = state.range(3);
+  const bool ta = state.range(4) != 0;
+  const bool tb = state.range(5) != 0;
+  PhiloxRandom rng(1);
+  std::vector<float> a(m * k), b(k * n), c(m * n);
+  for (float& x : a) x = rng.Uniform();
+  for (float& x : b) x = rng.Uniform();
+  for (auto _ : state) {
+    gemm_internal::GemmAtVectorBytes(bytes, a.data(), b.data(), c.data(), m,
+                                     k, n, ta, tb, nullptr);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["gflops"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 2 * m * k * n * 1e-9,
+      benchmark::Counter::kIsRate);
+  state.SetLabel(std::to_string(bytes) + "B " + (ta ? "tn" : tb ? "nt" : "nn"));
+}
+BENCHMARK(BM_GemmWidth)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (int bytes : gemm_internal::kGemmVectorBytes) {
+        if (!gemm_internal::HostRunsGemmVectorBytes(bytes)) continue;
+        b->Args({bytes, 64, 256, 256, 0, 0});
+        b->Args({bytes, 256, 64, 256, 1, 0});
+        b->Args({bytes, 64, 256, 256, 0, 1});
+        b->Args({bytes, 32, 16, 16, 0, 0});
+        b->Args({bytes, 1, 16, 16, 0, 0});
+      }
+    })
     ->UseRealTime();
 
 // A float tensor of uniform values in [-1, 1).

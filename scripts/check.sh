@@ -3,7 +3,7 @@
 # tests (DESIGN.md §8, §9) and a bench smoke against the committed
 # hot-path baseline.
 #
-#   scripts/check.sh              # full: tier-1 build+ctest, socket subset, TSan subset, ASan+UBSan ctest (1 GiB allocation cap), bench + profiler + optimizer + input smoke
+#   scripts/check.sh              # full: tier-1 build+ctest, socket subset, TSan subset, ASan+UBSan ctest (1 GiB allocation cap), bench + profiler + optimizer (with the GEMM object guard) + input smoke
 #   scripts/check.sh --tsan-only
 #   scripts/check.sh --asan-only
 #   scripts/check.sh --bench-only
@@ -32,7 +32,7 @@ TSAN_TESTS=(metrics_test tracing_test fault_tolerance_test queue_test
 declare -A TSAN_FILTER=(
   [chaos_test]="--gtest_filter=ChaosTest.Seed0:ChaosTest.Seed1:ChaosTest.Seed2"
   [optimizer_fuzz_test]="--gtest_filter=OptimizerFuzzTest.Seed0:OptimizerFuzzTest.Seed1:OptimizerFuzzTest.Seed2:OptimizerFuzzTest.Seed3:OptimizerFuzzTest.Seed4"
-  [kernels_test]="--gtest_filter=GemmTest.*:KernelsTest.MatMul*:KernelsTest.Conv2D*:WindowTest.*"
+  [kernels_test]="--gtest_filter=*GemmTest.*:KernelsTest.MatMul*:KernelsTest.Conv2D*:WindowTest.*"
   [distributed_test]="--gtest_filter=SessionDifferentialTest.Seed0:SessionDifferentialTest.Seed1:SessionDifferentialTest.Seed2:SessionDifferentialTest.Seed3:SessionDifferentialTest.Seed4"
 )
 
@@ -198,21 +198,55 @@ print("bench smoke: ok")
 PYEOF
 }
 
+# GEMM width objects (DESIGN.md §15), compiled from gemm_cells.cc with
+# AVX2 and AVX-512F flags: objdump must find no FMA instruction in them
+# (the determinism contract multiplies, then adds; -ffp-contract=off keeps
+# GCC from fusing the two), and nm no non-local symbol outside each one's
+# namespace tfrepro::gemm<bytes>. A library template compiled there would
+# be a weak symbol the linker may hand to every caller, which would then
+# fault on a CPU without that ISA. No emulator of such a CPU is at hand,
+# so this symbol rule is what guards it.
+check_gemm_objects() {
+  cmake --build build -j "$JOBS" --target tfrepro_gemm16 tfrepro_gemm32 \
+      tfrepro_gemm64
+  local bytes obj code stray
+  for bytes in 16 32 64; do
+    obj="build/src/kernels/CMakeFiles/tfrepro_gemm$bytes.dir/gemm_cells.cc.o"
+    code="$(objdump -d "$obj")"
+    if grep -E 'vfn?m(add|sub)' <<< "$code"; then
+      echo "gemm guard FAILED: $obj holds the FMA instructions above"
+      exit 1
+    fi
+    stray="$(nm --defined-only "$obj" |
+             awk -v ns="_ZN7tfrepro6gemm$bytes" \
+                 '$2 ~ /^[A-Zu]$/ && index($3, ns) != 1 { print $3 }')"
+    if [ -n "$stray" ]; then
+      echo "gemm guard FAILED: $obj defines symbols outside tfrepro::gemm$bytes:"
+      c++filt <<< "$stray"
+      exit 1
+    fi
+  done
+  echo "gemm guard: no FMA, no symbol outside tfrepro::gemm16/32/64 — ok"
+}
+
 # Optimizer smoke (DESIGN.md §13): the differential harness in brief.
 # Five fuzz seeds compare optimized vs unoptimized executions bit-for-bit,
-# and the lane differential (kernels_test LaneTest.*, DESIGN.md §15)
-# compares every element-wise kernel on vector lanes with its scalar loop;
-# then the MLP training example runs twice — optimizer tier off vs on —
-# and the two loss trajectories (hex floats, one per step) must be
-# byte-identical. Any numeric divergence introduced by a rewrite pass
-# fails the diff.
+# the lane differential (kernels_test LaneTest.*, DESIGN.md §15) compares
+# every element-wise kernel on vector lanes with its scalar loop, and the
+# GEMM runs at every vector width against the ascending-k loop (GemmTest,
+# after the width objects pass check_gemm_objects); then the MLP training
+# example runs twice — optimizer tier off vs on — and the two loss
+# trajectories (hex floats, one per step) must be byte-identical. Any
+# numeric divergence introduced by a rewrite pass fails the diff.
 run_optimizer_smoke() {
-  echo "== optimizer smoke: fuzz seeds 0-4 + lane differential + mlp_training loss diff (tier off vs on) =="
+  echo "== optimizer smoke: fuzz seeds 0-4 + lane differential + GEMM objects and widths + mlp_training loss diff (tier off vs on) =="
   cmake --build build -j "$JOBS" --target optimizer_fuzz_test kernels_test \
       mlp_training
   ./build/tests/optimizer_fuzz_test \
       --gtest_filter='OptimizerFuzzTest.Seed0:OptimizerFuzzTest.Seed1:OptimizerFuzzTest.Seed2:OptimizerFuzzTest.Seed3:OptimizerFuzzTest.Seed4'
   ./build/tests/kernels_test --gtest_filter='LaneTest.*'
+  check_gemm_objects
+  ./build/tests/kernels_test --gtest_filter='*GemmTest.*'
   local off=/tmp/mlp_loss_off.txt on=/tmp/mlp_loss_on.txt
   TFREPRO_OPTIMIZER=off ./build/examples/mlp_training --steps 50 --loss-out "$off"
   ./build/examples/mlp_training --steps 50 --loss-out "$on"

@@ -1,7 +1,9 @@
 // The kernel layer's matrix multiply (DESIGN.md §15): one packed,
 // register-blocked GEMM for every transpose form and numeric type, split
 // into blocks of output across a device's threads (paper §5: kernels that
-// run in parallel on multicore CPUs).
+// run in parallel on multicore CPUs). Its micro-kernel runs on the widest
+// vectors the CPU has, 16, 32 or 64 bytes, picked once per process; every
+// width gives the same bits.
 
 #ifndef TFREPRO_KERNELS_GEMM_H_
 #define TFREPRO_KERNELS_GEMM_H_
@@ -24,6 +26,22 @@ namespace tfrepro {
 template <typename T>
 void Gemm(const T* a, const T* b, T* c, int64_t m, int64_t k, int64_t n,
           bool transpose_a, bool transpose_b, ThreadPool* pool);
+
+// For tests and benchmarks, which compare the widths: Gemm picks the
+// widest of kGemmVectorBytes that HostRunsGemmVectorBytes accepts, and
+// GemmAtVectorBytes runs one product at a width the host runs.
+namespace gemm_internal {
+
+constexpr int kGemmVectorBytes[] = {16, 32, 64};
+
+bool HostRunsGemmVectorBytes(int bytes);
+
+template <typename T>
+void GemmAtVectorBytes(int bytes, const T* a, const T* b, T* c, int64_t m,
+                       int64_t k, int64_t n, bool transpose_a,
+                       bool transpose_b, ThreadPool* pool);
+
+}  // namespace gemm_internal
 
 }  // namespace tfrepro
 

@@ -1,7 +1,9 @@
-// 16-byte vector lanes and Elementwise, the one loop behind the plain
-// element-wise kernels (DESIGN.md §15). Vectors are GCC vector extensions,
-// which the baseline x86-64 target (SSE2) has, so neither Elementwise nor
-// the GEMM micro-kernel that shares the type needs -march or intrinsics.
+// Vector lanes and Elementwise, the one loop behind the plain element-wise
+// kernels (DESIGN.md §15). Vectors are GCC vector extensions of a given
+// width: Elementwise runs on 16-byte vectors, which the baseline x86-64
+// target (SSE2) has, so it needs no -march or intrinsics. The GEMM's
+// micro-kernel (kernels/gemm_cells.cc) uses the same type at 16, 32 and
+// 64 bytes, in objects built with the wider ISA flags.
 
 #ifndef TFREPRO_KERNELS_LANES_H_
 #define TFREPRO_KERNELS_LANES_H_
@@ -12,13 +14,14 @@
 
 namespace tfrepro {
 
+// The width Elementwise runs on.
 constexpr int kVecBytes = 16;
-template <typename T>
-constexpr int kLanes = kVecBytes / static_cast<int>(sizeof(T));
+template <typename T, int Bytes = kVecBytes>
+constexpr int kLanes = Bytes / static_cast<int>(sizeof(T));
 
-template <typename T>
+template <typename T, int Bytes = kVecBytes>
 struct Simd {
-  typedef T Vec __attribute__((vector_size(kVecBytes)));
+  typedef T Vec __attribute__((vector_size(Bytes)));
 };
 
 // c in every lane of V, or c as a V when V is a scalar type. Functors build

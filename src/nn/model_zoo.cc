@@ -2,23 +2,31 @@
 
 #include <cmath>
 
+#include "graph/shape_inference.h"
+
 namespace tfrepro {
 namespace nn {
+namespace {
 
-int64_t LayerSpec::OutH() const {
-  if (same_padding) {
-    return (in_h + stride - 1) / stride;
+// The layer's window through ComputeWindow2D, the one output-size rule; a
+// window with no output (VALID and larger than its input) has extent 0.
+Window2D LayerWindow(const LayerSpec& l) {
+  Window2D w{};
+  const int64_t kw = l.k2 != 0 ? l.k2 : l.k;
+  if (!ComputeWindow2D({1, l.k, kw, 1}, {1, l.stride, l.stride, 1},
+                       l.same_padding ? "SAME" : "VALID", l.in_h, l.in_w, &w)
+           .ok()) {
+    w.out_h = 0;
+    w.out_w = 0;
   }
-  return (in_h - k) / stride + 1;
+  return w;
 }
 
-int64_t LayerSpec::OutW() const {
-  int64_t kw = k2 != 0 ? k2 : k;
-  if (same_padding) {
-    return (in_w + stride - 1) / stride;
-  }
-  return (in_w - kw) / stride + 1;
-}
+}  // namespace
+
+int64_t LayerSpec::OutH() const { return LayerWindow(*this).out_h; }
+
+int64_t LayerSpec::OutW() const { return LayerWindow(*this).out_w; }
 
 double LayerSpec::ForwardFlops() const {
   switch (kind) {

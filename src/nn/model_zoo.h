@@ -31,6 +31,8 @@ struct LayerSpec {
   int64_t in_dim = 0;
   int64_t out_dim = 0;  // fc units, lstm hidden size, softmax classes
 
+  // Output extent by ComputeWindow2D (graph/shape_inference.h), the rule
+  // the Conv2D and pool kernels use; 0 when the window has no output.
   int64_t OutH() const;
   int64_t OutW() const;
 

@@ -339,7 +339,9 @@ TEST(KernelsTest, MatMulZeroTimesInfIsNaNInEveryForm) {
 
 // The GEMM behind MatMul (kernels/gemm.h), checked bit for bit against the
 // plain loop it must match: one accumulator per output element, starting
-// at zero, adding op(a)[i,p] * op(b)[p,j] for ascending p.
+// at zero, adding op(a)[i,p] * op(b)[p,j] for ascending p. Every case runs
+// at each vector width (16, 32 and 64 bytes); a width this CPU cannot run
+// is reported as skipped.
 
 template <typename T>
 std::vector<T> RandomMatrix(int64_t elements, uint64_t seed) {
@@ -375,13 +377,15 @@ std::vector<T> AscendingKLoop(const std::vector<T>& a, const std::vector<T>& b,
   return c;
 }
 
+// The product at `bytes`-wide vectors.
 template <typename T>
 std::vector<T> RunGemm(const std::vector<T>& a, const std::vector<T>& b,
                        int64_t m, int64_t k, int64_t n, bool ta, bool tb,
-                       ThreadPool* pool) {
+                       ThreadPool* pool, int bytes) {
   // Pre-filled with garbage: the GEMM must write every element.
   std::vector<T> c(m * n, static_cast<T>(77));
-  Gemm<T>(a.data(), b.data(), c.data(), m, k, n, ta, tb, pool);
+  gemm_internal::GemmAtVectorBytes<T>(bytes, a.data(), b.data(), c.data(), m,
+                                      k, n, ta, tb, pool);
   return c;
 }
 
@@ -396,56 +400,86 @@ struct GemmShape {
   int64_t m, k, n;
 };
 
-// Edges of every blocking level: empty and unit dimensions, the 4-row
-// register tile +-1, the 4/8/32-column tiles (double, float/int32, uint8)
-// +-1, k past one and two 256-deep k-blocks, n past one 256-wide block,
-// and the training-sized product. The last two split on a 4-thread pool
-// into shards that straddle 64-column blocks, with ragged m and n and k
-// past one k-block.
+// Edges of every blocking level: empty and unit dimensions; the 4- and
+// 8-row register tiles +-1; the column tiles +-1 of each type at each
+// width (16 bytes: 4 double or int64, 8 float or int32, 32 uint8; 32 and
+// 64 bytes: 8, 16 and 64); k past one and two 256-deep k-blocks; n past one
+// 256-wide block; serving's 1x16x16 and 32x16x16; and the training-sized
+// product. The last two split on a 4-thread pool into shards that straddle
+// 64-column blocks, with ragged m and n and k past one k-block.
 const std::vector<GemmShape>& EdgeShapes() {
   static const std::vector<GemmShape> shapes = {
-      {0, 3, 4},   {3, 0, 4},   {3, 4, 0},    {0, 0, 0},    {1, 1, 1},
-      {3, 5, 3},   {5, 3, 5},   {4, 8, 8},    {3, 7, 7},    {5, 9, 9},
-      {1, 16, 31}, {4, 17, 33}, {5, 33, 32},  {7, 2, 17},   {9, 257, 9},
-      {5, 300, 33}, {3, 513, 5}, {6, 20, 260}, {64, 256, 256},
-      {37, 300, 150}, {130, 513, 70}};
+      {0, 3, 4},    {3, 0, 4},    {3, 4, 0},    {0, 0, 0},     {1, 1, 1},
+      {3, 5, 3},    {5, 3, 5},    {4, 8, 8},    {3, 7, 7},     {5, 9, 9},
+      {7, 6, 15},   {8, 5, 16},   {9, 4, 17},   {8, 3, 7},     {7, 11, 9},
+      {9, 2, 63},   {8, 7, 64},   {7, 5, 65},   {1, 16, 31},   {4, 17, 33},
+      {5, 33, 32},  {7, 2, 17},   {9, 257, 9},  {1, 16, 16},   {32, 16, 16},
+      {5, 300, 33}, {3, 513, 5},  {6, 20, 260}, {64, 256, 256}, {37, 300, 150},
+      {130, 513, 70}};
   return shapes;
 }
 
-// Each product inline and on `pool` against one reference loop.
-template <typename T>
-void ExpectGemmMatchesAscendingKLoop(ThreadPool* pool) {
-  uint64_t seed = 1;
-  for (const GemmShape& s : EdgeShapes()) {
-    for (bool ta : {false, true}) {
-      for (bool tb : {false, true}) {
-        const std::vector<T> a = RandomMatrix<T>(s.m * s.k, seed++);
-        const std::vector<T> b = RandomMatrix<T>(s.k * s.n, seed++);
-        const std::vector<T> want = AscendingKLoop(a, b, s.m, s.k, s.n, ta, tb);
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), pool}) {
-          EXPECT_TRUE(SameBits(RunGemm(a, b, s.m, s.k, s.n, ta, tb, p), want))
-              << DataTypeName(DataTypeToEnum<T>::value) << " m=" << s.m
-              << " k=" << s.k << " n=" << s.n << " ta=" << ta << " tb=" << tb
-              << (p == nullptr ? " inline" : " on the pool");
+class GemmTest : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (!gemm_internal::HostRunsGemmVectorBytes(bytes())) {
+      GTEST_SKIP() << "this CPU cannot run the " << bytes()
+                   << "-byte GEMM";
+    }
+  }
+
+  int bytes() const { return GetParam(); }
+
+  // Each product inline and on `pool`, against one reference loop and
+  // against the 16-byte width, which every CPU runs.
+  template <typename T>
+  void ExpectMatchesAscendingKLoop(ThreadPool* pool) {
+    uint64_t seed = 1;
+    for (const GemmShape& s : EdgeShapes()) {
+      for (bool ta : {false, true}) {
+        for (bool tb : {false, true}) {
+          const std::vector<T> a = RandomMatrix<T>(s.m * s.k, seed++);
+          const std::vector<T> b = RandomMatrix<T>(s.k * s.n, seed++);
+          const std::vector<T> want =
+              AscendingKLoop(a, b, s.m, s.k, s.n, ta, tb);
+          const std::vector<T> narrow =
+              RunGemm(a, b, s.m, s.k, s.n, ta, tb, nullptr, 16);
+          for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), pool}) {
+            const std::vector<T> got =
+                RunGemm(a, b, s.m, s.k, s.n, ta, tb, p, bytes());
+            EXPECT_TRUE(SameBits(got, want) && SameBits(got, narrow))
+                << DataTypeName(DataTypeToEnum<T>::value) << " m=" << s.m
+                << " k=" << s.k << " n=" << s.n << " ta=" << ta
+                << " tb=" << tb << (p == nullptr ? " inline" : " on the pool")
+                << (SameBits(got, want) ? ": differs from the 16-byte width"
+                                        : ": differs from the loop");
+          }
         }
       }
     }
   }
-}
+};
 
-TEST(GemmTest, MatchesAscendingKLoopForEveryFormAndType) {
+INSTANTIATE_TEST_SUITE_P(
+    VectorBytes, GemmTest,
+    ::testing::ValuesIn(gemm_internal::kGemmVectorBytes),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::to_string(info.param);
+    });
+
+TEST_P(GemmTest, MatchesAscendingKLoopForEveryFormAndType) {
   ThreadPool pool("gemm_test", 4);
-  ExpectGemmMatchesAscendingKLoop<float>(&pool);
-  ExpectGemmMatchesAscendingKLoop<double>(&pool);
-  ExpectGemmMatchesAscendingKLoop<int32_t>(&pool);
-  ExpectGemmMatchesAscendingKLoop<int64_t>(&pool);
-  ExpectGemmMatchesAscendingKLoop<uint8_t>(&pool);
+  ExpectMatchesAscendingKLoop<float>(&pool);
+  ExpectMatchesAscendingKLoop<double>(&pool);
+  ExpectMatchesAscendingKLoop<int32_t>(&pool);
+  ExpectMatchesAscendingKLoop<int64_t>(&pool);
+  ExpectMatchesAscendingKLoop<uint8_t>(&pool);
 }
 
-TEST(GemmTest, OneForkJoinPerProduct) {
+TEST_P(GemmTest, OneForkJoinPerProduct) {
   // A split product is one ParallelFor, which hands a 4-thread pool at most
   // 3 helper tasks; a product below the split threshold schedules none.
-  const std::string name = "gemm_fork_join";
+  const std::string name = "gemm_fork_join_" + std::to_string(bytes());
   ThreadPool pool(name, 4);
   metrics::Counter* tasks = metrics::Registry::Global()->GetCounter(
       "threadpool.tasks", {{"pool", name}});
@@ -454,7 +488,7 @@ TEST(GemmTest, OneForkJoinPerProduct) {
     const std::vector<float> b = RandomMatrix<float>(k * n, 32);
     pool.WaitIdle();  // also flushes the pool's batched task count
     const int64_t before = tasks->value();
-    RunGemm(a, b, m, k, n, false, false, &pool);
+    RunGemm(a, b, m, k, n, false, false, &pool, bytes());
     pool.WaitIdle();
     return tasks->value() - before;
   };
@@ -464,7 +498,7 @@ TEST(GemmTest, OneForkJoinPerProduct) {
   EXPECT_EQ(tasks_for(32, 128, 128), 0);
 }
 
-TEST(GemmTest, SameBitsOnPoolsOfOneTwoAndFourThreads) {
+TEST_P(GemmTest, SameBitsOnPoolsOfOneTwoAndFourThreads) {
   // Large enough to be split into row shards on the 2- and 4-thread pools.
   const int64_t m = 64, k = 256, n = 256;
   ThreadPool one("gemm_1", 1), two("gemm_2", 2), four("gemm_4", 4);
@@ -473,11 +507,11 @@ TEST(GemmTest, SameBitsOnPoolsOfOneTwoAndFourThreads) {
       const std::vector<float> a = RandomMatrix<float>(m * k, 11);
       const std::vector<float> b = RandomMatrix<float>(k * n, 12);
       const std::vector<float> inline_c =
-          RunGemm(a, b, m, k, n, ta, tb, nullptr);
+          RunGemm(a, b, m, k, n, ta, tb, nullptr, bytes());
       for (ThreadPool* pool : {&one, &two, &four}) {
         for (int rep = 0; rep < 3; ++rep) {
-          EXPECT_TRUE(
-              SameBits(RunGemm(a, b, m, k, n, ta, tb, pool), inline_c))
+          EXPECT_TRUE(SameBits(RunGemm(a, b, m, k, n, ta, tb, pool, bytes()),
+                               inline_c))
               << pool->num_threads() << " threads, ta=" << ta
               << " tb=" << tb;
         }
@@ -486,18 +520,19 @@ TEST(GemmTest, SameBitsOnPoolsOfOneTwoAndFourThreads) {
   }
 }
 
-TEST(GemmTest, RowOfBatchEqualsSingleRowProduct) {
+TEST_P(GemmTest, RowOfBatchEqualsSingleRowProduct) {
   // A serving batch must answer each request exactly as a batch of one.
   const int64_t m = 32, k = 256, n = 256;
   ThreadPool pool("gemm_rows", 4);
   for (bool tb : {false, true}) {
     const std::vector<float> a = RandomMatrix<float>(m * k, 21);
     const std::vector<float> b = RandomMatrix<float>(k * n, 22);
-    const std::vector<float> batch = RunGemm(a, b, m, k, n, false, tb, &pool);
+    const std::vector<float> batch =
+        RunGemm(a, b, m, k, n, false, tb, &pool, bytes());
     for (int64_t i = 0; i < m; ++i) {
       const std::vector<float> row(a.begin() + i * k, a.begin() + (i + 1) * k);
-      const std::vector<float> single = RunGemm(row, b, 1, k, n, false, tb,
-                                                &pool);
+      const std::vector<float> single =
+          RunGemm(row, b, 1, k, n, false, tb, &pool, bytes());
       EXPECT_EQ(std::memcmp(single.data(), batch.data() + i * n,
                             n * sizeof(float)),
                 0)

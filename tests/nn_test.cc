@@ -319,6 +319,26 @@ TEST(ModelZooTest, ParamSizesMatchPublishedMagnitudes) {
   EXPECT_NEAR(nn::InceptionV3(1).TotalParamBytes() / 4e6, 24, 12);
 }
 
+TEST(ModelZooTest, LayerExtentsFollowTheKernelsWindowRule) {
+  // The cost model sizes a layer as the Conv2D and pool kernels do: SAME
+  // rounds up, VALID counts only windows that fit, and a VALID window
+  // larger than its input has no output and so no work.
+  nn::LayerSpec conv;
+  conv.kind = nn::LayerSpec::Kind::kConv;
+  conv.in_h = conv.in_w = 6;
+  conv.in_c = 3;
+  conv.k = 7;
+  conv.stride = 2;
+  conv.out_c = 4;
+  EXPECT_EQ(conv.OutH(), 3);
+  EXPECT_EQ(conv.OutW(), 3);
+  conv.same_padding = false;
+  EXPECT_EQ(conv.OutH(), 0);
+  EXPECT_EQ(conv.OutW(), 0);
+  EXPECT_EQ(conv.ForwardFlops(), 0);
+  EXPECT_EQ(conv.ActivationBytes(), 0);
+}
+
 TEST(ModelZooTest, LstmLmScalesWithSoftmaxWidth) {
   // Full softmax (40000 classes) vs sampled (513): compute ratio should be
   // roughly the 78x data/compute reduction quoted in §6.4 for the softmax
